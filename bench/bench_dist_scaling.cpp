@@ -1,8 +1,9 @@
 // Multi-GCD scaling study: the system the paper motivates ("establish the
 // basis for distributed BFS on AMD GPUs") quantified on the simulator.
 //
-// Runs the distributed direction-optimizing BFS on the Rmat25 stand-in
-// across 1..8 simulated GCDs (one Frontier node) and reports aggregate
+// Runs the distributed direction-optimizing BFS (shard::ShardSweep over an
+// all-live, single-replica ShardedStore) on the Rmat25 stand-in across
+// 1..8 simulated GCDs (one Frontier node) and reports aggregate
 // GTEPS, parallel efficiency and the communication share — then puts the
 // per-GCD number next to the paper's Graph500 comparison (CPU-based
 // Frontier submission: 0.4 GTEPS/GCD; XBFS on one GCD: 43 GTEPS).
@@ -21,12 +22,12 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "dist/dist_bfs.h"
 #include "graph/g500_validate.h"
 #include "graph/rmat.h"
 #include "hipsim/fault.h"
 #include "hipsim/sanitizer.h"
 #include "shard/router.h"
+#include "shard/shard_bfs.h"
 #include "shard/sharded_store.h"
 
 using namespace xbfs;
@@ -80,6 +81,36 @@ shard::RouterStats drive_queries(shard::ShardRouter& router,
   }
   router.drain();
   return router.stats();
+}
+
+struct ScalingRow {
+  double gteps = 0.0;       ///< mean over the sources
+  double comm_share = 0.0;  ///< mean comm_ms / total_ms
+  std::uint32_t depth = 0;  ///< deepest run
+};
+
+/// One row of the scaling study: `sources` swept over a `shards`-way
+/// all-live store, one run record per source under XBFS_RUN_REPORT.
+ScalingRow measure_scaling(const graph::Csr& g, unsigned shards,
+                           const std::vector<graph::vid_t>& sources) {
+  shard::ShardStoreConfig cfg;
+  cfg.shards = shards;
+  shard::ShardedStore store(g, cfg);
+  shard::ShardSweep sweep(store);
+  const std::vector<int> plan(shards, 0);
+  obs::ReportSession& report = obs::ReportSession::global();
+  double gteps_sum = 0, comm_share = 0;
+  ScalingRow row;
+  for (graph::vid_t src : sources) {
+    const shard::ShardSweepResult r = sweep.run(src, plan);
+    if (report.enabled()) report.add(sweep.run_record(src, r));
+    gteps_sum += r.gteps;
+    comm_share += r.comm_ms / r.total_ms;
+    row.depth = std::max(row.depth, r.depth);
+  }
+  row.gteps = gteps_sum / sources.size();
+  row.comm_share = comm_share / sources.size();
+  return row;
 }
 
 int run_serving_study(const ServeOptions& opt, std::uint64_t seed) {
@@ -288,22 +319,11 @@ int main(int argc, char** argv) {
               "GTEPS/GCD", "efficiency", "comm share", "depth");
   double gteps_1 = 0;
   for (unsigned g : {1u, 2u, 4u, 8u}) {
-    dist::DistConfig cfg;
-    cfg.gcds = g;
-    dist::DistBfs bfs(d.host, cfg);
-    double gteps_sum = 0, comm_share = 0;
-    std::uint32_t depth = 0;
-    for (graph::vid_t src : sources) {
-      const dist::DistBfsResult r = bfs.run(src);
-      gteps_sum += r.gteps;
-      comm_share += r.comm_ms / r.total_ms;
-      depth = std::max(depth, r.depth);
-    }
-    const double gteps = gteps_sum / sources.size();
-    if (g == 1) gteps_1 = gteps;
-    std::printf("%-6u %-12.3f %-12.3f %-11.1f%% %-11.1f%% %-8u\n", g, gteps,
-                gteps / g, 100.0 * gteps / (gteps_1 * g),
-                100.0 * comm_share / sources.size(), depth);
+    const ScalingRow row = measure_scaling(d.host, g, sources);
+    if (g == 1) gteps_1 = row.gteps;
+    std::printf("%-6u %-12.3f %-12.3f %-11.1f%% %-11.1f%% %-8u\n", g,
+                row.gteps, row.gteps / g, 100.0 * row.gteps / (gteps_1 * g),
+                100.0 * row.comm_share, row.depth);
   }
 
   // Weak scaling: fixed per-GCD share (the Graph500 regime) — the problem
@@ -319,22 +339,14 @@ int main(int argc, char** argv) {
     rp.seed = opt.seed;
     const graph::Csr wg = graph::rmat_csr(rp);
     const auto wgiant = graph::largest_component_vertices(wg);
-    dist::DistConfig cfg;
-    cfg.gcds = g;
-    dist::DistBfs bfs(wg, cfg);
-    double gteps_sum = 0, comm_share = 0;
-    std::uint32_t depth = 0;
     const unsigned runs = std::max(1u, opt.sources / 2);
+    std::vector<graph::vid_t> wsources;
     for (unsigned i = 0; i < runs; ++i) {
-      const dist::DistBfsResult r =
-          bfs.run(wgiant[i * wgiant.size() / runs]);
-      gteps_sum += r.gteps;
-      comm_share += r.comm_ms / r.total_ms;
-      depth = std::max(depth, r.depth);
+      wsources.push_back(wgiant[i * wgiant.size() / runs]);
     }
-    const double gteps = gteps_sum / runs;
+    const ScalingRow row = measure_scaling(wg, g, wsources);
     std::printf("%-6u %-10u %-12.3f %-12.3f %-11.1f%% %-8u\n", g, rp.scale,
-                gteps, gteps / g, 100.0 * comm_share / runs, depth);
+                row.gteps, row.gteps / g, 100.0 * row.comm_share, row.depth);
   }
 
   print_header("Graph500 framing (paper Sec. I)");

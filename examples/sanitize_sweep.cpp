@@ -27,12 +27,12 @@
 #include "baseline/hier_queue.h"
 #include "baseline/simple_scan.h"
 #include "core/xbfs.h"
-#include "dist/dist_bfs.h"
 #include "graph/builder.h"
 #include "graph/device_csr.h"
 #include "graph/rmat.h"
 #include "hipsim/hipsim.h"
 #include "hipsim/sanitizer.h"
+#include "shard/shard_bfs.h"
 
 using namespace xbfs;
 
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   const graph::Csr gt = graph::reverse_csr(g);
   std::cout << "sanitize_sweep: RMAT scale " << scale << " (" << g.num_vertices()
             << " vertices, " << g.num_edges() << " edges), modes: ";
-  // One device for the single-GCD paths; DistBfs creates its own.
+  // One device for the single-GCD paths; the sharded store builds its own.
   sim::Device dev(sim::DeviceProfile::mi250x_gcd(),
                   sim::SimOptions{.num_workers = 2});
   const auto dg = graph::DeviceCsr::upload(dev, g);
@@ -131,11 +131,12 @@ int main(int argc, char** argv) {
 
   // --- distributed layer ----------------------------------------------------
   {
-    dist::DistConfig dc;
-    dc.gcds = 2;
-    dist::DistBfs db(g, dc);
-    (void)db.run(src);
-    std::cout << "  dist (2 GCDs): ok\n";
+    shard::ShardStoreConfig sc;
+    sc.shards = 2;
+    shard::ShardedStore store(g, sc);
+    shard::ShardSweep sweep(store);
+    (void)sweep.run(src, {0, 0});
+    std::cout << "  shard sweep (2 GCDs): ok\n";
   }
 
   san.summary(std::cout);

@@ -23,7 +23,7 @@
 set -euo pipefail
 
 ROOT=${1:-$(cd "$(dirname "$0")/.." && pwd)}
-DIRS=(src/hipsim src/core src/baseline src/algos src/dist src/serve src/dyn src/shard)
+DIRS=(src/hipsim src/core src/baseline src/algos src/serve src/dyn src/shard)
 
 fail=0
 report() {  # file:line:text, tagged with the rule that fired
@@ -50,7 +50,7 @@ for d in "${DIRS[@]}"; do
       if [[ "$code" =~ __popc\( ]]; then
         report "popc32-on-ballot" "$loc: $code"
       fi
-      lower=$(printf '%s' "$code" | tr '[:upper:]' '[:lower:]')
+      lower=${code,,}  # in-process: no fork per source line
       if [[ "$lower" =~ 0xffffffff([^f]|$) ]] &&
          [[ "$lower" =~ mask|ballot|lane|wavefront|warp|vote|shfl ]]; then
         report "warp32-full-mask" "$loc: $code"

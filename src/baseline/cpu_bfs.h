@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/traversal_engine.h"
+#include "core/algorithm_engine.h"
 #include "graph/csr.h"
 
 namespace xbfs::baseline {

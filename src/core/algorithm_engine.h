@@ -8,9 +8,8 @@
 // The historical single-algorithm interface, TraversalEngine, survives as
 // an adapter: a pure `BfsResult run(vid_t)` subclass is automatically a
 // full AlgorithmEngine of kind Bfs (solve() wraps run() into the typed
-// payload).  BfsResult, LevelStats, and safe_gteps moved here from
-// core/traversal_engine.h; that header re-exports them, so existing
-// includes keep working (docs/api.md has the migration table).
+// payload).  BfsResult, LevelStats, and safe_gteps live here too
+// (docs/api.md has the migration table).
 #pragma once
 
 #include <cmath>

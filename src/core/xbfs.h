@@ -15,7 +15,7 @@
 #include "core/config.h"
 #include "core/frontier.h"
 #include "core/policy.h"
-#include "core/traversal_engine.h"  // BfsResult/LevelStats/safe_gteps live here
+#include "core/algorithm_engine.h"  // BfsResult/LevelStats/safe_gteps live here
 #include "graph/device_csr.h"
 #include "hipsim/device.h"
 

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "core/traversal_engine.h"
+#include "core/algorithm_engine.h"
 #include "dyn/delta_csr.h"
 #include "dyn/graph_store.h"
 

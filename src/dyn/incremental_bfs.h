@@ -52,7 +52,7 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/traversal_engine.h"
+#include "core/algorithm_engine.h"
 #include "dyn/graph_store.h"
 #include "hipsim/device.h"
 

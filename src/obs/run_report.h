@@ -1,7 +1,7 @@
 // Versioned machine-readable run reports — the artifact a regression
 // harness diffs.  One RunRecord captures a single traversal: which tool
 // produced it, the graph, the end-to-end result, one row per BFS level
-// (mirroring core::LevelStats / dist::DistLevelStats exactly) and the
+// (mirroring core::LevelStats / shard::ShardLevelStats exactly) and the
 // per-kernel aggregate the paper's Fig. 5 breakdown uses.
 //
 // The process-wide ReportSession collects every record produced while
@@ -28,7 +28,7 @@ namespace xbfs::obs {
 inline constexpr int kRunReportVersion = 1;
 inline constexpr const char* kRunReportSchema = "xbfs-run-report";
 
-/// One BFS level.  The dist runner fills local_ms/comm_ms (has_comm=true);
+/// One BFS level.  The sharded sweep fills local_ms/comm_ms (has_comm=true);
 /// single-device runners fill fetch_kb/kernels.
 struct ReportLevelRow {
   std::int64_t level = 0;
@@ -54,7 +54,7 @@ struct ReportKernelRow {
 };
 
 struct RunRecord {
-  std::string tool;       ///< "xbfs", "simple_scan", "dist_bfs", ...
+  std::string tool;       ///< "xbfs", "simple_scan", "shard_sweep", ...
   std::string algorithm = "bfs";
   std::uint64_t n = 0;    ///< vertices
   std::uint64_t m = 0;    ///< directed edge entries

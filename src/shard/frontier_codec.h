@@ -13,7 +13,7 @@
 //
 // The encoder picks per slice; the decoder ORs either form back into a
 // destination bitmap, so the exchange stays an OR-merge exactly like the
-// uncompressed dist::DistBfs path.  wire_bytes() is what the modelled
+// uncompressed bitmap exchange.  wire_bytes() is what the modelled
 // fabric charges; raw_bytes() is the uncompressed cost the compression
 // ratio is reported against.
 #pragma once

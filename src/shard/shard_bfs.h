@@ -1,12 +1,25 @@
-// The sharded direction-optimizing sweep: dist::DistBfs's phase structure
-// run over a ShardedStore with three serving-tier extensions:
+// The distributed direction-optimizing BFS over a ShardedStore: every
+// multi-GCD traversal in the repository (the router's routed sweeps and
+// the bench's scaling study) runs here.  Graph500-style 1D row
+// partitioning: every shard holds the full adjacency of its owned vertex
+// range plus a global frontier bitmap.  Per level:
+//
+//   top-down  — owned frontier vertices expand, marking neighbour
+//               candidate bits; candidates travel to their owners, owners
+//               claim unvisited ones and broadcast the cleaned slice;
+//   bottom-up — owned unvisited vertices probe the local copy of the
+//               global frontier with early termination, so only the
+//               cleaned broadcast is needed (no candidate exchange).
+//
+// The direction choice reuses the XBFS alpha policy on globally allreduced
+// frontier-edge counts.  On top of that phase structure:
 //
 //   * plan-driven execution — the router hands run() one replica index per
 //     shard; kLost marks a shard with no healthy replica, whose vertex
 //     range simply never participates.  The result is then exactly BFS on
 //     the subgraph with the lost shards' vertices removed (partial=true,
 //     lost ranges stay -1), which is what lets the router degrade instead
-//     of fail.
+//     of fail.  An all-live plan over one replica is plain distributed BFS.
 //   * compressed frontier exchange — candidate and cleaned slices travel
 //     bitmap- or delta-varint-encoded (shard/frontier_codec.h), and the
 //     modelled fabric is charged the encoded bytes, not the raw bitmap.
@@ -19,7 +32,9 @@
 //
 // A kernel fault on any replica surfaces as ShardSweepFault naming the
 // (shard, replica) slot so the router can penalize exactly that breaker
-// and reroute.
+// and reroute.  Under XBFS_TRACE each run emits modelled-clock phase and
+// level spans on the coordinator lane (pid 0); each replica's kernels land
+// in its own device lane.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +43,7 @@
 #include <vector>
 
 #include "graph/csr.h"
+#include "obs/run_report.h"
 #include "shard/sharded_store.h"
 
 namespace xbfs::shard {
@@ -43,8 +59,8 @@ struct ShardLevelStats {
   std::uint64_t frontier_count = 0;
   std::uint64_t frontier_edges = 0;
   double ratio = 0.0;
-  double local_ms = 0.0;
-  double comm_ms = 0.0;
+  double local_ms = 0.0;  ///< slowest live replica's kernel time
+  double comm_ms = 0.0;   ///< modelled collective time
   std::uint64_t raw_bytes = 0;   ///< uncompressed exchange payload
   std::uint64_t wire_bytes = 0;  ///< encoded payload the fabric was charged
 };
@@ -90,30 +106,18 @@ class ShardSweep {
   /// Run one source through the plan (`plan[s]` = replica index for shard
   /// s, or kLost).  The caller owns the chosen replicas' locks for the
   /// duration (ShardedStore::Replica::mu) — the sweep does not lock.
-  /// Throws std::invalid_argument when the plan is malformed or the
-  /// source's owner shard is lost (no meaningful result exists), and
-  /// ShardSweepFault on an injected device fault.
+  /// Throws std::invalid_argument when the source is out of range, the
+  /// plan is malformed or the source's owner shard is lost (no meaningful
+  /// result exists), and ShardSweepFault on an injected device fault.
   ShardSweepResult run(graph::vid_t src, const std::vector<int>& plan);
 
+  /// The run-report record of one run (tool "shard_sweep"): one row per
+  /// level with time split into local and comm.  Direct callers (the
+  /// scaling study) add it per run; the router reports only its summary.
+  obs::RunRecord run_record(graph::vid_t src,
+                            const ShardSweepResult& r) const;
+
  private:
-  struct Exchange {  ///< one level's encoded-exchange accounting
-    std::uint64_t raw = 0;
-    std::uint64_t wire = 0;
-  };
-
-  ShardedStore::Replica& rep(unsigned s, const std::vector<int>& plan) {
-    return store_.replica(s, static_cast<unsigned>(plan[s]));
-  }
-  void reset_for_run(graph::vid_t src, const std::vector<int>& plan);
-  double run_local_topdown(const std::vector<int>& plan);
-  double run_claim_phase(std::uint32_t level, const std::vector<int>& plan);
-  double run_local_bottomup(std::uint32_t level,
-                            const std::vector<int>& plan);
-  /// Owner-side OR of every live sender's encoded candidate slice.
-  Exchange merge_candidates(const std::vector<int>& plan);
-  /// Owner-encoded cleaned slices broadcast to every live replica.
-  Exchange broadcast_cleaned(const std::vector<int>& plan);
-
   ShardedStore& store_;
   ShardSweepConfig cfg_;
   std::size_t words_;

@@ -69,7 +69,7 @@ struct ShardMemoryReport {
 class ShardedStore {
  public:
   /// One shard replica: a full simulated device plus the sweep's working
-  /// set.  Buffer roles mirror dist::DistBfs (status is local-row indexed,
+  /// set, as ShardSweep uses it (status is local-row indexed,
   /// bitmaps are global, queue holds owned frontier vertices).
   struct Replica {
     std::unique_ptr<sim::Device> device;

@@ -5,10 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "core/xbfs.h"
-#include "dist/dist_bfs.h"
 #include "graph/datasets.h"
 #include "graph/device_csr.h"
 #include "graph/reference.h"
+#include "shard/shard_bfs.h"
 
 namespace xbfs {
 namespace {
@@ -74,11 +74,13 @@ TEST_P(DatasetIntegration, DistributedAgreesWithSingleDevice) {
   core::Xbfs bfs(dev, dg);
   const core::BfsResult single = bfs.run(src);
 
-  dist::DistConfig dcfg;
-  dcfg.gcds = 4;
-  dcfg.device_options.num_workers = 1;
-  dist::DistBfs dist_bfs(g, dcfg);
-  const dist::DistBfsResult multi = dist_bfs.run(src);
+  shard::ShardStoreConfig scfg;
+  scfg.shards = 4;
+  scfg.device_options.num_workers = 1;
+  shard::ShardedStore store(g, scfg);
+  shard::ShardSweep sweep(store);
+  const shard::ShardSweepResult multi =
+      sweep.run(src, std::vector<int>(scfg.shards, 0));
   ASSERT_EQ(single.levels, multi.levels);
 }
 

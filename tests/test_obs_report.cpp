@@ -10,12 +10,12 @@
 #include "baseline/simple_scan.h"
 #include "core/report.h"
 #include "core/xbfs.h"
-#include "dist/dist_bfs.h"
 #include "graph/builder.h"
 #include "graph/device_csr.h"
 #include "hipsim/hipsim.h"
 #include "json_mini.h"
 #include "obs/run_report.h"
+#include "shard/shard_bfs.h"
 
 namespace xbfs {
 namespace {
@@ -162,11 +162,12 @@ TEST(RunReport, BaselineAndDistAddRecords) {
     scan.run(0);
   }
   {
-    dist::DistConfig dc;
-    dc.gcds = 2;
-    dc.device_options.num_workers = 1;
-    dist::DistBfs dbfs(g, dc);
-    dbfs.run(0);
+    shard::ShardStoreConfig sc;
+    sc.shards = 2;
+    sc.device_options.num_workers = 1;
+    shard::ShardedStore store(g, sc);
+    shard::ShardSweep sweep(store);
+    session.add(sweep.run_record(0, sweep.run(0, {0, 0})));
   }
 
   const auto runs = session.snapshot();
@@ -174,10 +175,10 @@ TEST(RunReport, BaselineAndDistAddRecords) {
   session.clear();
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(runs[0].tool, "simple_scan");
-  EXPECT_EQ(runs[1].tool, "dist_bfs");
+  EXPECT_EQ(runs[1].tool, "shard_sweep");
   ASSERT_FALSE(runs[1].levels.empty());
   EXPECT_TRUE(runs[1].levels[0].has_comm);
-  // Dist rows split level time into local vs comm.
+  // Sweep rows split level time into local vs comm.
   for (const auto& row : runs[1].levels) {
     EXPECT_NEAR(row.time_ms, row.local_ms + row.comm_ms, 1e-9);
   }
