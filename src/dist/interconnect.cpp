@@ -1,18 +1,6 @@
 #include "dist/interconnect.h"
 
-#include <bit>
-#include <cmath>
-
 namespace xbfs::dist {
-
-double FabricModel::allreduce_us(unsigned gcds, std::uint64_t bytes) const {
-  if (gcds <= 1) return 0.0;
-  const double bw = group_bandwidth(gcds);
-  const double moved =
-      2.0 * (static_cast<double>(gcds - 1) / gcds) * static_cast<double>(bytes);
-  const double hops = 2.0 * (gcds - 1);
-  return moved / bw + hops * link_latency_us;
-}
 
 double FabricModel::allgather_us(unsigned gcds,
                                  std::uint64_t total_bytes) const {
@@ -23,10 +11,11 @@ double FabricModel::allgather_us(unsigned gcds,
   return moved / bw + (gcds - 1) * link_latency_us;
 }
 
-double FabricModel::allreduce_scalar_us(unsigned gcds) const {
+double FabricModel::alltoall_us(unsigned gcds,
+                                std::uint64_t busiest_bytes) const {
   if (gcds <= 1) return 0.0;
-  const double levels = std::ceil(std::log2(static_cast<double>(gcds)));
-  return 2.0 * levels * link_latency_us;
+  return static_cast<double>(busiest_bytes) / group_bandwidth(gcds) +
+         (gcds - 1) * link_latency_us;
 }
 
 }  // namespace xbfs::dist

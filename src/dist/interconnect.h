@@ -22,15 +22,13 @@ struct FabricModel {
                                  : inter_node_bytes_per_us;
   }
 
-  /// Ring allreduce (e.g. bitmap OR-reduce + broadcast) of `bytes` payload
-  /// across `gcds` devices: 2*(g-1)/g * bytes moved per device.
-  double allreduce_us(unsigned gcds, std::uint64_t bytes) const;
-
   /// Ring allgather: each device contributes bytes/g and receives the rest.
   double allgather_us(unsigned gcds, std::uint64_t total_bytes) const;
 
-  /// Scalar allreduce (counters): latency-dominated tree.
-  double allreduce_scalar_us(unsigned gcds) const;
+  /// Personalized all-to-all: every device sends each peer its own slice,
+  /// so the busiest device's sent-or-received bytes set the time, plus
+  /// (g-1) link latencies.
+  double alltoall_us(unsigned gcds, std::uint64_t busiest_bytes) const;
 };
 
 }  // namespace xbfs::dist

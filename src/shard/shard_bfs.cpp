@@ -18,9 +18,6 @@ using Replica = ShardedStore::Replica;
 
 namespace {
 
-constexpr std::size_t kTail = 0;     ///< counters[0]: frontier queue tail
-constexpr std::size_t kClaimed = 1;  ///< counters[1]: vertices claimed
-
 /// Frontier-bitmap words [begin, end) covering a shard's owned vertex
 /// range; the edge words may straddle a neighbour's range.
 struct WordRange {
@@ -66,26 +63,14 @@ double for_each_live(ShardedStore& store, const std::vector<int>& plan,
   return slowest;
 }
 
-/// Zero the frontier tail, the claim count and the claimed-degree sum.
-void launch_reset(Replica& g, sim::Stream& s) {
-  auto counters = g.counters.span();
-  auto edges = g.edges.span();
-  sim::LaunchConfig rc{.grid_blocks = 1, .block_threads = 64};
-  g.device->launch(s, "shard_reset", rc, [=](sim::BlockCtx& blk) {
-    auto& ctx = blk.ctx();
-    blk.threads([&](unsigned t) {
-      if (t < 2) ctx.store(counters, t, std::uint32_t{0});
-      if (t == 2) ctx.store(edges, 0, std::uint64_t{0});
-    });
-  });
-}
-
-/// Status slice all unvisited except the source; frontier = {src}.
+/// Status slice all unvisited except the source; frontier = {src}; the
+/// claimed-degree sum zeroed for level 0.
 void launch_init(Replica& g, vid_t src, unsigned block_threads) {
   sim::Device& dev = *g.device;
   auto status = g.status.span();
   auto cur = g.cur_bm.span();
   auto next = g.next_bm.span();
+  auto degree = g.claimed_degree.span();
   const vid_t rows = g.rows->num_rows;
   const vid_t first = g.rows->first_vertex;
   const bool is_owner = src >= first && src - first < rows;
@@ -101,74 +86,53 @@ void launch_init(Replica& g, vid_t src, unsigned block_threads) {
                  if (src / 64 == w) word = std::uint64_t{1} << (src % 64);
                  ctx.store(cur, w, word);
                  ctx.store(next, w, std::uint64_t{0});
+                 if (w == 0) ctx.store(degree, 0, std::uint64_t{0});
                });
              });
 }
 
-/// Owned frontier vertices expand, setting candidate bits in next_bm.
+/// Owned frontier vertices expand straight from the frontier bitmap,
+/// setting candidate bits in next_bm.  Scanning the owned words in the
+/// expand kernel itself needs no frontier queue, so no launch or host
+/// readback sizes one.
 void run_topdown(Replica& g, unsigned block_threads) {
   sim::Device& dev = *g.device;
   sim::Stream& s = dev.stream(0);
-  auto counters = g.counters.span();
   auto cur = g.cur_bm.cspan();
   auto next = g.next_bm.span();
-  auto queue = g.queue.span();
   auto offsets = g.offsets.cspan();
   auto cols = g.cols.cspan();
   const vid_t first = g.rows->first_vertex;
   const vid_t rows = g.rows->num_rows;
   const WordRange wr = owned_words(*g.rows);
-
-  launch_reset(g, s);
-  // Extract the owned slice of the frontier bitmap into a queue.
-  dev.launch(s, "shard_frontier_gen", grid_for(dev, wr.size(), block_threads),
+  dev.launch(s, "shard_topdown_expand", grid_for(dev, wr.size(), block_threads),
              [=](sim::BlockCtx& blk) {
     auto& ctx = blk.ctx();
     blk.grid_stride(wr.size(), [&](std::uint64_t wi) {
       const std::uint64_t word = ctx.load(cur, wr.begin + wi);
       if (word == 0) return;
-      unsigned count = 0;
-      vid_t found[64];
+      std::uint64_t work = 0;
       for (unsigned b = 0; b < 64; ++b) {
         if (!(word & (std::uint64_t{1} << b))) continue;
         const std::uint64_t v = (wr.begin + wi) * 64 + b;
         if (v < first || v >= static_cast<std::uint64_t>(first) + rows) {
           continue;  // edge words straddle the shard boundary
         }
-        found[count++] = static_cast<vid_t>(v);
-      }
-      if (count == 0) return;
-      const std::uint32_t base = ctx.atomic_add(counters, kTail, count);
-      for (unsigned i = 0; i < count; ++i) {
-        ctx.store(queue, base + i, found[i]);
-      }
-      ctx.slots(count, count);
-    });
-  });
-  dev.memcpy_d2h(s, sizeof(std::uint32_t));
-  g.counters.mark_host_synced();
-  const std::uint32_t fsize = g.counters.h_read(kTail);
-
-  if (fsize > 0) {
-    dev.launch(s, "shard_topdown_expand", grid_for(dev, fsize, block_threads),
-               [=](sim::BlockCtx& blk) {
-      auto& ctx = blk.ctx();
-      blk.grid_stride(fsize, [&](std::uint64_t i) {
-        const vid_t v = ctx.load(queue, i);
-        const vid_t r = v - first;
-        const eid_t b = ctx.load(offsets, r);
-        const eid_t e = ctx.load(offsets, r + 1);
-        for (eid_t j = b; j < e; ++j) {
+        const vid_t r = static_cast<vid_t>(v - first);
+        const eid_t e0 = ctx.load(offsets, r);
+        const eid_t e1 = ctx.load(offsets, r + 1);
+        for (eid_t j = e0; j < e1; ++j) {
           const vid_t w = ctx.load(cols, j);
           // Candidate-bit pre-check dedups repeat discoveries locally.
-          const std::uint64_t word = ctx.atomic_load(next, w / 64);
+          const std::uint64_t cand = ctx.atomic_load(next, w / 64);
           const std::uint64_t bit = std::uint64_t{1} << (w % 64);
-          if (!(word & bit)) ctx.atomic_or(next, w / 64, bit);
+          if (!(cand & bit)) ctx.atomic_or(next, w / 64, bit);
         }
-        ctx.slots(2 * (e - b) + 1, 2 * (e - b) + 1);
-      });
+        work += 2 * (e1 - e0) + 1;
+      }
+      ctx.slots(work, work);
     });
-  }
+  });
   s.synchronize();
 }
 
@@ -177,8 +141,7 @@ void run_topdown(Replica& g, unsigned block_threads) {
 void run_claim(Replica& g, std::uint32_t next_level, unsigned block_threads) {
   sim::Device& dev = *g.device;
   sim::Stream& s = dev.stream(0);
-  auto counters = g.counters.span();
-  auto edges = g.edges.span();
+  auto degree = g.claimed_degree.span();
   auto next = g.next_bm.span();
   auto status = g.status.span();
   auto offsets = g.offsets.cspan();
@@ -211,10 +174,7 @@ void run_claim(Replica& g, std::uint32_t next_level, unsigned block_threads) {
         }
       }
       if (cleaned != word) ctx.store(next, wr.begin + wi, cleaned);
-      if (claimed > 0) {
-        ctx.atomic_add(counters, kClaimed, claimed);
-        ctx.atomic_add(edges, 0, degree_sum);
-      }
+      if (claimed > 0) ctx.atomic_add(degree, 0, degree_sum);
       ctx.slots(64, claimed + 1);
     });
   });
@@ -227,8 +187,7 @@ void run_bottomup(Replica& g, std::uint32_t next_level,
                   unsigned block_threads) {
   sim::Device& dev = *g.device;
   sim::Stream& s = dev.stream(0);
-  auto counters = g.counters.span();
-  auto edges = g.edges.span();
+  auto degree = g.claimed_degree.span();
   auto cur = g.cur_bm.cspan();
   auto next = g.next_bm.span();
   auto status = g.status.span();
@@ -237,7 +196,6 @@ void run_bottomup(Replica& g, std::uint32_t next_level,
   const vid_t first = g.rows->first_vertex;
   const vid_t rows = g.rows->num_rows;
 
-  launch_reset(g, s);
   dev.launch(s, "shard_bottomup", grid_for(dev, rows, block_threads),
              [=](sim::BlockCtx& blk) {
     auto& ctx = blk.ctx();
@@ -257,8 +215,7 @@ void run_bottomup(Replica& g, std::uint32_t next_level,
           const vid_t v = first + static_cast<vid_t>(r);
           ctx.store(status, r, next_level);
           ctx.atomic_or(next, v / 64, std::uint64_t{1} << (v % 64));
-          ctx.atomic_add(counters, kClaimed, std::uint32_t{1});
-          ctx.atomic_add(edges, 0, static_cast<std::uint64_t>(e - b));
+          ctx.atomic_add(degree, 0, static_cast<std::uint64_t>(e - b));
           break;
         }
       }
@@ -268,21 +225,33 @@ void run_bottomup(Replica& g, std::uint32_t next_level,
   s.synchronize();
 }
 
+/// Clear the new candidate map and the claimed-degree sum between levels.
 void launch_clear(Replica& g, std::size_t words, unsigned block_threads) {
   sim::Device& dev = *g.device;
   auto next = g.next_bm.span();
+  auto degree = g.claimed_degree.span();
   dev.launch("shard_clear_bitmap", grid_for(dev, words, block_threads),
              [=](sim::BlockCtx& blk) {
                auto& ctx = blk.ctx();
                blk.grid_stride(next.size(), [&](std::uint64_t w) {
                  ctx.store(next, w, std::uint64_t{0});
+                 if (w == 0) ctx.store(degree, 0, std::uint64_t{0});
                });
              });
 }
 
+/// Wire and raw bytes the claimed-degree field adds to each cleaned slice.
+/// The slice header's set count already is the owner's claim count.
+constexpr std::uint64_t kDegreeFieldBytes = sizeof(std::uint64_t);
+
 struct Exchange {  ///< one exchange's encoded-payload accounting
   std::uint64_t raw = 0;
   std::uint64_t wire = 0;
+  /// Candidate merge: the most wire bytes any one device sent or received.
+  std::uint64_t busiest = 0;
+  /// Cleaned broadcast: the claim totals the slice headers carry.
+  std::uint64_t claimed = 0;
+  std::uint64_t claimed_degree = 0;
 };
 
 /// Owner-side OR standing in for the alltoall: every live sender's
@@ -292,27 +261,39 @@ struct Exchange {  ///< one exchange's encoded-payload accounting
 /// modelled fabric, not a memcpy, carries the bytes.
 Exchange merge_candidates(ShardedStore& store, const std::vector<int>& plan) {
   Exchange ex;
+  std::vector<std::uint64_t> sent(store.shards(), 0);  // by live rank
   for_each_live(store, plan, [](Replica& g) { g.next_bm.mark_host_synced(); });
   for_each_live(store, plan, [&](Replica& owner) {
     const WordRange wr = owned_words(*owner.rows);
+    std::uint64_t received = 0;
+    std::size_t rank = 0;
     for_each_live(store, plan, [&](Replica& sender) {
+      std::uint64_t& sender_sent = sent[rank++];
       if (&sender == &owner) return;
       const EncodedFrontier enc =
           encode_frontier(sender.next_bm.host_data(), wr.begin, wr.size());
       ex.raw += enc.raw_bytes();
       ex.wire += enc.wire_bytes();
+      sender_sent += enc.wire_bytes();
+      received += enc.wire_bytes();
       if (enc.set_bits != 0) decode_frontier_or(enc, owner.next_bm.host_data());
     });
+    ex.busiest = std::max(ex.busiest, received);
   });
+  ex.busiest = std::max(ex.busiest, *std::max_element(sent.begin(), sent.end()));
   return ex;
 }
 
-/// Each live owner encodes its cleaned, boundary-masked slice; every live
-/// replica decodes the full set into its frontier copy.
+/// Each live owner encodes its cleaned, boundary-masked slice, with its
+/// claimed-degree sum beside the header; every live replica decodes the
+/// full set into its frontier copy.
 Exchange broadcast_cleaned(ShardedStore& store, const std::vector<int>& plan,
                            std::size_t words) {
   Exchange ex;
-  for_each_live(store, plan, [](Replica& g) { g.next_bm.mark_host_synced(); });
+  for_each_live(store, plan, [](Replica& g) {
+    g.next_bm.mark_host_synced();
+    g.claimed_degree.mark_host_synced();
+  });
   std::vector<std::uint64_t> global(words, 0);
   std::vector<std::uint64_t> slice;
   for_each_live(store, plan, [&](Replica& g) {
@@ -336,8 +317,10 @@ Exchange broadcast_cleaned(ShardedStore& store, const std::vector<int>& plan,
     // Re-anchor the slice at its global word range: payload positions are
     // relative to the slice start in both formats, so only the base moves.
     enc.word_begin = wr.begin;
-    ex.raw += enc.raw_bytes();
-    ex.wire += enc.wire_bytes();
+    ex.raw += enc.raw_bytes() + kDegreeFieldBytes;
+    ex.wire += enc.wire_bytes() + kDegreeFieldBytes;
+    ex.claimed += enc.set_bits;
+    ex.claimed_degree += g.claimed_degree.h_read(0);
     decode_frontier_or(enc, global.data());
   });
   for_each_live(store, plan, [&](Replica& g) {
@@ -445,11 +428,12 @@ ShardSweepResult ShardSweep::run(vid_t src, const std::vector<int>& plan) {
 
     const std::uint32_t next_level = level + 1;
     double local_us = 0, comm_us = 0;
+    Exchange bx;
     if (bottom_up) {
       local_us = for_each_live(store_, plan, [&](Replica& g) {
         run_bottomup(g, next_level, block_threads);
       });
-      const Exchange bx = broadcast_cleaned(store_, plan, words_);
+      bx = broadcast_cleaned(store_, plan, words_);
       st.raw_bytes = bx.raw;
       st.wire_bytes = bx.wire;
       comm_us = fabric.allgather_us(live, bx.wire);
@@ -462,14 +446,18 @@ ShardSweepResult ShardSweep::run(vid_t src, const std::vector<int>& plan) {
       const double claim_us = for_each_live(store_, plan, [&](Replica& g) {
         run_claim(g, next_level, block_threads);
       });
-      const Exchange bx = broadcast_cleaned(store_, plan, words_);
+      bx = broadcast_cleaned(store_, plan, words_);
       st.raw_bytes = cx.raw + bx.raw;
       st.wire_bytes = cx.wire + bx.wire;
-      // Flat: both collectives span every live shard.  Two-phase (the 2D
-      // promotion): candidates move within grid-column groups, the cleaned
-      // frontier broadcasts along grid rows — each collective runs over a
-      // factor-of-p-sized group instead of all p.
-      double cand_us = fabric.allgather_us(live, cx.wire);
+      // Flat: both collectives span every live shard.  Each owner needs only
+      // its own candidate slices, so the merge is a personalized all-to-all
+      // bounded by the busiest device — or an allgather of every slice,
+      // when that is cheaper.  Two-phase (the 2D promotion): candidates
+      // move within grid-column groups, the cleaned frontier broadcasts
+      // along grid rows — each collective runs over a factor-of-p-sized
+      // group instead of all p.
+      double cand_us = std::min(fabric.alltoall_us(live, cx.busiest),
+                                fabric.allgather_us(live, cx.wire));
       double clean_us = fabric.allgather_us(live, bx.wire);
       if (promotable) {
         const double two_cand = fabric.allgather_us(grid_rows, cx.wire);
@@ -483,22 +471,10 @@ ShardSweepResult ShardSweep::run(vid_t src, const std::vector<int>& plan) {
       local_us = expand_us + claim_us;
       comm_us = cand_us + clean_us;
       phase("expand:topdown", "phase", expand_us);
-      phase("exchange:candidate-allgather", "comm", cand_us);
+      phase("exchange:candidate-merge", "comm", cand_us);
       phase("expand:claim", "phase", claim_us);
       phase("exchange:cleaned-allgather", "comm", clean_us);
     }
-    const double ar_us = fabric.allreduce_scalar_us(live);
-    comm_us += ar_us;
-    phase("exchange:allreduce", "comm", ar_us);
-
-    // Claim totals travel in the scalar allreduce just charged.
-    std::uint64_t next_count = 0, next_edges = 0;
-    for_each_live(store_, plan, [&](Replica& g) {
-      g.counters.mark_host_synced();
-      g.edges.mark_host_synced();
-      next_count += g.counters.h_read(kClaimed);
-      next_edges += g.edges.h_read(0);
-    });
 
     st.local_ms = local_us / 1000.0;
     st.comm_ms = comm_us / 1000.0;
@@ -529,9 +505,10 @@ ShardSweepResult ShardSweep::run(vid_t src, const std::vector<int>& plan) {
                  "strategy", "dist-policy", 0, level_t0, std::move(attrs));
     }
 
-    if (next_count == 0) break;
-    frontier_count = next_count;
-    frontier_edges = next_edges;
+    // The claim totals arrived in the cleaned broadcast's slice headers.
+    if (bx.claimed == 0) break;
+    frontier_count = bx.claimed;
+    frontier_edges = bx.claimed_degree;
 
     // Swap bitmaps and clear the new candidate map on every live replica.
     clock_us += for_each_live(store_, plan, [&](Replica& g) {

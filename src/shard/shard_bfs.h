@@ -11,8 +11,10 @@
 //               global frontier with early termination, so only the
 //               cleaned broadcast is needed (no candidate exchange).
 //
-// The direction choice reuses the XBFS alpha policy on globally allreduced
-// frontier-edge counts.  On top of that phase structure:
+// The direction choice reuses the XBFS alpha policy on the global
+// frontier-edge count, which each owner's cleaned slice carries with it
+// (the slice header's set count plus an 8-byte claimed-degree sum), so no
+// separate collective is needed for it.  On top of that phase structure:
 //
 //   * plan-driven execution — the router hands run() one replica index per
 //     shard; kLost marks a shard with no healthy replica, whose vertex

@@ -45,9 +45,7 @@ std::uint64_t shard_bytes(const graph::Csr& g, const dist::Partition1D& part,
   b += std::max<std::uint64_t>(1, edges) * sizeof(vid_t);         // cols
   b += std::max<std::uint64_t>(1, rows) * sizeof(std::uint32_t);  // status
   b += 2 * words * sizeof(std::uint64_t);                         // bitmaps
-  b += std::max<std::uint64_t>(1, rows) * sizeof(vid_t);          // queue
-  b += 2 * sizeof(std::uint32_t);                                 // counters
-  b += sizeof(std::uint64_t);                                     // edges
+  b += sizeof(std::uint64_t);                                     // degree
   return b;
 }
 
@@ -103,10 +101,8 @@ ShardedStore::ShardedStore(const graph::Csr& g, ShardStoreConfig cfg)
           std::max<vid_t>(1, rows->num_rows), tag + ".status");
       rep->cur_bm = dev.alloc<std::uint64_t>(words, tag + ".cur_bm");
       rep->next_bm = dev.alloc<std::uint64_t>(words, tag + ".next_bm");
-      rep->queue = dev.alloc<vid_t>(std::max<vid_t>(1, rows->num_rows),
-                                    tag + ".queue");
-      rep->counters = dev.alloc<std::uint32_t>(2, tag + ".counters");
-      rep->edges = dev.alloc<std::uint64_t>(1, tag + ".edges");
+      rep->claimed_degree =
+          dev.alloc<std::uint64_t>(1, tag + ".claimed_degree");
 
       const std::uint64_t allocated = dev.allocated_bytes();
       max_shard_bytes_ = std::max(max_shard_bytes_, allocated);

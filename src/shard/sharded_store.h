@@ -56,7 +56,7 @@ struct ShardStoreConfig {
 struct ShardMemoryReport {
   std::uint64_t budget_bytes = 0;
   /// What a single device would have to allocate to hold the whole graph
-  /// (shards = 1 residency: CSR + status + bitmaps + queue).
+  /// (shards = 1 residency: CSR + status + bitmaps).
   std::uint64_t single_device_bytes = 0;
   std::uint64_t max_shard_bytes = 0;  ///< largest replica footprint built
   /// single_device_bytes / budget: >= 2 means the served graph is at least
@@ -69,8 +69,8 @@ struct ShardMemoryReport {
 class ShardedStore {
  public:
   /// One shard replica: a full simulated device plus the sweep's working
-  /// set, as ShardSweep uses it (status is local-row indexed,
-  /// bitmaps are global, queue holds owned frontier vertices).
+  /// set, as ShardSweep uses it (status is local-row indexed, bitmaps
+  /// are global, claimed_degree sums the degrees of this level's claims).
   struct Replica {
     std::unique_ptr<sim::Device> device;
     std::shared_ptr<const dist::LocalRows> rows;  ///< shared across replicas
@@ -79,9 +79,7 @@ class ShardedStore {
     sim::DeviceBuffer<std::uint32_t> status;
     sim::DeviceBuffer<std::uint64_t> cur_bm;
     sim::DeviceBuffer<std::uint64_t> next_bm;
-    sim::DeviceBuffer<graph::vid_t> queue;
-    sim::DeviceBuffer<std::uint32_t> counters;
-    sim::DeviceBuffer<std::uint64_t> edges;
+    sim::DeviceBuffer<std::uint64_t> claimed_degree;
     /// Sweeps serialize per replica (the device's modelled clocks are not
     /// thread-safe); the router locks each query's chosen replicas in slot
     /// order before running the distributed sweep.

@@ -107,13 +107,18 @@ TEST(ExtractLocalRows, RebasedOffsetsAndGlobalColumns) {
 
 TEST(FabricModel, CollectiveCostsScaleSanely) {
   const FabricModel f = FabricModel::frontier();
-  EXPECT_DOUBLE_EQ(f.allreduce_us(1, 1 << 20), 0.0);
-  EXPECT_GT(f.allreduce_us(2, 1 << 20), 0.0);
+  EXPECT_DOUBLE_EQ(f.allgather_us(1, 1 << 20), 0.0);
+  EXPECT_DOUBLE_EQ(f.alltoall_us(1, 1 << 20), 0.0);
   // More devices move more total data per device (ring (g-1)/g factor).
   EXPECT_GT(f.allgather_us(8, 1 << 20), f.allgather_us(2, 1 << 20));
   // Crossing the node boundary drops to Slingshot bandwidth.
   EXPECT_GT(f.allgather_us(16, 1 << 24) / f.allgather_us(8, 1 << 24), 1.9);
-  EXPECT_GT(f.allreduce_scalar_us(8), f.allreduce_scalar_us(2));
+  // 8 devices each sending every peer a distinct 64 KiB slice: the
+  // all-to-all moves 7 slices per device, an allgather of all 56 pairs
+  // moves 49, at the same 7 link latencies.
+  const std::uint64_t slice = 1 << 16;
+  EXPECT_LT(f.alltoall_us(8, 7 * slice), f.allgather_us(8, 56 * slice));
+  EXPECT_DOUBLE_EQ(f.alltoall_us(8, 0), 7 * f.link_latency_us);
 }
 
 }  // namespace

@@ -3,12 +3,18 @@
 // budget-checked ShardedStore, and the plan-driven distributed sweep.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 #include <queue>
+#include <string>
+#include <tuple>
 
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
 #include "graph/rmat.h"
+#include "hipsim/device.h"
+#include "obs/trace.h"
 #include "shard/frontier_codec.h"
 #include "shard/layout.h"
 #include "shard/shard_bfs.h"
@@ -531,6 +537,132 @@ TEST(ShardSweep, CompressedExchangeBeatsRawBitmapsOnSparseLevels) {
   EXPECT_GT(r.raw_bytes, 0u);
   EXPECT_LT(r.wire_bytes, r.raw_bytes / 2);
 }
+
+TEST(ShardSweep, FixedLevelCostIsOneLaunchPerPhase) {
+  // Per replica: shard_init, then per top-down level expand + claim + clear
+  // and per bottom-up level bottomup + clear, with no clear after the last
+  // level; the only copy is the final status gather.  A frontier-size
+  // readback or a reset launch would break these counts, and the claim
+  // totals travel in the cleaned broadcast, not a separate allreduce.
+  graph::RmatParams p;
+  p.scale = 11;
+  p.edge_factor = 8;
+  p.seed = 19;
+  const graph::Csr g = graph::rmat_csr(p);
+  ShardedStore store(g, small_cfg(4));
+  ShardSweep sweep(store, {});
+  const auto giant = graph::largest_component_vertices(g);
+
+  obs::TraceSession& tr = obs::TraceSession::global();
+  tr.clear();
+  tr.enable();
+  std::vector<sim::AttributionSink> sinks(store.shards());
+  ShardSweepResult r;
+  {
+    std::vector<std::unique_ptr<sim::ScopedAttribution>> attached;
+    for (unsigned s = 0; s < store.shards(); ++s) {
+      attached.push_back(std::make_unique<sim::ScopedAttribution>(
+          *store.replica(s, 0).device, sinks[s]));
+    }
+    r = sweep.run(giant.front(), full_plan(store));
+  }
+  const std::vector<obs::Span> spans = tr.snapshot();
+  tr.disable();
+  tr.clear();
+
+  std::uint64_t topdown = 0, bottomup = 0;
+  for (const ShardLevelStats& st : r.level_stats) {
+    ++(st.bottom_up ? bottomup : topdown);
+  }
+  ASSERT_GT(topdown, 0u);
+  ASSERT_GT(bottomup, 0u);
+  for (unsigned s = 0; s < store.shards(); ++s) {
+    EXPECT_EQ(sinks[s].memcpys, 1u) << "shard " << s;
+    EXPECT_EQ(sinks[s].launches, 1 + 3 * topdown + 2 * bottomup - 1)
+        << "shard " << s;
+  }
+  std::size_t phases = 0;
+  for (const obs::Span& sp : spans) {
+    if (sp.track != "dist-phases") continue;
+    ++phases;
+    EXPECT_NE(sp.name, "exchange:allreduce");
+  }
+  EXPECT_GT(phases, 0u);
+}
+
+// --- per-level totals -------------------------------------------------------
+
+/// Inputs whose shard boundaries land mid-word and whose frontiers range
+/// from one hub to long thin chains.
+graph::Csr totals_graph(const std::string& name) {
+  if (name == "rmat") {
+    graph::RmatParams p;
+    p.scale = 10;
+    p.edge_factor = 8;
+    p.seed = 23;
+    return graph::rmat_csr(p);
+  }
+  if (name == "citation") return graph::layered_citation(3000, 40, 4, 5);
+  if (name == "star") {
+    std::vector<graph::Edge> edges;
+    for (graph::vid_t v = 1; v < 300; ++v) edges.push_back({0, v});
+    return graph::build_csr(300, std::move(edges));
+  }
+  return graph::small_world(1001, 4, 0.05, 29);  // |V| % 64 != 0
+}
+
+using TotalsParam = std::tuple<std::string, unsigned, double>;
+
+class ShardSweepTotals : public ::testing::TestWithParam<TotalsParam> {};
+
+TEST_P(ShardSweepTotals, LevelTotalsMatchHostCounts) {
+  const auto [name, shards, alpha] = GetParam();
+  const graph::Csr g = totals_graph(name);
+  ShardedStore store(g, small_cfg(shards));
+  ShardSweep sweep(store, {.alpha = alpha});
+  const auto giant = graph::largest_component_vertices(g);
+  for (graph::vid_t src : {giant.front(), giant[giant.size() / 2]}) {
+    const std::string where = name + " shards=" +
+                              std::to_string(shards) + " alpha=" +
+                              std::to_string(alpha) + " src=" +
+                              std::to_string(src);
+    const ShardSweepResult r = sweep.run(src, full_plan(store));
+    const auto ref = graph::reference_bfs(g, src);
+    ASSERT_EQ(r.levels, ref) << where;
+
+    std::vector<std::uint64_t> count, degree;
+    for (graph::vid_t v = 0; v < g.num_vertices(); ++v) {
+      if (ref[v] < 0) continue;
+      const auto l = static_cast<std::size_t>(ref[v]);
+      if (l >= count.size()) {
+        count.resize(l + 1, 0);
+        degree.resize(l + 1, 0);
+      }
+      ++count[l];
+      degree[l] += g.degree(v);
+    }
+    ASSERT_EQ(r.level_stats.size(), count.size()) << where;
+    for (std::size_t l = 0; l < count.size(); ++l) {
+      EXPECT_EQ(r.level_stats[l].frontier_count, count[l])
+          << where << " level=" << l;
+      EXPECT_EQ(r.level_stats[l].frontier_edges, degree[l])
+          << where << " level=" << l;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, ShardSweepTotals,
+    ::testing::Combine(::testing::Values("rmat", "citation", "star",
+                                         "ragged"),
+                       ::testing::Values(1u, 2u, 3u, 5u, 8u),
+                       ::testing::Values(0.0, 0.1, 2.0)),
+    [](const ::testing::TestParamInfo<TotalsParam>& info) {
+      const double alpha = std::get<2>(info.param);
+      const char* a = alpha == 0.0 ? "0" : alpha == 0.1 ? "0p1" : "2";
+      return std::get<0>(info.param) + "_shards" +
+             std::to_string(std::get<1>(info.param)) + "_alpha" + a;
+    });
 
 }  // namespace
 }  // namespace xbfs::shard

@@ -304,6 +304,9 @@ class ShardChaos : public ShardRouterTest {
     fc.kernel_fault_rate = kernel;
     fc.memcpy_corruption_rate = memcpy;
     fc.seed = seed;
+    // Restart the decision streams so each test draws the same faults
+    // whether it runs alone or after its siblings in one process.
+    sim::FaultInjector::global().reset_counters();
     sim::FaultInjector::global().configure(fc);
   }
 };
