@@ -196,8 +196,8 @@ void BM_BottomUpPrefixPipeline(benchmark::State& state) {
   a.seg_counts = b.seg_counts.span();
   a.seg_offsets = b.seg_offsets.span();
   a.block_sums = b.block_sums.span();
-  a.counters = b.counters.span();
-  a.edge_counters = b.edge_counters.span();
+  a.counters = b.counter_sets[0].counters.span();
+  a.edge_counters = b.counter_sets[0].edge_counters.span();
   a.n = dg.n;
   a.num_segments = b.num_segments;
   a.segment_size = b.segment_size;
@@ -207,7 +207,8 @@ void BM_BottomUpPrefixPipeline(benchmark::State& state) {
     core::launch_bu_scan_block(dev, dev.stream(0), a, cfg);
     core::launch_bu_scan_final(dev, dev.stream(0), a, cfg);
     core::launch_bu_queue_gen(dev, dev.stream(0), a, cfg);
-    benchmark::DoNotOptimize(b.counters.host_data()[core::kCurTail]);
+    benchmark::DoNotOptimize(
+        b.counter_sets[0].counters.host_data()[core::kCurTail]);
   }
 }
 BENCHMARK(BM_BottomUpPrefixPipeline);

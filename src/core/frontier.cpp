@@ -16,9 +16,11 @@ BfsBuffers BfsBuffers::allocate(sim::Device& dev, graph::vid_t n,
   b.pending_a = dev.alloc<graph::vid_t>(n, "bfs.pending_a");
   b.pending_b = dev.alloc<graph::vid_t>(n, "bfs.pending_b");
   b.bu_queue = dev.alloc<graph::vid_t>(n, "bfs.bu_queue");
-  b.counters = dev.alloc<std::uint32_t>(kNumCounters, "bfs.counters");
-  b.edge_counters =
-      dev.alloc<std::uint64_t>(kNumEdgeCounters, "bfs.edge_counters");
+  for (CounterSet& set : b.counter_sets) {
+    set.counters = dev.alloc<std::uint32_t>(kNumCounters, "bfs.counters");
+    set.edge_counters =
+        dev.alloc<std::uint64_t>(kNumEdgeCounters, "bfs.edge_counters");
+  }
   b.segment_size = segment_size;
   b.num_segments = (n + segment_size - 1) / segment_size;
   b.seg_counts = dev.alloc<std::uint32_t>(b.num_segments, "bfs.seg_counts");
@@ -38,41 +40,50 @@ BfsBuffers BfsBuffers::allocate(sim::Device& dev, graph::vid_t n,
   return b;
 }
 
-void launch_reset_counters(sim::Device& dev, sim::Stream& s, BfsBuffers& b) {
-  auto counters = b.counters.span();
-  auto edges = b.edge_counters.span();
-  sim::LaunchConfig cfg{.grid_blocks = 1, .block_threads = 64};
-  dev.launch(s, "xbfs_reset_counters", cfg, [=](sim::BlockCtx& blk) {
-    auto& ctx = blk.ctx();
-    blk.threads([&](unsigned t) {
-      if (t < kNumCounters) ctx.store(counters, t, std::uint32_t{0});
-      if (t >= 32 && t - 32 < kNumEdgeCounters) {
-        ctx.store(edges, t - 32, std::uint64_t{0});
-      }
-    });
+void zero_counter_set(sim::BlockCtx& blk, const CounterSpans& set) {
+  if (blk.block_id() != 0 || set.empty()) return;
+  auto& ctx = blk.ctx();
+  blk.threads([&](unsigned t) {
+    if (t < kNumCounters) ctx.store(set.counters, t, std::uint32_t{0});
+    if (t < kNumEdgeCounters) ctx.store(set.edge_counters, t, std::uint64_t{0});
   });
 }
 
-void launch_enqueue_source(sim::Device& dev, sim::Stream& s, BfsBuffers& b,
-                           sim::dspan<graph::vid_t> queue, graph::vid_t src,
-                           sim::dspan<std::uint64_t> bitmap0) {
+void launch_init(sim::Device& dev, sim::Stream& s, BfsBuffers& b,
+                 graph::vid_t src, unsigned block_threads) {
   auto status = b.status.span();
-  auto counters = b.counters.span();
   auto parent =
       b.parent.empty() ? sim::dspan<graph::vid_t>() : b.parent.span();
-  sim::LaunchConfig cfg{.grid_blocks = 1, .block_threads = 64};
-  dev.launch(s, "xbfs_enqueue_source", cfg, [=](sim::BlockCtx& blk) {
+  sim::dspan<std::uint64_t> maps[3];
+  if (!b.bitmaps[0].empty()) {
+    for (int i = 0; i < 3; ++i) maps[i] = b.bitmaps[i].span();
+  }
+  auto queue = b.queue_a.span();
+  const CounterSpans sets[2] = {b.counter_sets[0].spans(),
+                                b.counter_sets[1].spans()};
+  sim::LaunchConfig cfg;
+  cfg.block_threads = block_threads;
+  cfg.grid_blocks =
+      auto_grid_blocks(dev.profile(), status.size(), block_threads);
+  dev.launch(s, "xbfs_init", cfg, [=](sim::BlockCtx& blk) {
     auto& ctx = blk.ctx();
-    blk.threads([&](unsigned t) {
-      if (t != 0) return;
-      ctx.store(status, src, std::uint32_t{0});
-      ctx.store(queue, 0, src);
-      ctx.store(counters, kCurTail, std::uint32_t{1});
-      if (!parent.empty()) ctx.store(parent, src, src);
-      if (!bitmap0.empty()) {
-        ctx.store(bitmap0, src / 64, std::uint64_t{1} << (src % 64));
-      }
+    blk.grid_stride(status.size(), [&](std::uint64_t v) {
+      const bool is_src = v == src;
+      ctx.store(status, v, is_src ? std::uint32_t{0} : kUnvisited);
+      if (!parent.empty()) ctx.store(parent, v, is_src ? src : kNoParent);
     });
+    if (!maps[0].empty()) {
+      blk.grid_stride(maps[0].size(), [&](std::uint64_t w) {
+        const std::uint64_t src_bit =
+            w == src / 64 ? std::uint64_t{1} << (src % 64) : 0;
+        ctx.store(maps[0], w, src_bit);
+        ctx.store(maps[1], w, std::uint64_t{0});
+        ctx.store(maps[2], w, std::uint64_t{0});
+      });
+    }
+    if (blk.block_id() == 0) ctx.store(queue, 0, src);
+    zero_counter_set(blk, sets[0]);
+    zero_counter_set(blk, sets[1]);
   });
 }
 
@@ -109,19 +120,19 @@ void launch_append_queue(sim::Device& dev, sim::Stream& s,
 }
 
 LevelCounters read_counters(sim::Device& dev, sim::Stream& s,
-                            const BfsBuffers& b) {
+                            const CounterSet& set) {
   // Models the per-level hipMemcpyDtoH of the counter block — the
   // host/device interaction that dominates tiny graphs like Dblp.  One
-  // typed transfer covers both counter buffers (byte count identical to
-  // the old untyped call) and marks them host-synced for SimSan.
-  dev.memcpy_d2h(s, b.counters, b.edge_counters);
+  // typed transfer covers both counter buffers of the set and marks them
+  // host-synced for SimSan.
+  dev.memcpy_d2h(s, set.counters, set.edge_counters);
   LevelCounters c;
-  c.next_count = b.counters.h_read(kNextTail);
-  c.pending_count = b.counters.h_read(kPendingTail);
-  c.new_count = b.counters.h_read(kNewCount);
-  c.cur_count = b.counters.h_read(kCurTail);
-  c.next_edges = b.edge_counters.h_read(kNextEdges);
-  c.pending_edges = b.edge_counters.h_read(kPendingEdges);
+  c.next_count = set.counters.h_read(kNextTail);
+  c.pending_count = set.counters.h_read(kPendingTail);
+  c.new_count = set.counters.h_read(kNewCount);
+  c.cur_count = set.counters.h_read(kCurTail);
+  c.next_edges = set.edge_counters.h_read(kNextEdges);
+  c.pending_edges = set.edge_counters.h_read(kPendingEdges);
   return c;
 }
 

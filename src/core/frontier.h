@@ -1,6 +1,11 @@
 // Frontier queues and level counters: every device buffer one XBFS run
 // needs, plus the small host<->device transfers (modelled) that read the
 // per-level counters back for the adaptive controller.
+//
+// The counters are double-buffered so a level costs one host round trip:
+// level k accumulates into counter_sets[k & 1], and its first kernel zeroes
+// counter_sets[(k + 1) & 1] for level k+1 (the host finished reading that
+// set, level k-1's, before level k launched).
 #pragma once
 
 #include <cstdint>
@@ -11,7 +16,7 @@
 
 namespace xbfs::core {
 
-/// Indices into BfsBuffers::counters (uint32 slots).
+/// Indices into CounterSet::counters (uint32 slots).
 enum CounterSlot : std::size_t {
   kNextTail = 0,     ///< next-level frontier queue tail
   kPendingTail = 1,  ///< look-ahead (level+2) queue tail
@@ -23,11 +28,27 @@ enum CounterSlot : std::size_t {
   kNumCounters = 7,
 };
 
-/// Indices into BfsBuffers::edge_counters (uint64 slots).
+/// Indices into CounterSet::edge_counters (uint64 slots).
 enum EdgeCounterSlot : std::size_t {
   kNextEdges = 0,     ///< sum of degrees of next-level frontier
   kPendingEdges = 1,  ///< sum of degrees of look-ahead vertices
   kNumEdgeCounters = 2,
+};
+
+/// Device view of one counter set.
+struct CounterSpans {
+  sim::dspan<std::uint32_t> counters;
+  sim::dspan<std::uint64_t> edge_counters;
+
+  bool empty() const { return counters.empty(); }
+};
+
+/// One level's counters.
+struct CounterSet {
+  sim::DeviceBuffer<std::uint32_t> counters;       ///< kNumCounters
+  sim::DeviceBuffer<std::uint64_t> edge_counters;  ///< kNumEdgeCounters
+
+  CounterSpans spans() { return {counters.span(), edge_counters.span()}; }
 };
 
 struct BfsBuffers {
@@ -40,8 +61,7 @@ struct BfsBuffers {
   sim::DeviceBuffer<graph::vid_t> pending_a;
   sim::DeviceBuffer<graph::vid_t> pending_b;
   sim::DeviceBuffer<graph::vid_t> bu_queue;  ///< n (bottom-up candidates)
-  sim::DeviceBuffer<std::uint32_t> counters;       ///< kNumCounters
-  sim::DeviceBuffer<std::uint64_t> edge_counters;  ///< kNumEdgeCounters
+  CounterSet counter_sets[2];  ///< level k uses counter_sets[k & 1]
   // Bottom-up double-scan scratch.
   sim::DeviceBuffer<std::uint32_t> seg_counts;
   sim::DeviceBuffer<std::uint32_t> seg_offsets;
@@ -78,18 +98,21 @@ struct LevelCounters {
   std::uint64_t pending_edges = 0;
 };
 
-/// Kernel: zero the per-level counters.
-void launch_reset_counters(sim::Device& dev, sim::Stream& s, BfsBuffers& b);
+/// Kernel `xbfs_init`: set up a run from `src` in one launch — status
+/// (kUnvisited, 0 at src), parent (kNoParent, src at src) when allocated,
+/// the three bitmaps when allocated (only src's bit set, in bitmaps[0]),
+/// queue_a[0] = src, and both counter sets zeroed.
+void launch_init(sim::Device& dev, sim::Stream& s, BfsBuffers& b,
+                 graph::vid_t src, unsigned block_threads);
 
-/// Kernel: place the source vertex — status[src]=0, queue[0]=src, tail=1,
-/// and its bit in the level-0 frontier bitmap when one is supplied.
-void launch_enqueue_source(sim::Device& dev, sim::Stream& s, BfsBuffers& b,
-                           sim::dspan<graph::vid_t> queue, graph::vid_t src,
-                           sim::dspan<std::uint64_t> bitmap0 = {});
+/// Device side: block 0 zeroes `set` in one block-wide pass; other blocks
+/// and an empty set are no-ops.  Called from a level's first kernel to
+/// ready the next level's counters without a launch of its own.
+void zero_counter_set(sim::BlockCtx& blk, const CounterSpans& set);
 
-/// Read the counters back to the host (charges the modelled d2h time).
+/// Read one counter set back to the host (charges the modelled d2h time).
 LevelCounters read_counters(sim::Device& dev, sim::Stream& s,
-                            const BfsBuffers& b);
+                            const CounterSet& set);
 
 /// Kernel: clear a frontier bitmap (O(|V|/64) stores).
 void launch_clear_bitmap(sim::Device& dev, sim::Stream& s,

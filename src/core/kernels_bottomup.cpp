@@ -39,6 +39,7 @@ sim::LaunchResult launch_bu_count(sim::Device& dev, sim::Stream& s,
                        : auto_grid_blocks(dev.profile(), a.num_segments,
                                           cfg.block_threads);
   return dev.launch(s, "xbfs_bu_count", lc, [=](sim::BlockCtx& blk) {
+    zero_counter_set(blk, a.next_counters);
     auto& ctx = blk.ctx();
     blk.grid_stride(a.num_segments, [&](std::uint64_t seg) {
       const std::uint64_t begin = seg * a.segment_size;
@@ -100,7 +101,7 @@ sim::LaunchResult launch_bu_scan_final(sim::Device& dev, sim::Stream& s,
       acc += ctx.load(a.block_sums, b);
     }
     ctx.slots(blocks, blocks);
-    // Total bottom-up candidates, read back by the host for k5's launch.
+    // Total bottom-up candidates; k5 reads it on the device.
     ctx.store(a.counters, kCurTail, acc);
     blk.sync();
     // Phase 2: one thread per chunk walks its segments, materializing the
@@ -275,7 +276,7 @@ BuChunkResult bu_scan_wavefront_centric(sim::ExecCtx& ctx,
 
 sim::LaunchResult launch_bu_expand(sim::Device& dev, sim::Stream& s,
                                    const BottomUpArgs& a,
-                                   std::uint32_t candidates,
+                                   std::uint32_t grid_candidates,
                                    const XbfsConfig& cfg) {
   sim::LaunchConfig lc;
   lc.block_threads = cfg.block_threads;
@@ -283,13 +284,14 @@ sim::LaunchResult launch_bu_expand(sim::Device& dev, sim::Stream& s,
       cfg.grid_blocks != 0
           ? cfg.grid_blocks
           : auto_grid_blocks(dev.profile(),
-                             std::max<std::uint32_t>(candidates, 1),
+                             std::max<std::uint32_t>(grid_candidates, 1),
                              cfg.block_threads);
   lc.lane_work_multiplier = cfg.bottomup_spill_factor;
   const bool warp_centric = cfg.bottomup_warp_centric;
   const bool lookahead = cfg.enable_lookahead;
   return dev.launch(s, "xbfs_bu_expand", lc, [=](sim::BlockCtx& blk) {
     auto& ctx = blk.ctx();
+    const std::uint32_t candidates = ctx.load(a.counters, kCurTail);
     blk.wavefronts([&](sim::WavefrontCtx& wf, unsigned) {
       const unsigned W = wf.size();
       const std::uint64_t total_wfs =

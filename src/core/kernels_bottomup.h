@@ -34,6 +34,9 @@ struct BottomUpArgs {
   sim::dspan<std::uint32_t> block_sums;
   sim::dspan<std::uint32_t> counters;
   sim::dspan<std::uint64_t> edge_counters;
+  /// The next level's counter set, zeroed by k1 (empty = leave alone; see
+  /// frontier.h).
+  CounterSpans next_counters;
   /// Bit-status extension (empty spans = disabled): the expansion probes
   /// bitmap_cur (level cur_level) instead of the 4-byte status array, and
   /// commits claims into bitmap_next / bitmap_nextnext.
@@ -50,6 +53,7 @@ struct BottomUpArgs {
 unsigned bu_scan_blocks(const sim::DeviceProfile& profile,
                         std::uint32_t num_segments, unsigned block_threads);
 
+/// Block 0 also zeroes a.next_counters.
 sim::LaunchResult launch_bu_count(sim::Device& dev, sim::Stream& s,
                                   const BottomUpArgs& a,
                                   const XbfsConfig& cfg);
@@ -63,10 +67,12 @@ sim::LaunchResult launch_bu_scan_final(sim::Device& dev, sim::Stream& s,
 sim::LaunchResult launch_bu_queue_gen(sim::Device& dev, sim::Stream& s,
                                       const BottomUpArgs& a,
                                       const XbfsConfig& cfg);
-/// @param candidates size of the bottom-up queue (read back from k3).
+/// Reads the candidate total from counters[kCurTail] (written by k3).
+/// @param grid_candidates estimate of that total; sizes the grid only (the
+///        kernel is grid-stride over the device total).
 sim::LaunchResult launch_bu_expand(sim::Device& dev, sim::Stream& s,
                                    const BottomUpArgs& a,
-                                   std::uint32_t candidates,
+                                   std::uint32_t grid_candidates,
                                    const XbfsConfig& cfg);
 
 }  // namespace xbfs::core

@@ -234,6 +234,7 @@ sim::LaunchResult launch_scanfree_expand(sim::Device& dev, sim::Stream& s,
   const Balancing bal = cfg.topdown_balancing;
   const unsigned thr = cfg.small_degree_threshold;
   return dev.launch(s, "xbfs_scanfree_expand", lc, [=](sim::BlockCtx& blk) {
+    zero_counter_set(blk, a.next_counters);
     expand_kernel_body<true, true>(blk, a, a.queue, a.queue_size, bal, thr);
   });
 }
@@ -245,16 +246,19 @@ sim::LaunchResult launch_singlescan_expand(sim::Device& dev, sim::Stream& s,
   const Balancing bal = cfg.topdown_balancing;
   const unsigned thr = cfg.small_degree_threshold;
   return dev.launch(s, "xbfs_singlescan_expand", lc, [=](sim::BlockCtx& blk) {
-    expand_kernel_body<false, false>(blk, a, a.queue, a.queue_size, bal, thr);
+    zero_counter_set(blk, a.next_counters);
+    const std::uint32_t size = a.queue_size_on_device
+                                   ? blk.ctx().load(a.counters, kCurTail)
+                                   : a.queue_size;
+    expand_kernel_body<false, false>(blk, a, a.queue, size, bal, thr);
   });
 }
 
-sim::LaunchResult launch_singlescan_generate(sim::Device& dev, sim::Stream& s,
-                                             sim::dspan<std::uint32_t> status,
-                                             sim::dspan<graph::vid_t> queue_out,
-                                             sim::dspan<std::uint32_t> counters,
-                                             std::uint32_t cur_level,
-                                             const XbfsConfig& cfg) {
+sim::LaunchResult launch_singlescan_generate(
+    sim::Device& dev, sim::Stream& s, sim::dspan<std::uint32_t> status,
+    sim::dspan<graph::vid_t> queue_out, sim::dspan<std::uint32_t> counters,
+    std::uint32_t cur_level, const XbfsConfig& cfg,
+    const CounterSpans& next_counters) {
   sim::LaunchConfig lc;
   lc.block_threads = cfg.block_threads;
   lc.grid_blocks = cfg.grid_blocks != 0
@@ -264,6 +268,7 @@ sim::LaunchResult launch_singlescan_generate(sim::Device& dev, sim::Stream& s,
   const std::uint64_t n = status.size();
   return dev.launch(s, "xbfs_singlescan_generate", lc, [=](sim::BlockCtx&
                                                                blk) {
+    zero_counter_set(blk, next_counters);
     auto& ctx = blk.ctx();
     blk.wavefronts([&](sim::WavefrontCtx& wf, unsigned) {
       const unsigned W = wf.size();
@@ -306,6 +311,7 @@ sim::LaunchResult launch_classify_bins(sim::Device& dev, sim::Stream& s,
   const std::uint32_t med_min = cfg.medium_min_degree;
   const std::uint32_t large_min = cfg.large_min_degree;
   return dev.launch(s, "xbfs_classify_bins", lc, [=](sim::BlockCtx& blk) {
+    zero_counter_set(blk, a.next_counters);
     auto& ctx = blk.ctx();
     blk.wavefronts([&](sim::WavefrontCtx& wf, unsigned) {
       const unsigned W = wf.size();

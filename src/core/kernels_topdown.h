@@ -20,10 +20,18 @@ struct TopDownArgs {
   sim::dspan<std::uint32_t> status;
   sim::dspan<graph::vid_t> parent;  ///< empty when parents are not built
   sim::dspan<const graph::vid_t> queue;  ///< current frontier
+  /// Frontier size; with queue_size_on_device only an upper bound that
+  /// sizes the grid.
   std::uint32_t queue_size = 0;
+  /// Read the frontier size from counters[kCurTail], where the generation
+  /// scan left it, instead of a host readback.
+  bool queue_size_on_device = false;
   sim::dspan<graph::vid_t> next_queue;
   sim::dspan<std::uint32_t> counters;
   sim::dspan<std::uint64_t> edge_counters;
+  /// The next level's counter set, zeroed by this level's first kernel
+  /// (empty = leave alone; see frontier.h).
+  CounterSpans next_counters;
   /// Frontier bitmap of level cur_level+1; claims set bits here when the
   /// bit-status extension is enabled (empty = disabled).
   sim::dspan<std::uint64_t> bitmap_next;
@@ -38,12 +46,12 @@ sim::LaunchResult launch_scanfree_expand(sim::Device& dev, sim::Stream& s,
 
 /// Single-scan kernel 1: scan the status array for status==cur_level and
 /// (atomically) enqueue the matches into `queue_out`, tail counters[kCurTail].
-sim::LaunchResult launch_singlescan_generate(sim::Device& dev, sim::Stream& s,
-                                             sim::dspan<std::uint32_t> status,
-                                             sim::dspan<graph::vid_t> queue_out,
-                                             sim::dspan<std::uint32_t> counters,
-                                             std::uint32_t cur_level,
-                                             const XbfsConfig& cfg);
+/// Block 0 zeroes `next_counters`.
+sim::LaunchResult launch_singlescan_generate(
+    sim::Device& dev, sim::Stream& s, sim::dspan<std::uint32_t> status,
+    sim::dspan<graph::vid_t> queue_out, sim::dspan<std::uint32_t> counters,
+    std::uint32_t cur_level, const XbfsConfig& cfg,
+    const CounterSpans& next_counters = {});
 
 /// Single-scan kernel 2: expand `queue` with plain (atomic-free) status
 /// checks/updates; counts newly visited vertices and their degrees but does

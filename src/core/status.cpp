@@ -42,18 +42,4 @@ void launch_init_status(sim::Device& dev, sim::Stream& s,
   });
 }
 
-void launch_init_parent(sim::Device& dev, sim::Stream& s,
-                        sim::dspan<graph::vid_t> parent,
-                        unsigned block_threads) {
-  sim::LaunchConfig cfg;
-  cfg.block_threads = block_threads;
-  cfg.grid_blocks =
-      auto_grid_blocks(dev.profile(), parent.size(), block_threads);
-  dev.launch(s, "xbfs_init_parent", cfg, [=](sim::BlockCtx& blk) {
-    auto& ctx = blk.ctx();
-    blk.grid_stride(parent.size(),
-                    [&](std::uint64_t i) { ctx.store(parent, i, kNoParent); });
-  });
-}
-
 }  // namespace xbfs::core

@@ -25,9 +25,4 @@ void launch_init_status(sim::Device& dev, sim::Stream& s,
                         sim::dspan<std::uint32_t> status,
                         unsigned block_threads);
 
-/// Kernel: fill a parent array with kNoParent.
-void launch_init_parent(sim::Device& dev, sim::Stream& s,
-                        sim::dspan<graph::vid_t> parent,
-                        unsigned block_threads);
-
 }  // namespace xbfs::core

@@ -1,7 +1,6 @@
 #include "core/xbfs.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -50,7 +49,10 @@ struct Xbfs::FrontierState {
   sim::dspan<const std::uint64_t> bitmap_cur;
   sim::dspan<std::uint64_t> bitmap_next;
   sim::dspan<std::uint64_t> bitmap_nextnext;
+  CounterSet* counters = nullptr;  ///< this level's set
+  CounterSpans next_counters;      ///< zeroed by the level's first kernel
   std::uint32_t cur_count = 0;
+  std::uint32_t unclaimed = 0;  ///< host estimate of bottom-up candidates
   // Per-level accumulation (filled by the run_* methods).
   mutable sim::KernelCounters accum;
   mutable unsigned kernels = 0;
@@ -92,8 +94,9 @@ void Xbfs::run_scanfree(const FrontierState& fs, std::uint32_t level) {
   a.queue = fs.cur_queue;
   a.queue_size = fs.cur_count;
   a.next_queue = fs.next_queue;
-  a.counters = buffers_.counters.span();
-  a.edge_counters = buffers_.edge_counters.span();
+  a.counters = fs.counters->counters.span();
+  a.edge_counters = fs.counters->edge_counters.span();
+  a.next_counters = fs.next_counters;
   a.bitmap_next = fs.bitmap_next;
   a.cur_level = level;
 
@@ -109,13 +112,15 @@ void Xbfs::run_scanfree(const FrontierState& fs, std::uint32_t level) {
   fs.add(launch_classify_bins(dev_, s, a, buffers_.bin_small.span(),
                               buffers_.bin_medium.span(),
                               buffers_.bin_large.span(), cfg_));
+  a.next_counters = {};  // zeroed by the classification
   // Host reads the three bin sizes to size the launches (a partial copy,
   // so the modelled byte count stays 3 words; the sync mark is manual).
+  const auto& counters = fs.counters->counters;
   dev_.memcpy_d2h(s, 3 * sizeof(std::uint32_t));
-  buffers_.counters.mark_host_synced();
-  const std::uint32_t n_small = buffers_.counters.h_read(kBinSmall);
-  const std::uint32_t n_medium = buffers_.counters.h_read(kBinMedium);
-  const std::uint32_t n_large = buffers_.counters.h_read(kBinLarge);
+  counters.mark_host_synced();
+  const std::uint32_t n_small = counters.h_read(kBinSmall);
+  const std::uint32_t n_medium = counters.h_read(kBinMedium);
+  const std::uint32_t n_large = counters.h_read(kBinLarge);
 
   std::vector<sim::Stream*> all = {&s, bin_streams_[0], bin_streams_[1],
                                    bin_streams_[2]};
@@ -142,33 +147,30 @@ void Xbfs::run_scanfree(const FrontierState& fs, std::uint32_t level) {
 }
 
 void Xbfs::run_singlescan(const FrontierState& fs, std::uint32_t level,
-                          bool skip_generation,
-                          std::uint32_t* generated_count) {
+                          bool skip_generation) {
   sim::Stream& s = dev_.stream(0);
-  std::uint32_t queue_size = fs.cur_count;
-  if (!skip_generation) {
-    fs.add(launch_singlescan_generate(dev_, s, buffers_.status.span(),
-                                      fs.cur_queue_mut,
-                                      buffers_.counters.span(), level, cfg_));
-    // The host needs the generated queue size to shape the expansion launch.
-    dev_.memcpy_d2h(s, sizeof(std::uint32_t));
-    buffers_.counters.mark_host_synced();
-    queue_size = buffers_.counters.h_read(kCurTail);
-  }
-  *generated_count = queue_size;
-
   TopDownArgs a;
   a.offsets = g_.offsets_span();
   a.cols = g_.cols_span();
   a.status = buffers_.status.span();
   if (!buffers_.parent.empty()) a.parent = buffers_.parent.span();
   a.queue = fs.cur_queue;
-  a.queue_size = queue_size;
+  // The generated size stays on the device; the host's count from the last
+  // readback bounds it and sizes the grid.
+  a.queue_size = fs.cur_count;
+  a.queue_size_on_device = !skip_generation;
   a.next_queue = fs.next_queue;  // unused: single-scan builds no queue
-  a.counters = buffers_.counters.span();
-  a.edge_counters = buffers_.edge_counters.span();
+  a.counters = fs.counters->counters.span();
+  a.edge_counters = fs.counters->edge_counters.span();
   a.bitmap_next = fs.bitmap_next;
   a.cur_level = level;
+  if (skip_generation) {
+    a.next_counters = fs.next_counters;
+  } else {
+    fs.add(launch_singlescan_generate(dev_, s, buffers_.status.span(),
+                                      fs.cur_queue_mut, a.counters, level,
+                                      cfg_, fs.next_counters));
+  }
   fs.add(launch_singlescan_expand(dev_, s, a, cfg_));
 }
 
@@ -185,8 +187,9 @@ void Xbfs::run_bottomup(const FrontierState& fs, std::uint32_t level) {
   a.seg_counts = buffers_.seg_counts.span();
   a.seg_offsets = buffers_.seg_offsets.span();
   a.block_sums = buffers_.block_sums.span();
-  a.counters = buffers_.counters.span();
-  a.edge_counters = buffers_.edge_counters.span();
+  a.counters = fs.counters->counters.span();
+  a.edge_counters = fs.counters->edge_counters.span();
+  a.next_counters = fs.next_counters;
   a.bitmap_cur = fs.bitmap_cur;
   a.bitmap_next = fs.bitmap_next;
   a.bitmap_nextnext = fs.bitmap_nextnext;
@@ -198,12 +201,10 @@ void Xbfs::run_bottomup(const FrontierState& fs, std::uint32_t level) {
   fs.add(launch_bu_count(dev_, s, a, cfg_));
   fs.add(launch_bu_scan_block(dev_, s, a, cfg_));
   fs.add(launch_bu_scan_final(dev_, s, a, cfg_));
-  // Host reads the candidate total to shape the expansion launch.
-  dev_.memcpy_d2h(s, sizeof(std::uint32_t));
-  buffers_.counters.mark_host_synced();
-  const std::uint32_t candidates = buffers_.counters.h_read(kCurTail);
   fs.add(launch_bu_queue_gen(dev_, s, a, cfg_));
-  fs.add(launch_bu_expand(dev_, s, a, candidates, cfg_));
+  // k5 reads the candidate total k3 left on the device; the host's count
+  // of unclaimed vertices estimates it and sizes the grid.
+  fs.add(launch_bu_expand(dev_, s, a, fs.unclaimed, cfg_));
 }
 
 namespace {
@@ -249,35 +250,25 @@ void emit_level_telemetry(sim::Device& dev, const LevelStats& st,
 }  // namespace
 
 BfsResult Xbfs::run(vid_t src) {
-  assert(src < g_.n);
+  if (src >= g_.n) {
+    throw std::invalid_argument("Xbfs::run: source " + std::to_string(src) +
+                                " out of range for " + std::to_string(g_.n) +
+                                " vertices");
+  }
   sim::Stream& s = dev_.stream(0);
   const double t0_us = dev_.now_us();
   const std::size_t prof_start = dev_.profiler().records().size();
   BfsResult result;
 
   dev_.profiler().set_context(-1, "setup");
-  launch_init_status(dev_, s, buffers_.status.span(), cfg_.block_threads);
-  if (!buffers_.parent.empty()) {
-    launch_init_parent(dev_, s, buffers_.parent.span(), cfg_.block_threads);
-  }
-  launch_reset_counters(dev_, s, buffers_);
+  launch_init(dev_, s, buffers_, src, cfg_.block_threads);
   const bool bitmaps_on = cfg_.bottomup_bitmap;
-  if (bitmaps_on) {
-    // Fresh run on a reused instance: all three rotating maps start clean.
-    for (auto& bm : buffers_.bitmaps) {
-      launch_clear_bitmap(dev_, s, bm.span(), cfg_.block_threads);
-    }
-  }
-  launch_enqueue_source(dev_, s, buffers_, buffers_.queue_a.span(), src,
-                        bitmaps_on ? buffers_.bitmaps[0].span()
-                                   : sim::dspan<std::uint64_t>{});
 
-  // Level-0 frontier metadata; the degree readback models the host peeking
-  // at two offsets.
+  // Level-0 frontier metadata: the host already holds the offsets.
   const eid_t* offsets_host = g_.offsets.host_data();
   std::uint64_t cur_count = 1;
   std::uint64_t cur_edges = offsets_host[src + 1] - offsets_host[src];
-  dev_.memcpy_d2h(s, 2 * sizeof(eid_t));
+  std::uint64_t claimed = 1;  // vertices with a status, for k5's grid
 
   bool use_a_queue = true;
   bool use_a_pending = true;
@@ -297,7 +288,6 @@ BfsResult Xbfs::run(vid_t src) {
     dev_.profiler().set_context(
         static_cast<int>(level), strategy_name(decision.strategy));
     const double level_t0 = dev_.now_us();
-    launch_reset_counters(dev_, s, buffers_);
 
     FrontierState fs;
     auto& curq = use_a_queue ? buffers_.queue_a : buffers_.queue_b;
@@ -309,7 +299,11 @@ BfsResult Xbfs::run(vid_t src) {
     fs.cur_queue_mut = curq.span();
     fs.next_queue = nextq.span();
     fs.pending_queue = pendq.span();
+    fs.counters = &buffers_.counter_sets[level & 1];
+    fs.next_counters = buffers_.counter_sets[(level + 1) & 1].spans();
     fs.cur_count = static_cast<std::uint32_t>(cur_count);
+    fs.unclaimed = static_cast<std::uint32_t>(
+        claimed < g_.n ? g_.n - claimed : 0);
     if (bitmaps_on) {
       // Rotate the three frontier bitmaps; the incoming next-next map still
       // holds level-(k-1) bits and must be wiped before look-ahead claims
@@ -322,20 +316,21 @@ BfsResult Xbfs::run(vid_t src) {
       }
     }
 
-    std::uint32_t executed_count = fs.cur_count;
     switch (decision.strategy) {
       case Strategy::ScanFree:
         run_scanfree(fs, level);
         break;
       case Strategy::SingleScan:
-        run_singlescan(fs, level, decision.skip_generation, &executed_count);
+        run_singlescan(fs, level, decision.skip_generation);
         break;
       case Strategy::BottomUp:
         run_bottomup(fs, level);
         break;
     }
-    s.synchronize();  // per-level device synchronization (Sec. IV-B cost)
-    const LevelCounters lc = read_counters(dev_, s, buffers_);
+    // The level's one host round trip (Sec. IV-B cost): wait, then read
+    // its counter set.
+    s.synchronize();
+    const LevelCounters lc = read_counters(dev_, s, *fs.counters);
 
     const bool built_queue = decision.strategy != Strategy::SingleScan;
     const std::uint64_t next_count_raw =
@@ -348,7 +343,10 @@ BfsResult Xbfs::run(vid_t src) {
     st.strategy = decision.strategy;
     st.skipped_generation = decision.strategy == Strategy::SingleScan &&
                             decision.skip_generation;
-    st.frontier_count = executed_count;
+    // A generation scan sizes the frontier it expands on the device.
+    const bool generated =
+        decision.strategy == Strategy::SingleScan && !st.skipped_generation;
+    st.frontier_count = generated ? lc.cur_count : fs.cur_count;
     st.frontier_edges = cur_edges;
     st.ratio = decision.ratio;
     st.fetch_kb = fs.accum.fetch_kb();
@@ -385,6 +383,7 @@ BfsResult Xbfs::run(vid_t src) {
                           cfg_.block_threads);
     }
 
+    claimed += next_count_raw + lc.pending_count;
     carry_count = lc.pending_count;
     carry_edges = lc.pending_edges;
     use_a_pending = !use_a_pending;

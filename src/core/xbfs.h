@@ -28,6 +28,7 @@ class Xbfs final : public TraversalEngine {
   /// Throws std::invalid_argument when cfg.validate() fails.
   Xbfs(sim::Device& dev, const graph::DeviceCsr& g, XbfsConfig cfg = {});
 
+  /// Throws std::invalid_argument when src >= |V|.
   BfsResult run(graph::vid_t src) override;
 
   const char* name() const override { return "xbfs"; }
@@ -44,7 +45,7 @@ class Xbfs final : public TraversalEngine {
   struct FrontierState;
   void run_scanfree(const FrontierState& fs, std::uint32_t level);
   void run_singlescan(const FrontierState& fs, std::uint32_t level,
-                      bool skip_generation, std::uint32_t* generated_count);
+                      bool skip_generation);
   void run_bottomup(const FrontierState& fs, std::uint32_t level);
 
   sim::Device& dev_;

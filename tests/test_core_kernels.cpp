@@ -1,5 +1,5 @@
 // Kernel-level tests for the XBFS building blocks, each validated against a
-// host-side recomputation: status init, source seeding, single-scan
+// host-side recomputation: status init, run setup (xbfs_init), single-scan
 // generation, the bottom-up count/scan/queue-gen pipeline and both
 // expansion kernels for a single level.
 #include <gtest/gtest.h>
@@ -54,8 +54,8 @@ struct KernelFixture : ::testing::Test {
     a.queue = queue;
     a.queue_size = queue_size;
     a.next_queue = buffers.queue_b.span();
-    a.counters = buffers.counters.span();
-    a.edge_counters = buffers.edge_counters.span();
+    a.counters = buffers.counter_sets[0].counters.span();
+    a.edge_counters = buffers.counter_sets[0].edge_counters.span();
     a.cur_level = level;
     return a;
   }
@@ -71,13 +71,25 @@ struct KernelFixture : ::testing::Test {
     a.seg_counts = buffers.seg_counts.span();
     a.seg_offsets = buffers.seg_offsets.span();
     a.block_sums = buffers.block_sums.span();
-    a.counters = buffers.counters.span();
-    a.edge_counters = buffers.edge_counters.span();
+    a.counters = buffers.counter_sets[0].counters.span();
+    a.edge_counters = buffers.counter_sets[0].edge_counters.span();
     a.n = dg.n;
     a.num_segments = buffers.num_segments;
     a.segment_size = buffers.segment_size;
     a.cur_level = level;
     return a;
+  }
+
+  /// Host views of counter set 0, which every single-kernel test uses.
+  std::uint32_t* counters() {
+    return buffers.counter_sets[0].counters.host_data();
+  }
+  std::uint64_t* edge_counters() {
+    return buffers.counter_sets[0].edge_counters.host_data();
+  }
+  void reset_counters() {
+    std::fill(counters(), counters() + kNumCounters, 0u);
+    std::fill(edge_counters(), edge_counters() + kNumEdgeCounters, 0u);
   }
 
   sim::Device dev;
@@ -95,38 +107,61 @@ TEST_F(KernelFixture, InitStatusFillsUnvisited) {
   }
 }
 
-TEST_F(KernelFixture, EnqueueSourceSeedsState) {
-  launch_init_status(dev, dev.stream(0), buffers.status.span(), 128);
-  launch_reset_counters(dev, dev.stream(0), buffers);
-  launch_enqueue_source(dev, dev.stream(0), buffers, buffers.queue_a.span(),
-                        42);
-  EXPECT_EQ(buffers.status.host_data()[42], 0u);
-  EXPECT_EQ(buffers.queue_a.host_data()[0], 42u);
-  EXPECT_EQ(buffers.counters.host_data()[kCurTail], 1u);
+TEST_F(KernelFixture, InitSeedsSource) {
+  BfsBuffers b = BfsBuffers::allocate(dev, dg.n, 256, 4,
+                                      /*with_parents=*/true,
+                                      /*with_bins=*/false,
+                                      /*with_bitmaps=*/true);
+  std::fill(b.status.host_data(), b.status.host_data() + dg.n, 7u);
+  std::fill(b.parent.host_data(), b.parent.host_data() + dg.n, 7u);
+  for (auto& bm : b.bitmaps) {
+    std::fill(bm.host_data(), bm.host_data() + bm.size(), ~std::uint64_t{0});
+  }
+  const vid_t src = 42;
+  launch_init(dev, dev.stream(0), b, src, 128);
+  for (vid_t v = 0; v < dg.n; ++v) {
+    ASSERT_EQ(b.status.host_data()[v], v == src ? 0u : kUnvisited) << v;
+    ASSERT_EQ(b.parent.host_data()[v], v == src ? src : kNoParent) << v;
+  }
+  EXPECT_EQ(b.queue_a.host_data()[0], src);
+  for (int m = 0; m < 3; ++m) {
+    for (std::size_t w = 0; w < b.bitmaps[m].size(); ++w) {
+      const std::uint64_t want =
+          m == 0 && w == src / 64 ? std::uint64_t{1} << (src % 64) : 0;
+      ASSERT_EQ(b.bitmaps[m].host_data()[w], want) << m << ' ' << w;
+    }
+  }
+  // The level-0 tail starts at 0: queue_a[0] is the frontier, sized by the
+  // host, and the generation scan appends from 0.
+  EXPECT_EQ(b.counter_sets[0].counters.host_data()[kCurTail], 0u);
 }
 
-TEST_F(KernelFixture, ResetCountersZeroesEverything) {
-  for (std::size_t i = 0; i < kNumCounters; ++i) {
-    buffers.counters.host_data()[i] = 99;
+TEST_F(KernelFixture, InitZeroesBothCounterSets) {
+  for (CounterSet& set : buffers.counter_sets) {
+    std::fill(set.counters.host_data(),
+              set.counters.host_data() + kNumCounters, 99u);
+    set.edge_counters.host_data()[0] = 123;
+    set.edge_counters.host_data()[1] = 456;
   }
-  buffers.edge_counters.host_data()[0] = 123;
-  buffers.edge_counters.host_data()[1] = 456;
-  launch_reset_counters(dev, dev.stream(0), buffers);
-  for (std::size_t i = 0; i < kNumCounters; ++i) {
-    EXPECT_EQ(buffers.counters.host_data()[i], 0u) << i;
+  launch_init(dev, dev.stream(0), buffers, 0, 128);
+  for (const CounterSet& set : buffers.counter_sets) {
+    for (std::size_t i = 0; i < kNumCounters; ++i) {
+      EXPECT_EQ(set.counters.host_data()[i], 0u) << i;
+    }
+    EXPECT_EQ(set.edge_counters.host_data()[0], 0u);
+    EXPECT_EQ(set.edge_counters.host_data()[1], 0u);
   }
-  EXPECT_EQ(buffers.edge_counters.host_data()[0], 0u);
-  EXPECT_EQ(buffers.edge_counters.host_data()[1], 0u);
 }
 
 TEST_F(KernelFixture, SingleScanGenerateFindsExactlyTheLevel) {
   const auto giant = graph::largest_component_vertices(host);
   const auto levels = graph::reference_bfs(host, giant[0]);
   set_status(levels);
-  launch_reset_counters(dev, dev.stream(0), buffers);
+  reset_counters();
   const std::uint32_t target_level = 2;
   launch_singlescan_generate(dev, dev.stream(0), buffers.status.span(),
-                             buffers.queue_a.span(), buffers.counters.span(),
+                             buffers.queue_a.span(),
+                             buffers.counter_sets[0].counters.span(),
                              target_level, cfg);
   std::set<vid_t> expected;
   for (vid_t v = 0; v < dg.n; ++v) {
@@ -134,7 +169,7 @@ TEST_F(KernelFixture, SingleScanGenerateFindsExactlyTheLevel) {
       expected.insert(v);
     }
   }
-  const std::uint32_t count = buffers.counters.host_data()[kCurTail];
+  const std::uint32_t count = counters()[kCurTail];
   ASSERT_EQ(count, expected.size());
   std::set<vid_t> got(buffers.queue_a.host_data(),
                       buffers.queue_a.host_data() + count);
@@ -154,7 +189,7 @@ TEST_F(KernelFixture, ScanFreeExpandClaimsExactlyTheNextLevel) {
   }
   set_status(cut);
   std::copy(frontier.begin(), frontier.end(), buffers.queue_a.host_data());
-  launch_reset_counters(dev, dev.stream(0), buffers);
+  reset_counters();
   const TopDownArgs a = topdown_args(
       buffers.queue_a.cspan(), static_cast<std::uint32_t>(frontier.size()), 1);
   launch_scanfree_expand(dev, dev.stream(0), a, cfg);
@@ -169,8 +204,8 @@ TEST_F(KernelFixture, ScanFreeExpandClaimsExactlyTheNextLevel) {
       ASSERT_EQ(buffers.status.host_data()[v], kUnvisited) << v;
     }
   }
-  EXPECT_EQ(buffers.counters.host_data()[kNextTail], expected_next);
-  EXPECT_EQ(buffers.edge_counters.host_data()[kNextEdges], expected_edges);
+  EXPECT_EQ(counters()[kNextTail], expected_next);
+  EXPECT_EQ(edge_counters()[kNextEdges], expected_edges);
   // Queue entries are exactly the level-2 set, no duplicates.
   std::set<vid_t> got(buffers.queue_b.host_data(),
                       buffers.queue_b.host_data() + expected_next);
@@ -197,7 +232,7 @@ TEST_F(KernelFixture, ScanFreeBalancingModesAgree) {
     }
     set_status(cut);
     std::copy(frontier.begin(), frontier.end(), buffers.queue_a.host_data());
-    launch_reset_counters(dev, dev.stream(0), buffers);
+    reset_counters();
     XbfsConfig c = cfg;
     c.topdown_balancing = modes[m];
     const TopDownArgs a = topdown_args(
@@ -218,7 +253,7 @@ TEST_F(KernelFixture, BottomUpPipelineBuildsSortedCandidateQueue) {
   std::vector<std::int32_t> levels(dg.n);
   for (vid_t v = 0; v < dg.n; ++v) levels[v] = (rng() & 3) == 0 ? 1 : -1;
   set_status(levels);
-  launch_reset_counters(dev, dev.stream(0), buffers);
+  reset_counters();
   const BottomUpArgs a = bottomup_args(1);
   launch_bu_count(dev, dev.stream(0), a, cfg);
   launch_bu_scan_block(dev, dev.stream(0), a, cfg);
@@ -229,7 +264,7 @@ TEST_F(KernelFixture, BottomUpPipelineBuildsSortedCandidateQueue) {
   for (vid_t v = 0; v < dg.n; ++v) {
     if (levels[v] < 0) expected.push_back(v);
   }
-  const std::uint32_t total = buffers.counters.host_data()[kCurTail];
+  const std::uint32_t total = counters()[kCurTail];
   ASSERT_EQ(total, expected.size());
   const std::vector<vid_t> got(buffers.bu_queue.host_data(),
                                buffers.bu_queue.host_data() + total);
@@ -267,14 +302,14 @@ TEST_F(KernelFixture, BottomUpExpandMatchesHostOneLevel) {
                  : -1;
   }
   set_status(cut);
-  launch_reset_counters(dev, dev.stream(0), buffers);
+  reset_counters();
   XbfsConfig c = cfg;
   c.enable_lookahead = false;  // exact one-level semantics for this test
   const BottomUpArgs a = bottomup_args(k);
   launch_bu_count(dev, dev.stream(0), a, c);
   launch_bu_scan_block(dev, dev.stream(0), a, c);
   launch_bu_scan_final(dev, dev.stream(0), a, c);
-  const std::uint32_t candidates = buffers.counters.host_data()[kCurTail];
+  const std::uint32_t candidates = counters()[kCurTail];
   launch_bu_queue_gen(dev, dev.stream(0), a, c);
   launch_bu_expand(dev, dev.stream(0), a, candidates, c);
 
@@ -287,8 +322,8 @@ TEST_F(KernelFixture, BottomUpExpandMatchesHostOneLevel) {
       ASSERT_EQ(buffers.status.host_data()[v], kUnvisited) << v;
     }
   }
-  EXPECT_EQ(buffers.counters.host_data()[kNextTail], expected_next);
-  EXPECT_EQ(buffers.counters.host_data()[kPendingTail], 0u);
+  EXPECT_EQ(counters()[kNextTail], expected_next);
+  EXPECT_EQ(counters()[kPendingTail], 0u);
 }
 
 TEST_F(KernelFixture, BottomUpLookaheadPromotesOnlyNextNextLevel) {
@@ -303,14 +338,14 @@ TEST_F(KernelFixture, BottomUpLookaheadPromotesOnlyNextNextLevel) {
                  : -1;
   }
   set_status(cut);
-  launch_reset_counters(dev, dev.stream(0), buffers);
+  reset_counters();
   XbfsConfig c = cfg;
   c.enable_lookahead = true;
   const BottomUpArgs a = bottomup_args(k);
   launch_bu_count(dev, dev.stream(0), a, c);
   launch_bu_scan_block(dev, dev.stream(0), a, c);
   launch_bu_scan_final(dev, dev.stream(0), a, c);
-  const std::uint32_t candidates = buffers.counters.host_data()[kCurTail];
+  const std::uint32_t candidates = counters()[kCurTail];
   launch_bu_queue_gen(dev, dev.stream(0), a, c);
   launch_bu_expand(dev, dev.stream(0), a, candidates, c);
 
@@ -325,7 +360,7 @@ TEST_F(KernelFixture, BottomUpLookaheadPromotesOnlyNextNextLevel) {
     ASSERT_EQ(st, static_cast<std::uint32_t>(ref[v])) << v;
     if (st == k + 2) ++promoted;
   }
-  EXPECT_EQ(buffers.counters.host_data()[kPendingTail], promoted);
+  EXPECT_EQ(counters()[kPendingTail], promoted);
   // Look-ahead must fire on this graph (dense RMAT core).
   EXPECT_GT(promoted, 0u);
 }
@@ -340,7 +375,7 @@ TEST_F(KernelFixture, BottomUpWarpCentricAgreesWithThreadCentric) {
       cut[v] = (ref[v] >= 0 && ref[v] <= 1) ? ref[v] : -1;
     }
     set_status(cut);
-    launch_reset_counters(dev, dev.stream(0), buffers);
+    reset_counters();
     XbfsConfig c = cfg;
     c.enable_lookahead = false;
     c.bottomup_warp_centric = (m == 1);
@@ -348,7 +383,7 @@ TEST_F(KernelFixture, BottomUpWarpCentricAgreesWithThreadCentric) {
     launch_bu_count(dev, dev.stream(0), a, c);
     launch_bu_scan_block(dev, dev.stream(0), a, c);
     launch_bu_scan_final(dev, dev.stream(0), a, c);
-    const std::uint32_t candidates = buffers.counters.host_data()[kCurTail];
+    const std::uint32_t candidates = counters()[kCurTail];
     launch_bu_queue_gen(dev, dev.stream(0), a, c);
     launch_bu_expand(dev, dev.stream(0), a, candidates, c);
     results[m].assign(buffers.status.host_data(),
@@ -372,14 +407,14 @@ TEST_F(KernelFixture, WarpCentricBottomUpWastesIssueSlots) {
       cut[v] = (ref[v] >= 0 && ref[v] <= k) ? ref[v] : -1;
     }
     set_status(cut);
-    launch_reset_counters(dev, dev.stream(0), buffers);
+    reset_counters();
     XbfsConfig c = cfg;
     c.bottomup_warp_centric = (m == 1);
     const BottomUpArgs a = bottomup_args(k);
     launch_bu_count(dev, dev.stream(0), a, c);
     launch_bu_scan_block(dev, dev.stream(0), a, c);
     launch_bu_scan_final(dev, dev.stream(0), a, c);
-    const std::uint32_t candidates = buffers.counters.host_data()[kCurTail];
+    const std::uint32_t candidates = counters()[kCurTail];
     launch_bu_queue_gen(dev, dev.stream(0), a, c);
     const sim::LaunchResult r =
         launch_bu_expand(dev, dev.stream(0), a, candidates, c);
@@ -396,15 +431,15 @@ TEST_F(KernelFixture, ClassifyBinsPartitionsQueueByDegree) {
     if (ref[v] == 2) frontier.push_back(v);
   }
   std::copy(frontier.begin(), frontier.end(), buffers.queue_a.host_data());
-  launch_reset_counters(dev, dev.stream(0), buffers);
+  reset_counters();
   const TopDownArgs a = topdown_args(
       buffers.queue_a.cspan(), static_cast<std::uint32_t>(frontier.size()), 2);
   launch_classify_bins(dev, dev.stream(0), a, buffers.bin_small.span(),
                        buffers.bin_medium.span(), buffers.bin_large.span(),
                        cfg);
-  const std::uint32_t ns = buffers.counters.host_data()[kBinSmall];
-  const std::uint32_t nm = buffers.counters.host_data()[kBinMedium];
-  const std::uint32_t nl = buffers.counters.host_data()[kBinLarge];
+  const std::uint32_t ns = counters()[kBinSmall];
+  const std::uint32_t nm = counters()[kBinMedium];
+  const std::uint32_t nl = counters()[kBinLarge];
   EXPECT_EQ(ns + nm + nl, frontier.size());
   for (std::uint32_t i = 0; i < ns; ++i) {
     EXPECT_LT(host.degree(buffers.bin_small.host_data()[i]),

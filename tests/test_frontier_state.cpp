@@ -30,9 +30,11 @@ TEST(BfsBuffers, AllocationGeometry) {
   EXPECT_EQ(b.pending_a.size(), n);
   EXPECT_EQ(b.pending_b.size(), n);
   EXPECT_EQ(b.bu_queue.size(), n);
-  EXPECT_EQ(b.counters.size(), static_cast<std::size_t>(kNumCounters));
-  EXPECT_EQ(b.edge_counters.size(),
-            static_cast<std::size_t>(kNumEdgeCounters));
+  for (const CounterSet& set : b.counter_sets) {
+    EXPECT_EQ(set.counters.size(), static_cast<std::size_t>(kNumCounters));
+    EXPECT_EQ(set.edge_counters.size(),
+              static_cast<std::size_t>(kNumEdgeCounters));
+  }
   EXPECT_EQ(b.segment_size, seg);
   EXPECT_EQ(b.num_segments, (n + seg - 1) / seg);
   EXPECT_EQ(b.seg_counts.size(), b.num_segments);
@@ -50,14 +52,20 @@ TEST(BfsBuffers, ParentAndBinsAreOptional) {
 TEST(ReadCounters, ReflectsDeviceStateAndChargesCopyTime) {
   sim::Device dev = make_device();
   BfsBuffers b = BfsBuffers::allocate(dev, 100, 64, 2, false, false);
-  b.counters.host_data()[kNextTail] = 11;
-  b.counters.host_data()[kPendingTail] = 22;
-  b.counters.host_data()[kNewCount] = 33;
-  b.counters.host_data()[kCurTail] = 44;
-  b.edge_counters.host_data()[kNextEdges] = 55;
-  b.edge_counters.host_data()[kPendingEdges] = 66;
+  CounterSet& set = b.counter_sets[1];
+  set.counters.host_data()[kNextTail] = 11;
+  set.counters.host_data()[kPendingTail] = 22;
+  set.counters.host_data()[kNewCount] = 33;
+  set.counters.host_data()[kCurTail] = 44;
+  set.edge_counters.host_data()[kNextEdges] = 55;
+  set.edge_counters.host_data()[kPendingEdges] = 66;
   const double before = dev.now_us();
-  const LevelCounters lc = read_counters(dev, dev.stream(0), b);
+  sim::AttributionSink sink;
+  LevelCounters lc;
+  {
+    sim::ScopedAttribution attr(dev, sink);
+    lc = read_counters(dev, dev.stream(0), set);
+  }
   EXPECT_EQ(lc.next_count, 11u);
   EXPECT_EQ(lc.pending_count, 22u);
   EXPECT_EQ(lc.new_count, 33u);
@@ -65,6 +73,15 @@ TEST(ReadCounters, ReflectsDeviceStateAndChargesCopyTime) {
   EXPECT_EQ(lc.next_edges, 55u);
   EXPECT_EQ(lc.pending_edges, 66u);
   EXPECT_GT(dev.now_us(), before);  // the d2h readback costs modelled time
+  // One copy of exactly one set's bytes.
+  const sim::DeviceProfile& p = dev.profile();
+  EXPECT_EQ(sink.memcpys, 1u);
+  EXPECT_EQ(sink.launches, 0u);
+  EXPECT_DOUBLE_EQ(sink.modelled_us,
+                   p.memcpy_overhead_us +
+                       static_cast<double>(kNumCounters * 4 +
+                                           kNumEdgeCounters * 8) /
+                           p.d2h_bytes_per_us);
 }
 
 TEST(AppendQueue, ZeroCountIsANoOpWithoutLaunch) {

@@ -353,6 +353,8 @@ TEST(SanitizerTest, BottomUpLookAheadRaceIsAnnotatedNotSuppressed) {
   auto d_pending_queue = dev.alloc<vid_t>(kN, "la.pending_queue");
   auto d_counters = dev.alloc<std::uint32_t>(core::kNumCounters, "la.counters");
   d_counters.h_fill(0);
+  // k5 reads the candidate total where k3 (bu_scan_final) leaves it.
+  d_counters.h_write(core::kCurTail, kN - 1);
   auto d_edge_counters =
       dev.alloc<std::uint64_t>(core::kNumEdgeCounters, "la.edge_counters");
   d_edge_counters.h_fill(0);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "core/xbfs.h"
 #include "graph/builder.h"
@@ -30,6 +31,17 @@ TEST(XbfsEdgeCases, SingleVertexGraph) {
   ASSERT_EQ(r.levels.size(), 1u);
   EXPECT_EQ(r.levels[0], 0);
   EXPECT_EQ(r.depth, 1u);
+}
+
+TEST(XbfsEdgeCases, OutOfRangeSourceThrows) {
+  const graph::Csr g = graph::build_csr(10, {{1, 2}, {2, 3}});
+  sim::Device dev(sim::DeviceProfile::mi250x_gcd(),
+                  sim::SimOptions{.num_workers = 1});
+  auto dg = graph::DeviceCsr::upload(dev, g);
+  core::Xbfs bfs(dev, dg);
+  EXPECT_THROW(bfs.run(10), std::invalid_argument);
+  EXPECT_THROW(bfs.run(graph::vid_t{1} << 30), std::invalid_argument);
+  EXPECT_EQ(bfs.run(1).levels[3], 2);  // the instance stays usable
 }
 
 TEST(XbfsEdgeCases, IsolatedSourceTerminatesImmediately) {
