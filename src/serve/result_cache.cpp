@@ -20,10 +20,17 @@ CachedResult ResultCache::get(std::uint64_t graph_fp, core::AlgoKind algo,
                               std::uint64_t params_hash,
                               graph::vid_t source) {
   const Key k{graph_fp, params_hash, source, algo};
-  Shard& s = shard_of(k);
-  std::lock_guard<std::mutex> lk(s.mu);
-  const auto it = s.map.find(k);
-  if (it == s.map.end()) {
+  Key stale{};
+  bool reap = false;
+  {
+    Shard& s = shard_of(k);
+    std::lock_guard<std::mutex> lk(s.mu);
+    const auto it = s.map.find(k);
+    if (it != s.map.end()) {
+      ++s.hits;
+      s.lru.splice(s.lru.begin(), s.lru, it->second);  // bump to MRU
+      return it->second->second;
+    }
     ++s.misses;
     // Lazy reap: a miss for the live fingerprint whose prior-epoch twin is
     // still resident means a fingerprint-less cache would have returned
@@ -31,30 +38,22 @@ CachedResult ResultCache::get(std::uint64_t graph_fp, core::AlgoKind algo,
     if (primed_.load(std::memory_order_acquire) &&
         graph_fp == current_fp_.load(std::memory_order_relaxed)) {
       const std::uint64_t prev = prev_fp_.load(std::memory_order_relaxed);
-      if (prev != graph_fp) {
-        const Key stale{prev, params_hash, source, algo};
-        Shard& ss = shard_of(stale);
-        // Same shard ⇒ the lock is already held; reap inline.
-        auto reap = [&](Shard& sh) {
-          if (const auto sit = sh.map.find(stale); sit != sh.map.end()) {
-            sh.lru.erase(sit->second);
-            sh.map.erase(sit);
-            stale_hits_avoided_.fetch_add(1, std::memory_order_relaxed);
-          }
-        };
-        if (&ss == &s) {
-          reap(s);
-        } else {
-          std::lock_guard<std::mutex> slk(ss.mu);
-          reap(ss);
-        }
-      }
+      reap = prev != graph_fp;
+      stale = Key{prev, params_hash, source, algo};
     }
-    return {};
   }
-  ++s.hits;
-  s.lru.splice(s.lru.begin(), s.lru, it->second);  // bump to MRU
-  return it->second->second;
+  if (reap) {
+    // Under the twin's shard lock alone: holding two shard locks at once
+    // would order them by key, and two misses can order them oppositely.
+    Shard& ss = shard_of(stale);
+    std::lock_guard<std::mutex> lk(ss.mu);
+    if (const auto sit = ss.map.find(stale); sit != ss.map.end()) {
+      ss.lru.erase(sit->second);
+      ss.map.erase(sit);
+      stale_hits_avoided_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  return {};
 }
 
 void ResultCache::put(std::uint64_t graph_fp, core::AlgoKind algo,
