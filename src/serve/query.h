@@ -57,9 +57,9 @@ struct QueryOptions {
   bool bypass_cache = false;
 };
 
-/// Deadline arithmetic shared by every admission lane (Server::submit,
-/// ShardRouter::submit, the update lane): 0 inherits `default_timeout_ms`,
-/// and only a strictly positive resolved budget creates a deadline.
+/// Deadline arithmetic shared by every admission lane (FrontEnd::admit,
+/// the update lane): 0 inherits `default_timeout_ms`, and only a strictly
+/// positive resolved budget creates a deadline.
 /// Historically a resolved budget of exactly 0 produced `deadline == now`
 /// — every such query expired at dispatch despite the "0 inherits the
 /// default" contract; this helper is the single fixed implementation.
