@@ -2,81 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <deque>
-#include <sstream>
 
 namespace xbfs::dyn {
 
 using graph::vid_t;
 
 std::vector<std::int32_t> reference_bfs(const DeltaCsr& g, vid_t src) {
-  const vid_t n = g.num_vertices();
-  std::vector<std::int32_t> levels(n, -1);
-  if (src >= n) return levels;
-  std::deque<vid_t> q{src};
-  levels[src] = 0;
-  while (!q.empty()) {
-    const vid_t v = q.front();
-    q.pop_front();
-    const std::int32_t next = levels[v] + 1;
-    g.for_each_neighbor(v, [&](vid_t w) {
-      if (levels[w] < 0) {
-        levels[w] = next;
-        q.push_back(w);
-      }
-    });
-  }
-  return levels;
-}
-
-std::string validate_levels(const DeltaCsr& g, vid_t src,
-                            const std::vector<std::int32_t>& levels) {
-  const vid_t n = g.num_vertices();
-  std::ostringstream os;
-  if (levels.size() != n) {
-    os << "levels size " << levels.size() << " != |V| " << n;
-    return os.str();
-  }
-  if (src >= n) {
-    os << "source " << src << " out of range";
-    return os.str();
-  }
-  if (levels[src] != 0) {
-    os << "level[src] = " << levels[src] << ", expected 0";
-    return os.str();
-  }
-  const std::vector<std::int32_t> ref = reference_bfs(g, src);
-  for (vid_t v = 0; v < n; ++v) {
-    if ((levels[v] < 0) != (ref[v] < 0)) {
-      os << "vertex " << v << " reachability mismatch: level " << levels[v]
-         << ", reference " << ref[v];
-      return os.str();
-    }
-  }
-  for (vid_t v = 0; v < n; ++v) {
-    if (levels[v] < 0) continue;
-    bool has_parent_level = levels[v] == 0;
-    std::string err;
-    g.for_each_neighbor(v, [&](vid_t w) {
-      if (!err.empty()) return;
-      if (levels[w] >= 0 && std::abs(levels[w] - levels[v]) > 1) {
-        std::ostringstream eo;
-        eo << "edge (" << v << "," << w << ") spans levels " << levels[v]
-           << " and " << levels[w];
-        err = eo.str();
-        return;
-      }
-      if (levels[w] == levels[v] - 1) has_parent_level = true;
-    });
-    if (!err.empty()) return err;
-    if (!has_parent_level) {
-      os << "vertex " << v << " at level " << levels[v]
-         << " has no level-" << (levels[v] - 1) << " neighbor";
-      return os.str();
-    }
-  }
-  return {};
+  return graph::reference_bfs(g, src);
 }
 
 core::BfsResult HostDeltaBfs::run_on(const Snapshot& snap, vid_t src) const {

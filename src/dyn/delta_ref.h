@@ -1,29 +1,24 @@
-// Host-side ground truth for dynamic graphs: serial BFS over a DeltaCsr,
-// the Graph500-style level validator the dynamic serving path uses, and
-// the fault-immune host TraversalEngine that terminates the dynamic
+// Host-side ground truth for dynamic graphs: serial BFS over a DeltaCsr
+// and the fault-immune host TraversalEngine that terminates the dynamic
 // degradation ladder (the DeltaCsr analogue of baseline::CpuBfsEngine).
+// Levels over a DeltaCsr are validated by the same templated
+// graph::validate_levels_graph500 the static path uses.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/algorithm_engine.h"
 #include "dyn/delta_csr.h"
 #include "dyn/graph_store.h"
+#include "graph/g500_validate.h"
 
 namespace xbfs::dyn {
 
-/// Serial queue BFS over the live (base - tombstones + extras) edge set;
-/// levels[v] = hops from src, -1 unreached.
+/// Serial queue BFS over the live (base - tombstones + extras) edge set
+/// (graph::reference_bfs over the DeltaCsr); levels[v] = hops from src,
+/// -1 unreached.
 std::vector<std::int32_t> reference_bfs(const DeltaCsr& g, graph::vid_t src);
-
-/// Complete level-assignment oracle over a DeltaCsr (same rules as
-/// graph::validate_bfs_levels): level[src]==0, reachability matches a
-/// fresh host BFS, every live edge spans at most one level, and every
-/// level-k>0 vertex has a level k-1 neighbor.  Empty string when valid.
-std::string validate_levels(const DeltaCsr& g, graph::vid_t src,
-                            const std::vector<std::int32_t>& levels);
 
 /// Host CPU BFS over the store's *current* snapshot: the terminal rung of
 /// the dynamic serving ladder.  Stateless across runs (safe to call from

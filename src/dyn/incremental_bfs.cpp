@@ -1,6 +1,7 @@
 #include "dyn/incremental_bfs.h"
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -22,6 +23,19 @@ namespace {
 /// so kernels can skip tombstoned entries with one compare.
 constexpr vid_t kTombstone = static_cast<vid_t>(kUnvisited);
 
+sim::LaunchConfig round_launch(const sim::Device& dev,
+                               const core::XbfsConfig& cfg,
+                               std::uint64_t work) {
+  sim::LaunchConfig lc;
+  lc.block_threads = cfg.block_threads;
+  lc.grid_blocks = cfg.grid_blocks != 0
+                       ? cfg.grid_blocks
+                       : core::auto_grid_blocks(
+                             dev.profile(), std::max<std::uint64_t>(1, work),
+                             cfg.block_threads);
+  return lc;
+}
+
 }  // namespace
 
 IncrementalBfs::IncrementalBfs(sim::Device& dev, GraphStore& store,
@@ -36,9 +50,13 @@ IncrementalBfs::IncrementalBfs(sim::Device& dev, GraphStore& store,
   d_queue_a_ = dev_.alloc<vid_t>(cap, "dyn.queue_a");
   d_queue_b_ = dev_.alloc<vid_t>(cap, "dyn.queue_b");
   d_dirty_ = dev_.alloc<vid_t>(cap, "dyn.dirty");
-  d_seeds_ = dev_.alloc<vid_t>(cap, "dyn.seeds");
-  d_counters_ = dev_.alloc<std::uint32_t>(1, "dyn.counters");
-  d_edge_counter_ = dev_.alloc<std::uint64_t>(1, "dyn.edge_counter");
+  for (core::CounterSet& set : counter_sets_) {
+    set.counters =
+        dev_.alloc<std::uint32_t>(core::kNumCounters, "dyn.counters");
+    set.edge_counters =
+        dev_.alloc<std::uint64_t>(core::kNumEdgeCounters, "dyn.edge_counters");
+  }
+  prime_counters();
   status_host_.resize(n);
 }
 
@@ -271,227 +289,263 @@ IncrementalBfs::RepairPlan IncrementalBfs::plan_repair(
   return p;
 }
 
-void IncrementalBfs::run_passes(
-    const Snapshot& snap,
-    const std::map<std::uint32_t, std::vector<vid_t>>& seeds,
-    bool allow_pull, core::BfsResult& result) {
+struct IncrementalBfs::DeltaView {
+  sim::dspan<const eid_t> offsets;
+  sim::dspan<const vid_t> cols;
+  sim::dspan<const vid_t> ov_vid;   ///< touched vertices, sorted
+  sim::dspan<const eid_t> ov_off;   ///< ov_count+1 offsets
+  sim::dspan<const vid_t> ov_cols;  ///< inserted neighbors
+  std::uint32_t ov_count = 0;
+
+  /// Base row length of w, tombstones included and overlay excluded: the
+  /// degree the frontier-edge counters accumulate.
+  eid_t row_len(sim::ExecCtx& ctx, vid_t w) const {
+    return ctx.load(offsets, w + 1) - ctx.load(offsets, w);
+  }
+
+  /// Visit v's live neighbors: the base row minus tombstones, then v's
+  /// overlay row.  `f(w)` returns false to stop the walk.  Returns the
+  /// entries probed, tombstones included.
+  template <typename F>
+  std::uint64_t walk(sim::ExecCtx& ctx, vid_t v, F&& f) const {
+    std::uint64_t probed = 0;
+    const eid_t b = ctx.load(offsets, v);
+    const eid_t e = ctx.load(offsets, v + 1);
+    for (eid_t j = b; j < e; ++j) {
+      const vid_t w = ctx.load(cols, j);
+      ++probed;
+      if (w == kTombstone) continue;
+      if (!f(w)) return probed;
+    }
+    if (ov_count == 0) return probed;
+    std::uint32_t lo = 0, hi = ov_count;
+    while (lo < hi) {
+      const std::uint32_t mid = (lo + hi) / 2;
+      if (ctx.load(ov_vid, mid) < v) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (lo == ov_count || ctx.load(ov_vid, lo) != v) return probed;
+    const eid_t ob = ctx.load(ov_off, lo);
+    const eid_t oe = ctx.load(ov_off, lo + 1);
+    for (eid_t j = ob; j < oe; ++j) {
+      ++probed;
+      if (!f(ctx.load(ov_cols, j))) return probed;
+    }
+    return probed;
+  }
+};
+
+struct IncrementalBfs::Round {
+  DeltaView g;
+  sim::dspan<std::uint32_t> status;
+  sim::dspan<const vid_t> queue;
+  sim::dspan<vid_t> next_queue;
+  std::uint32_t qcap = 0;        ///< next_queue capacity (|V|)
+  core::CounterSpans counters;   ///< this round's set
+  core::CounterSpans zero;       ///< the other set, until a kernel zeroes it
+};
+
+void IncrementalBfs::prime_counters() {
   sim::Stream& s = dev_.stream(0);
+  for (core::CounterSet& set : counter_sets_) {
+    set.counters.h_fill(0);
+    set.edge_counters.h_fill(0);
+  }
+  dev_.memcpy_h2d(s, counter_sets_[0].counters, counter_sets_[0].edge_counters,
+                  counter_sets_[1].counters, counter_sets_[1].edge_counters);
+  counters_ready_ = true;
+}
+
+IncrementalBfs::Frontier IncrementalBfs::inject(
+    const DeltaCsr& g, const std::vector<vid_t>& seeds) {
+  Frontier f;
+  if (!seeds.empty()) {
+    d_queue_a_.h_copy_from(seeds.data(), seeds.size());
+    dev_.memcpy_h2d(dev_.stream(0), seeds.size() * sizeof(vid_t));
+    d_queue_a_.mark_device_synced();
+  }
+  f.count = static_cast<std::uint32_t>(seeds.size());
+  for (const vid_t v : seeds) f.edges += g.degree(v);
+  return f;
+}
+
+IncrementalBfs::Round IncrementalBfs::begin_round(const Frontier& f) {
+  Round r;
+  r.g = {d_offsets_.cspan(), d_cols_.cspan(),    d_ov_vid_.cspan(),
+         d_ov_off_.cspan(),  d_ov_cols_.cspan(), ov_count_};
+  r.status = d_status_.span();
+  r.queue = (f.in_a ? d_queue_a_ : d_queue_b_).cspan();
+  r.next_queue = (f.in_a ? d_queue_b_ : d_queue_a_).span();
+  r.qcap = static_cast<std::uint32_t>(d_status_.size());
+  r.counters = counter_sets_[cur_set_].spans();
+  r.zero = counter_sets_[cur_set_ ^ 1].spans();
+  return r;
+}
+
+void IncrementalBfs::launch_push(Round& r, std::uint32_t count) {
+  const Round a = r;
+  r.zero = {};
+  dev_.launch(dev_.stream(0), "dyn_fix_push",
+              round_launch(dev_, cfg_, count), [=](sim::BlockCtx& blk) {
+    auto& ctx = blk.ctx();
+    core::zero_counter_set(blk, a.zero);
+    // Frontier label reads race with other blocks' atomic_min decreases:
+    // a stale (higher) read only weakens this relaxation, and whichever
+    // block lowered the label re-enqueued the vertex, so the quiescent
+    // fixpoint is unchanged.  In a recompute every queued vertex still
+    // holds the round's level, so next = level + 1 there.
+    sim::racy_ok allow(ctx,
+                       "dyn-fix-push: frontier label reads vs "
+                       "concurrent atomic_min decreases (decrease-only "
+                       "fixpoint; improvements always re-enqueue)");
+    blk.grid_stride(count, [&](std::uint64_t i) {
+      const vid_t v = ctx.load(a.queue, i);
+      const std::uint32_t lvl = ctx.load(a.status, v);
+      if (lvl == kUnvisited) return;  // defensive: seeds are settled
+      const std::uint32_t next = lvl + 1;
+      std::uint64_t claimed_deg = 0;
+      std::uint32_t claimed = 0;
+      const std::uint64_t probed = a.g.walk(ctx, v, [&](vid_t w) {
+        const std::uint32_t prior = ctx.atomic_min(a.status, w, next);
+        if (prior > next) {
+          const std::uint32_t slot = ctx.atomic_add(
+              a.counters.counters, core::kNextTail, std::uint32_t{1});
+          if (slot < a.qcap) ctx.store(a.next_queue, slot, w);
+          claimed_deg += a.g.row_len(ctx, w);
+          ++claimed;
+        }
+        return true;
+      });
+      ctx.slots(probed, probed);
+      if (claimed != 0) {
+        ctx.atomic_add(a.counters.edge_counters, core::kNextEdges,
+                       claimed_deg);
+      }
+    });
+  });
+}
+
+void IncrementalBfs::launch_pull(Round& r, vid_t n, std::uint32_t level) {
+  const Round a = r;
+  r.zero = {};
+  const std::uint32_t next = level + 1;
+  dev_.launch(dev_.stream(0), "dyn_repair_pull", round_launch(dev_, cfg_, n),
+              [=](sim::BlockCtx& blk) {
+    auto& ctx = blk.ctx();
+    core::zero_counter_set(blk, a.zero);
+    // The candidate pre-check and the neighbor status probes race with
+    // other blocks' claims; both directions of the race either defer the
+    // vertex to a later pass or re-claim the same value.
+    sim::racy_ok allow(ctx,
+                       "dyn-pull: unsynchronized status probes vs "
+                       "concurrent atomic_min claims (settled labels "
+                       "are final in recompute passes)");
+    blk.grid_stride(n, [&](std::uint64_t i) {
+      const vid_t v = static_cast<vid_t>(i);
+      if (ctx.load(a.status, v) <= next) return;  // settled at or better
+      bool found = false;
+      const std::uint64_t probed = a.g.walk(ctx, v, [&](vid_t w) {
+        found = ctx.load(a.status, w) == level;
+        return !found;
+      });
+      ctx.slots(probed, found ? probed : 0);
+      if (!found) return;
+      const std::uint32_t prior = ctx.atomic_min(a.status, v, next);
+      if (prior > next) {
+        const std::uint32_t slot = ctx.atomic_add(
+            a.counters.counters, core::kNextTail, std::uint32_t{1});
+        ctx.store(a.next_queue, slot, v);
+        ctx.atomic_add(a.counters.edge_counters, core::kNextEdges,
+                       a.g.row_len(ctx, v));
+      }
+    });
+  });
+}
+
+void IncrementalBfs::launch_pull_dirty(Round& r, std::uint32_t dirty_count) {
+  const Round a = r;
+  r.zero = {};
+  auto dirty = d_dirty_.cspan();
+  dev_.launch(dev_.stream(0), "dyn_fix_pull",
+              round_launch(dev_, cfg_, dirty_count), [=](sim::BlockCtx& blk) {
+    auto& ctx = blk.ctx();
+    core::zero_counter_set(blk, a.zero);
+    // Neighbor label probes race with concurrent atomic_min decreases:
+    // reading a label high only defers the improvement to a later round
+    // (the loop runs until no round improves anything).
+    sim::racy_ok allow(ctx,
+                       "dyn-fix-pull: neighbor label probes vs "
+                       "concurrent atomic_min decreases (decrease-only "
+                       "fixpoint over the dirty list)");
+    blk.grid_stride(dirty_count, [&](std::uint64_t i) {
+      const vid_t v = ctx.load(dirty, i);
+      const std::uint32_t cur = ctx.load(a.status, v);
+      std::uint32_t best = kUnvisited;
+      const std::uint64_t probed = a.g.walk(ctx, v, [&](vid_t w) {
+        best = std::min(best, ctx.load(a.status, w));
+        return true;
+      });
+      if (best == kUnvisited || best + 1 >= cur) {
+        ctx.slots(probed, 0);
+        return;
+      }
+      ctx.slots(probed, probed);
+      const std::uint32_t cand = best + 1;
+      const std::uint32_t prior = ctx.atomic_min(a.status, v, cand);
+      if (prior > cand) {
+        const std::uint32_t slot = ctx.atomic_add(
+            a.counters.counters, core::kNextTail, std::uint32_t{1});
+        if (slot < a.qcap) ctx.store(a.next_queue, slot, v);
+        ctx.atomic_add(a.counters.edge_counters, core::kNextEdges,
+                       a.g.row_len(ctx, v));
+      }
+    });
+  });
+}
+
+void IncrementalBfs::end_round(core::LevelStats st, double t0, Frontier& f,
+                               core::BfsResult& result) {
+  sim::Stream& s = dev_.stream(0);
+  s.synchronize();
+  const core::LevelCounters c =
+      core::read_counters(dev_, s, counter_sets_[cur_set_]);
+  cur_set_ ^= 1;
+  st.frontier_count = f.count;
+  st.frontier_edges = f.edges;
+  st.time_ms = (dev_.now_us() - t0) / 1000.0;
+  result.level_stats.push_back(st);
+  f = {!f.in_a, c.next_count, c.next_edges};
+}
+
+void IncrementalBfs::run_recompute(const Snapshot& snap, vid_t src,
+                                   core::BfsResult& result) {
   const DeltaCsr& g = *snap.graph;
   const vid_t n = g.num_vertices();
-  const std::uint64_t m = std::max<std::uint64_t>(1, g.num_edges());
-
-  auto offsets = d_offsets_.cspan();
-  auto cols = d_cols_.cspan();
-  auto ov_vid = d_ov_vid_.cspan();
-  auto ov_off = d_ov_off_.cspan();
-  auto ov_cols = d_ov_cols_.cspan();
-  auto status = d_status_.span();
-  auto counters = d_counters_.span();
-  auto edge_counter = d_edge_counter_.span();
-  const std::uint32_t ov_n = ov_count_;
-
-  auto seed_it = seeds.begin();
-  std::uint32_t level = seed_it == seeds.end() ? 0 : seed_it->first;
-  std::uint32_t cur_count = 0;
-  std::uint64_t cur_edges = 0;
-  bool cur_is_a = true;
-
-  while (true) {
-    if (seed_it != seeds.end() && seed_it->first == level) {
-      const std::vector<vid_t>& sv = seed_it->second;
-      d_seeds_.h_copy_from(sv.data(), sv.size());
-      dev_.memcpy_h2d(s, sv.size() * sizeof(vid_t));
-      d_seeds_.mark_device_synced();
-      core::launch_append_queue(
-          dev_, s, d_seeds_.cspan(), static_cast<std::uint32_t>(sv.size()),
-          (cur_is_a ? d_queue_a_ : d_queue_b_).span(), cur_count,
-          cfg_.block_threads);
-      cur_count += static_cast<std::uint32_t>(sv.size());
-      for (const vid_t v : sv) cur_edges += g.degree(v);
-      ++seed_it;
-    }
-    if (cur_count == 0) {
-      if (seed_it == seeds.end()) break;
-      level = seed_it->first;  // dead stretch between seed buckets
-      continue;
-    }
-    if (level > n + 1) break;  // safety net; levels are < n by construction
-
+  const double m =
+      static_cast<double>(std::max<graph::eid_t>(1, g.num_edges()));
+  Frontier f = inject(g, {src});
+  for (std::uint32_t level = 0; f.count != 0 && level <= n; ++level) {
     dev_.profiler().set_context(static_cast<int>(level), "incremental");
-    const double level_t0 = dev_.now_us();
-    {
-      sim::LaunchConfig rc{.grid_blocks = 1, .block_threads = 64};
-      dev_.launch(s, "dyn_reset_counters", rc, [=](sim::BlockCtx& blk) {
-        auto& ctx = blk.ctx();
-        blk.threads([&](unsigned t) {
-          if (t == 0) {
-            ctx.store(counters, 0, std::uint32_t{0});
-            ctx.store(edge_counter, 0, std::uint64_t{0});
-          }
-        });
-      });
-    }
-
-    auto cur_queue = (cur_is_a ? d_queue_a_ : d_queue_b_).cspan();
-    auto next_queue = (cur_is_a ? d_queue_b_ : d_queue_a_).span();
-    const std::uint32_t next = level + 1;
-    const std::uint32_t cur_level = level;
-    const double ratio = static_cast<double>(cur_edges) / static_cast<double>(m);
-    // The r-vs-alpha analogue, per pass: a wide frontier flips to the
-    // bottom-up (pull) scan of the whole vertex range.  Pull's
-    // settled-support argument needs decrease-free labels, which a full
-    // recompute guarantees.
-    const bool pull = allow_pull && ratio > cfg_.alpha;
-    const std::uint64_t scan_count = n;
-
-    sim::LaunchConfig lc;
-    lc.block_threads = cfg_.block_threads;
-    const std::uint64_t work = pull ? scan_count : cur_count;
-    lc.grid_blocks = cfg_.grid_blocks != 0
-                         ? cfg_.grid_blocks
-                         : core::auto_grid_blocks(dev_.profile(),
-                                                  std::max<std::uint64_t>(1, work),
-                                                  cfg_.block_threads);
-
-    if (!pull) {
-      const std::uint32_t count = cur_count;
-      dev_.launch(s, "dyn_repair_push", lc, [=](sim::BlockCtx& blk) {
-        auto& ctx = blk.ctx();
-        // Frontier-entry status pre-checks and neighbor degree loads race
-        // with other blocks' atomic_min claims; the claim itself is atomic
-        // and exactly-once (prior > next filters duplicates).
-        sim::racy_ok allow(ctx,
-                           "dyn-push: stale-entry status pre-check vs "
-                           "concurrent atomic_min claims (decrease-only "
-                           "relaxation; duplicates filtered by prior value)");
-        blk.grid_stride(count, [&](std::uint64_t i) {
-          const vid_t v = ctx.load(cur_queue, i);
-          if (ctx.load(status, v) != cur_level) return;  // stale entry
-          std::uint64_t probed = 0;
-          std::uint64_t claimed_deg = 0;
-          std::uint32_t claimed = 0;
-          const auto relax = [&](vid_t w) {
-            const std::uint32_t prior = ctx.atomic_min(status, w, next);
-            if (prior > next) {
-              const std::uint32_t slot =
-                  ctx.atomic_add(counters, 0, std::uint32_t{1});
-              ctx.store(next_queue, slot, w);
-              claimed_deg +=
-                  ctx.load(offsets, w + 1) - ctx.load(offsets, w);
-              ++claimed;
-            }
-          };
-          const eid_t b = ctx.load(offsets, v);
-          const eid_t e = ctx.load(offsets, v + 1);
-          for (eid_t j = b; j < e; ++j) {
-            const vid_t w = ctx.load(cols, j);
-            ++probed;
-            if (w == kTombstone) continue;
-            relax(w);
-          }
-          if (ov_n != 0) {
-            std::uint32_t lo = 0, hi = ov_n;
-            while (lo < hi) {
-              const std::uint32_t mid = (lo + hi) / 2;
-              if (ctx.load(ov_vid, mid) < v) {
-                lo = mid + 1;
-              } else {
-                hi = mid;
-              }
-            }
-            if (lo < ov_n && ctx.load(ov_vid, lo) == v) {
-              const eid_t ob = ctx.load(ov_off, lo);
-              const eid_t oe = ctx.load(ov_off, lo + 1);
-              for (eid_t j = ob; j < oe; ++j) {
-                ++probed;
-                relax(ctx.load(ov_cols, j));
-              }
-            }
-          }
-          ctx.slots(probed, probed);
-          if (claimed != 0) {
-            ctx.atomic_add(edge_counter, 0, claimed_deg);
-          }
-        });
-      });
-    } else {
-      dev_.launch(s, "dyn_repair_pull", lc, [=](sim::BlockCtx& blk) {
-        auto& ctx = blk.ctx();
-        // The candidate pre-check and the neighbor status probes race with
-        // other blocks' claims; both directions of the race either defer
-        // the vertex to a later pass or re-claim the same value.
-        sim::racy_ok allow(ctx,
-                           "dyn-pull: unsynchronized status probes vs "
-                           "concurrent atomic_min claims (settled labels "
-                           "are final in recompute passes)");
-        blk.grid_stride(scan_count, [&](std::uint64_t i) {
-          const vid_t v = static_cast<vid_t>(i);
-          if (ctx.load(status, v) <= next) return;  // settled at or better
-          std::uint64_t probed = 0;
-          bool found = false;
-          const eid_t b = ctx.load(offsets, v);
-          const eid_t e = ctx.load(offsets, v + 1);
-          for (eid_t j = b; j < e && !found; ++j) {
-            const vid_t w = ctx.load(cols, j);
-            ++probed;
-            if (w == kTombstone) continue;
-            if (ctx.load(status, w) == cur_level) found = true;
-          }
-          if (!found && ov_n != 0) {
-            std::uint32_t lo = 0, hi = ov_n;
-            while (lo < hi) {
-              const std::uint32_t mid = (lo + hi) / 2;
-              if (ctx.load(ov_vid, mid) < v) {
-                lo = mid + 1;
-              } else {
-                hi = mid;
-              }
-            }
-            if (lo < ov_n && ctx.load(ov_vid, lo) == v) {
-              const eid_t ob = ctx.load(ov_off, lo);
-              const eid_t oe = ctx.load(ov_off, lo + 1);
-              for (eid_t j = ob; j < oe && !found; ++j) {
-                ++probed;
-                if (ctx.load(status, ctx.load(ov_cols, j)) == cur_level) {
-                  found = true;
-                }
-              }
-            }
-          }
-          ctx.slots(probed, found ? probed : 0);
-          if (found) {
-            const std::uint32_t prior = ctx.atomic_min(status, v, next);
-            if (prior > next) {
-              const std::uint32_t slot =
-                  ctx.atomic_add(counters, 0, std::uint32_t{1});
-              ctx.store(next_queue, slot, v);
-              ctx.atomic_add(edge_counter, 0,
-                             ctx.load(offsets, v + 1) - ctx.load(offsets, v));
-            }
-          }
-        });
-      });
-    }
-
-    s.synchronize();
-    dev_.memcpy_d2h(s, d_counters_, d_edge_counter_);
-    const std::uint32_t next_count = d_counters_.h_read(0);
-    const std::uint64_t next_edges = d_edge_counter_.h_read(0);
-
+    const double t0 = dev_.now_us();
     core::LevelStats st;
     st.level = level;
-    st.strategy = pull ? core::Strategy::BottomUp : core::Strategy::ScanFree;
-    st.frontier_count = cur_count;
-    st.frontier_edges = cur_edges;
-    st.ratio = ratio;
-    st.time_ms = (dev_.now_us() - level_t0) / 1000.0;
-    st.kernels = 2;
-    result.level_stats.push_back(st);
-
-    cur_is_a = !cur_is_a;
-    cur_count = next_count;
-    cur_edges = next_edges;
-    ++level;
+    st.ratio = static_cast<double>(f.edges) / m;
+    st.kernels = 1;
+    // The r-vs-alpha analogue, per level: a wide frontier flips to the
+    // bottom-up pull over the whole vertex range.  Pull's settled-support
+    // argument needs decrease-free labels, which a recompute guarantees.
+    Round r = begin_round(f);
+    if (st.ratio > cfg_.alpha) {
+      st.strategy = core::Strategy::BottomUp;
+      launch_pull(r, n, level);
+    } else {
+      st.strategy = core::Strategy::ScanFree;
+      launch_push(r, f.count);
+    }
+    end_round(st, t0, f, result);
   }
 }
 
@@ -499,234 +553,40 @@ bool IncrementalBfs::run_fixpoint(const Snapshot& snap,
                                   const std::vector<vid_t>& seed_vec,
                                   bool pull_mode, std::uint32_t dirty_count,
                                   core::BfsResult& result) {
-  sim::Stream& s = dev_.stream(0);
   const DeltaCsr& g = *snap.graph;
   const vid_t n = g.num_vertices();
-  if (seed_vec.empty() && (!pull_mode || dirty_count == 0)) {
+  const bool do_pull = pull_mode && dirty_count != 0;
+  if (seed_vec.empty() && !do_pull) {
     return true;  // nothing can improve; the prior labels stand
   }
+  const double m =
+      static_cast<double>(std::max<graph::eid_t>(1, g.num_edges()));
 
-  auto offsets = d_offsets_.cspan();
-  auto cols = d_cols_.cspan();
-  auto ov_vid = d_ov_vid_.cspan();
-  auto ov_off = d_ov_off_.cspan();
-  auto ov_cols = d_ov_cols_.cspan();
-  auto status = d_status_.span();
-  auto counters = d_counters_.span();
-  auto edge_counter = d_edge_counter_.span();
-  auto dirty = d_dirty_.cspan();
-  const std::uint32_t ov_n = ov_count_;
-  const std::uint32_t qcap = static_cast<std::uint32_t>(n);
-
-  // The whole repair frontier goes in at once (one host write, no
-  // per-bucket append kernels); rounds then run to quiescence.
-  if (!seed_vec.empty()) {
-    d_queue_a_.h_copy_from(seed_vec.data(), seed_vec.size());
-    dev_.memcpy_h2d(s, seed_vec.size() * sizeof(vid_t));
-    d_queue_a_.mark_device_synced();
-  }
-  std::uint32_t cur_count = static_cast<std::uint32_t>(seed_vec.size());
-  std::uint64_t cur_edges = 0;
-  for (const vid_t v : seed_vec) cur_edges += g.degree(v);
-  bool cur_is_a = true;
-
-  std::uint32_t round = 0;
-  while (true) {
+  // The whole repair frontier goes in at once; rounds then run to
+  // quiescence.
+  Frontier f = inject(g, seed_vec);
+  for (std::uint32_t round = 0;; ++round) {
     if (round > n + 1) return false;  // safety net: cycles are impossible
     dev_.profiler().set_context(static_cast<int>(round), "incremental");
-    const double round_t0 = dev_.now_us();
-    {
-      sim::LaunchConfig rc{.grid_blocks = 1, .block_threads = 64};
-      dev_.launch(s, "dyn_reset_counters", rc, [=](sim::BlockCtx& blk) {
-        auto& ctx = blk.ctx();
-        blk.threads([&](unsigned t) {
-          if (t == 0) {
-            ctx.store(counters, 0, std::uint32_t{0});
-            ctx.store(edge_counter, 0, std::uint64_t{0});
-          }
-        });
-      });
-    }
-
-    auto cur_queue = (cur_is_a ? d_queue_a_ : d_queue_b_).cspan();
-    auto next_queue = (cur_is_a ? d_queue_b_ : d_queue_a_).span();
-    const bool do_pull = pull_mode && dirty_count != 0;
-    unsigned kernels = 1;  // the counter reset
-
-    if (cur_count != 0) {
-      sim::LaunchConfig lc;
-      lc.block_threads = cfg_.block_threads;
-      lc.grid_blocks =
-          cfg_.grid_blocks != 0
-              ? cfg_.grid_blocks
-              : core::auto_grid_blocks(
-                    dev_.profile(),
-                    std::max<std::uint64_t>(1, cur_count),
-                    cfg_.block_threads);
-      ++kernels;
-      const std::uint32_t count = cur_count;
-      dev_.launch(s, "dyn_fix_push", lc, [=](sim::BlockCtx& blk) {
-        auto& ctx = blk.ctx();
-        // Frontier label reads race with other blocks' atomic_min
-        // decreases: a stale (higher) read only weakens this relaxation,
-        // and whichever block lowered the label re-enqueued the vertex,
-        // so the quiescent fixpoint is unchanged.
-        sim::racy_ok allow(ctx,
-                           "dyn-fix-push: frontier label reads vs "
-                           "concurrent atomic_min decreases (decrease-only "
-                           "fixpoint; improvements always re-enqueue)");
-        blk.grid_stride(count, [&](std::uint64_t i) {
-          const vid_t v = ctx.load(cur_queue, i);
-          const std::uint32_t lvl = ctx.load(status, v);
-          if (lvl == kUnvisited) return;  // defensive: seeds are settled
-          const std::uint32_t next = lvl + 1;
-          std::uint64_t probed = 0;
-          std::uint64_t claimed_deg = 0;
-          std::uint32_t claimed = 0;
-          const auto relax = [&](vid_t w) {
-            const std::uint32_t prior = ctx.atomic_min(status, w, next);
-            if (prior > next) {
-              const std::uint32_t slot =
-                  ctx.atomic_add(counters, 0, std::uint32_t{1});
-              if (slot < qcap) ctx.store(next_queue, slot, w);
-              claimed_deg +=
-                  ctx.load(offsets, w + 1) - ctx.load(offsets, w);
-              ++claimed;
-            }
-          };
-          const eid_t b = ctx.load(offsets, v);
-          const eid_t e = ctx.load(offsets, v + 1);
-          for (eid_t j = b; j < e; ++j) {
-            const vid_t w = ctx.load(cols, j);
-            ++probed;
-            if (w == kTombstone) continue;
-            relax(w);
-          }
-          if (ov_n != 0) {
-            std::uint32_t lo = 0, hi = ov_n;
-            while (lo < hi) {
-              const std::uint32_t mid = (lo + hi) / 2;
-              if (ctx.load(ov_vid, mid) < v) {
-                lo = mid + 1;
-              } else {
-                hi = mid;
-              }
-            }
-            if (lo < ov_n && ctx.load(ov_vid, lo) == v) {
-              const eid_t ob = ctx.load(ov_off, lo);
-              const eid_t oe = ctx.load(ov_off, lo + 1);
-              for (eid_t j = ob; j < oe; ++j) {
-                ++probed;
-                relax(ctx.load(ov_cols, j));
-              }
-            }
-          }
-          ctx.slots(probed, probed);
-          if (claimed != 0) {
-            ctx.atomic_add(edge_counter, 0, claimed_deg);
-          }
-        });
-      });
-    }
-    if (do_pull) {
-      sim::LaunchConfig lc;
-      lc.block_threads = cfg_.block_threads;
-      lc.grid_blocks =
-          cfg_.grid_blocks != 0
-              ? cfg_.grid_blocks
-              : core::auto_grid_blocks(
-                    dev_.profile(),
-                    std::max<std::uint64_t>(1, dirty_count),
-                    cfg_.block_threads);
-      ++kernels;
-      const std::uint32_t dirty_n = dirty_count;
-      dev_.launch(s, "dyn_fix_pull", lc, [=](sim::BlockCtx& blk) {
-        auto& ctx = blk.ctx();
-        // Neighbor label probes race with concurrent atomic_min
-        // decreases: reading a label high only defers the improvement to
-        // a later round (the loop runs until no round improves anything).
-        sim::racy_ok allow(ctx,
-                           "dyn-fix-pull: neighbor label probes vs "
-                           "concurrent atomic_min decreases (decrease-only "
-                           "fixpoint over the dirty list)");
-        blk.grid_stride(dirty_n, [&](std::uint64_t i) {
-          const vid_t v = ctx.load(dirty, i);
-          const std::uint32_t cur = ctx.load(status, v);
-          std::uint32_t best = kUnvisited;
-          std::uint64_t probed = 0;
-          const eid_t b = ctx.load(offsets, v);
-          const eid_t e = ctx.load(offsets, v + 1);
-          for (eid_t j = b; j < e; ++j) {
-            const vid_t w = ctx.load(cols, j);
-            ++probed;
-            if (w == kTombstone) continue;
-            const std::uint32_t lw = ctx.load(status, w);
-            if (lw < best) best = lw;
-          }
-          if (ov_n != 0) {
-            std::uint32_t lo = 0, hi = ov_n;
-            while (lo < hi) {
-              const std::uint32_t mid = (lo + hi) / 2;
-              if (ctx.load(ov_vid, mid) < v) {
-                lo = mid + 1;
-              } else {
-                hi = mid;
-              }
-            }
-            if (lo < ov_n && ctx.load(ov_vid, lo) == v) {
-              const eid_t ob = ctx.load(ov_off, lo);
-              const eid_t oe = ctx.load(ov_off, lo + 1);
-              for (eid_t j = ob; j < oe; ++j) {
-                ++probed;
-                const std::uint32_t lw =
-                    ctx.load(status, ctx.load(ov_cols, j));
-                if (lw < best) best = lw;
-              }
-            }
-          }
-          if (best == kUnvisited || best + 1 >= cur) {
-            ctx.slots(probed, 0);
-            return;
-          }
-          ctx.slots(probed, probed);
-          const std::uint32_t cand = best + 1;
-          const std::uint32_t prior = ctx.atomic_min(status, v, cand);
-          if (prior > cand) {
-            const std::uint32_t slot =
-                ctx.atomic_add(counters, 0, std::uint32_t{1});
-            if (slot < qcap) ctx.store(next_queue, slot, v);
-            ctx.atomic_add(edge_counter, 0,
-                           ctx.load(offsets, v + 1) - ctx.load(offsets, v));
-          }
-        });
-      });
-    }
-
-    s.synchronize();
-    dev_.memcpy_d2h(s, d_counters_, d_edge_counter_);
-    const std::uint32_t next_count = d_counters_.h_read(0);
-    const std::uint64_t next_edges = d_edge_counter_.h_read(0);
-    if (next_count > qcap) return false;  // queue overflow; recompute
-
+    const double t0 = dev_.now_us();
     core::LevelStats st;
     st.level = round;
     st.strategy =
         do_pull ? core::Strategy::BottomUp : core::Strategy::ScanFree;
-    st.frontier_count = cur_count;
-    st.frontier_edges = cur_edges;
-    st.ratio = static_cast<double>(cur_edges) /
-               static_cast<double>(std::max<graph::eid_t>(1, g.num_edges()));
-    st.time_ms = (dev_.now_us() - round_t0) / 1000.0;
-    st.kernels = kernels;
-    result.level_stats.push_back(st);
-
-    cur_is_a = !cur_is_a;
-    cur_count = next_count;
-    cur_edges = next_edges;
-    ++round;
-    if (next_count == 0) break;  // quiescent: no label improved this round
+    st.ratio = static_cast<double>(f.edges) / m;
+    Round r = begin_round(f);
+    if (f.count != 0) {
+      launch_push(r, f.count);
+      ++st.kernels;
+    }
+    if (do_pull) {
+      launch_pull_dirty(r, dirty_count);
+      ++st.kernels;
+    }
+    end_round(st, t0, f, result);
+    if (f.count > n) return false;  // queue overflow; recompute
+    if (f.count == 0) return true;  // quiescent: no label improved
   }
-  return true;
 }
 
 core::BfsResult IncrementalBfs::run(vid_t src) {
@@ -774,6 +634,10 @@ core::BfsResult IncrementalBfs::run(vid_t src) {
     }
   }
 
+  // A fault that aborted the last run mid-round left the counter sets in
+  // an unknown state; re-zero them from the host.
+  if (!counters_ready_) prime_counters();
+  counters_ready_ = false;
   if (repair) {
     const std::vector<std::int32_t>& old = hit->second.levels;
     for (vid_t v = 0; v < n; ++v) {
@@ -826,12 +690,11 @@ core::BfsResult IncrementalBfs::run(vid_t src) {
   if (!repair) {
     std::fill(status_host_.begin(), status_host_.end(), kUnvisited);
     status_host_[src] = 0;
-    std::map<std::uint32_t, std::vector<vid_t>> seeds;
-    seeds[0].push_back(src);
     d_status_.h_copy_from(status_host_.data(), n);
     dev_.memcpy_h2d(s, d_status_);
-    run_passes(snap, seeds, /*allow_pull=*/true, result);
+    run_recompute(snap, src, result);
   }
+  counters_ready_ = true;
 
   dev_.memcpy_d2h(s, d_status_);
   s.synchronize();

@@ -30,29 +30,33 @@
 //   3. Policy: when (|D| + seeds) / |V| exceeds
 //      XbfsConfig::dyn_repair_ratio — the dynamic analogue of the paper's
 //      r-vs-alpha bound — repair would touch too much of the graph and the
-//      engine falls back to a full recompute: the classic level-synchronous
-//      bucket machinery seeded with {src@0}, everything dirty, bottom-up
-//      passes chosen per level by the same alpha ratio.
+//      engine falls back to a full recompute: level-synchronous rounds
+//      from {src@0}, each a push over the frontier or, past the same alpha
+//      ratio, a bottom-up pull over the whole vertex range.
 //
 // Device state is a mirror of the DeltaCsr: the flat base CSR uploaded
 // once per base_version (re-uploaded after compact()), deletions patched
 // in place as kTombstone sentinels in the cols array (revived by writing
 // the original vertex id back), and the insert overlay as a small sorted
-// (vertex, offset, cols) triple rebuilt per epoch sync.  All kernel memory
-// traffic goes through the SimSan-checked ExecCtx accessors; the
-// intentional status races carry sim::racy_ok annotations.
+// (vertex, offset, cols) triple rebuilt per epoch sync.  Every kernel
+// reads adjacency through one view of that mirror (DeltaView::walk), the
+// push kernel serves both drivers, and rounds keep Xbfs's counter
+// protocol: one kernel-zeroed, double-buffered core::CounterSet pair and
+// one readback per round.  All kernel memory traffic goes through the
+// SimSan-checked ExecCtx accessors; the intentional status races carry
+// sim::racy_ok annotations.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "core/config.h"
 #include "core/algorithm_engine.h"
+#include "core/frontier.h"
 #include "dyn/graph_store.h"
 #include "hipsim/device.h"
 
@@ -107,8 +111,8 @@ class IncrementalBfs final : public core::TraversalEngine {
   struct LastRun {
     bool valid = false;
     bool repair = false;
-    /// Recompute reason: "" (repaired or cold), "no-history", "log-gap",
-    /// "ratio", "overflow".
+    /// Recompute reason: "" (repaired), "no-history", "log-gap",
+    /// "epoch-range", "ratio", "overflow".
     const char* fallback = "";
     std::uint64_t epoch = 0;  ///< snapshot epoch traversed
     std::uint64_t dirty = 0;  ///< |D| of the attempted repair plan
@@ -134,17 +138,26 @@ class IncrementalBfs final : public core::TraversalEngine {
     std::size_t seed_count = 0;
   };
 
+  /// Device neighbor view of the mirror and one round's kernel arguments
+  /// (both defined in incremental_bfs.cpp).
+  struct DeltaView;
+  struct Round;
+  /// A round's frontier: the queue holding it, its size and its degree sum.
+  struct Frontier {
+    bool in_a = true;
+    std::uint32_t count = 0;
+    std::uint64_t edges = 0;
+  };
+
   void sync_device(const Snapshot& snap);
   RepairPlan plan_repair(const DeltaCsr& g,
                          const std::vector<std::int32_t>& old_levels,
                          const EdgeBatch& ops, graph::vid_t src) const;
-  /// Full-recompute path: the level-synchronous push/pull pass loop over
-  /// whatever status_host_ was seeded with (per-level seed buckets,
-  /// bottom-up scans over the full vertex range past alpha).
-  void run_passes(const Snapshot& snap,
-                  const std::map<std::uint32_t,
-                                 std::vector<graph::vid_t>>& seeds,
-                  bool allow_pull, core::BfsResult& result);
+  /// Full recompute: level-synchronous rounds from {src@0}, each one push
+  /// over the frontier or, past alpha, one pull over the whole vertex
+  /// range.
+  void run_recompute(const Snapshot& snap, graph::vid_t src,
+                     core::BfsResult& result);
   /// Repair path: asynchronous decrease-only fixpoint from `seeds` (all
   /// injected up front).  In `pull_mode` every round additionally scans
   /// the dirty list (d_dirty_, `dirty_count` entries) bottom-up, so hub
@@ -154,6 +167,23 @@ class IncrementalBfs final : public core::TraversalEngine {
   bool run_fixpoint(const Snapshot& snap,
                     const std::vector<graph::vid_t>& seeds, bool pull_mode,
                     std::uint32_t dirty_count, core::BfsResult& result);
+
+  // Pieces both drivers share.
+  /// Zero both counter sets from the host (construction, or after a run
+  /// that a fault aborted mid-round).
+  void prime_counters();
+  /// One h2d of `seeds` into queue_a: the first round's frontier.
+  Frontier inject(const DeltaCsr& g, const std::vector<graph::vid_t>& seeds);
+  Round begin_round(const Frontier& f);
+  /// The three kernels.  Whichever a round launches first also zeroes the
+  /// other counter set (and clears Round::zero).
+  void launch_push(Round& r, std::uint32_t count);
+  void launch_pull(Round& r, graph::vid_t n, std::uint32_t level);
+  void launch_pull_dirty(Round& r, std::uint32_t dirty_count);
+  /// Sync, read the round's counter set back, record its LevelStats and
+  /// swap the queues.
+  void end_round(core::LevelStats st, double t0, Frontier& f,
+                 core::BfsResult& result);
   void remember(graph::vid_t src, const std::vector<std::int32_t>& levels,
                 std::uint64_t epoch);
 
@@ -183,9 +213,13 @@ class IncrementalBfs final : public core::TraversalEngine {
   sim::DeviceBuffer<graph::vid_t> d_queue_a_;
   sim::DeviceBuffer<graph::vid_t> d_queue_b_;
   sim::DeviceBuffer<graph::vid_t> d_dirty_;
-  sim::DeviceBuffer<graph::vid_t> d_seeds_;
-  sim::DeviceBuffer<std::uint32_t> d_counters_;      ///< [0] next-queue tail
-  sim::DeviceBuffer<std::uint64_t> d_edge_counter_;  ///< [0] claimed degree
+  /// Round k accumulates into counter_sets_[cur_set_] and its first kernel
+  /// zeroes the other set for round k+1 — Xbfs's protocol, carried across
+  /// runs.  counters_ready_ is false while a run's rounds are in flight,
+  /// so the run after one a fault aborted re-primes both sets.
+  core::CounterSet counter_sets_[2];
+  unsigned cur_set_ = 0;
+  bool counters_ready_ = false;
   std::vector<std::uint32_t> status_host_;
 
   // Per-source prior levels (FIFO-bounded by cfg_.dyn_history_sources).

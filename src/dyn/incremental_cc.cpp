@@ -1,40 +1,16 @@
 #include "dyn/incremental_cc.h"
 
 #include <chrono>
-#include <deque>
 #include <unordered_map>
 #include <utility>
+
+#include "graph/reference.h"
 
 namespace xbfs::dyn {
 
 using graph::vid_t;
 
 IncrementalCc::IncrementalCc(GraphStore& store) : store_(store) {}
-
-std::vector<vid_t> IncrementalCc::recompute(const DeltaCsr& g) const {
-  const vid_t n = g.num_vertices();
-  constexpr vid_t kNone = static_cast<vid_t>(-1);
-  std::vector<vid_t> label(n, kNone);
-  std::deque<vid_t> queue;
-  // Scanning sources in ascending id order makes each flood's seed the
-  // smallest vertex of its component — the canonical label.
-  for (vid_t s = 0; s < n; ++s) {
-    if (label[s] != kNone) continue;
-    label[s] = s;
-    queue.push_back(s);
-    while (!queue.empty()) {
-      const vid_t v = queue.front();
-      queue.pop_front();
-      g.for_each_neighbor(v, [&](vid_t w) {
-        if (label[w] == kNone) {
-          label[w] = s;
-          queue.push_back(w);
-        }
-      });
-    }
-  }
-  return label;
-}
 
 core::AlgoResult IncrementalCc::solve(const core::AlgoQuery&) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -107,7 +83,7 @@ core::AlgoResult IncrementalCc::solve(const core::AlgoQuery&) {
     }
     if (!repaired) {
       labels_ = std::make_shared<const std::vector<vid_t>>(
-          recompute(*snap.graph));
+          graph::canonical_components(*snap.graph));
       recomputes_.fetch_add(1, std::memory_order_relaxed);
     }
     epoch_ = snap.epoch;

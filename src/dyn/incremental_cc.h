@@ -62,8 +62,6 @@ class IncrementalCc final : public core::AlgorithmEngine {
   void clear_history();
 
  private:
-  std::vector<graph::vid_t> recompute(const DeltaCsr& g) const;
-
   GraphStore& store_;
   Snapshot snap_;
   /// Labels of the last solve, shared with every payload handed out at

@@ -32,6 +32,12 @@ class Csr {
   std::span<const vid_t> neighbors(vid_t v) const {
     return {cols_.data() + offsets_[v], degree(v)};
   }
+  /// Visit v's neighbors in adjacency order: the neighbor view Csr shares
+  /// with dyn::DeltaCsr, so host oracles and validators take either graph.
+  template <typename F>
+  void for_each_neighbor(vid_t v, F&& f) const {
+    for (const vid_t w : neighbors(v)) f(w);
+  }
   std::span<vid_t> mutable_neighbors(vid_t v) {
     return {cols_.data() + offsets_[v], degree(v)};
   }

@@ -110,64 +110,4 @@ std::string validate_graph500(const Csr& g, vid_t src,
   return {};
 }
 
-std::string validate_levels_graph500(const Csr& g, vid_t src,
-                                     const std::vector<std::int32_t>& levels) {
-  std::ostringstream os;
-  const vid_t n = g.num_vertices();
-  if (levels.size() != n) {
-    os << "levels array has size " << levels.size() << ", expected " << n;
-    return os.str();
-  }
-  if (src >= n) {
-    os << "source " << src << " out of range";
-    return os.str();
-  }
-
-  // Rule 1: well-formed values, source (and only the source) at level 0.
-  if (levels[src] != 0) {
-    os << "rule 1: source " << src << " has level " << levels[src];
-    return os.str();
-  }
-  for (vid_t v = 0; v < n; ++v) {
-    const std::int32_t l = levels[v];
-    if (l != kUnreached && (l < 0 || static_cast<vid_t>(l) >= n)) {
-      os << "rule 1: vertex " << v << " has out-of-range level " << l;
-      return os.str();
-    }
-    if (l == 0 && v != src) {
-      os << "rule 1: non-source vertex " << v << " claims level 0";
-      return os.str();
-    }
-  }
-
-  for (vid_t v = 0; v < n; ++v) {
-    const std::int32_t lv = levels[v];
-    if (lv == kUnreached) continue;
-    bool has_pred = lv == 0;  // the source needs no predecessor
-    for (vid_t w : g.neighbors(v)) {
-      const std::int32_t lw = levels[w];
-      // Rule 2: reachability is closed over edges.
-      if (lw == kUnreached) {
-        os << "rule 2: edge (" << v << "," << w
-           << ") joins reached and unreached vertices";
-        return os.str();
-      }
-      // Rule 3: edges span at most one level.
-      if (lw > lv + 1 || lv > lw + 1) {
-        os << "rule 3: edge (" << v << "," << w << ") spans levels " << lv
-           << " and " << lw;
-        return os.str();
-      }
-      if (lw == lv - 1) has_pred = true;
-    }
-    // Rule 4: a level-k vertex is witnessed by a level-(k-1) neighbor.
-    if (!has_pred) {
-      os << "rule 4: vertex " << v << " at level " << lv
-         << " has no neighbor at level " << lv - 1;
-      return os.str();
-    }
-  }
-  return {};
-}
-
 }  // namespace xbfs::graph

@@ -1,57 +1,13 @@
 #include "graph/reference.h"
 
 #include <algorithm>
-#include <deque>
 #include <queue>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
+#include "graph/g500_validate.h"
+
 namespace xbfs::graph {
-
-std::vector<std::int32_t> reference_bfs(const Csr& g, vid_t src) {
-  std::vector<std::int32_t> levels(g.num_vertices(), kUnreached);
-  std::deque<vid_t> queue;
-  levels[src] = 0;
-  queue.push_back(src);
-  while (!queue.empty()) {
-    const vid_t v = queue.front();
-    queue.pop_front();
-    const std::int32_t next = levels[v] + 1;
-    for (vid_t w : g.neighbors(v)) {
-      if (levels[w] == kUnreached) {
-        levels[w] = next;
-        queue.push_back(w);
-      }
-    }
-  }
-  return levels;
-}
-
-std::vector<vid_t> connected_components(const Csr& g, vid_t* n_components) {
-  const vid_t n = g.num_vertices();
-  std::vector<vid_t> comp(n, static_cast<vid_t>(-1));
-  vid_t next_comp = 0;
-  std::deque<vid_t> queue;
-  for (vid_t s = 0; s < n; ++s) {
-    if (comp[s] != static_cast<vid_t>(-1)) continue;
-    comp[s] = next_comp;
-    queue.push_back(s);
-    while (!queue.empty()) {
-      const vid_t v = queue.front();
-      queue.pop_front();
-      for (vid_t w : g.neighbors(v)) {
-        if (comp[w] == static_cast<vid_t>(-1)) {
-          comp[w] = next_comp;
-          queue.push_back(w);
-        }
-      }
-    }
-    ++next_comp;
-  }
-  if (n_components) *n_components = next_comp;
-  return comp;
-}
 
 std::vector<vid_t> largest_component_vertices(const Csr& g) {
   vid_t n_comp = 0;
@@ -70,44 +26,7 @@ std::vector<vid_t> largest_component_vertices(const Csr& g) {
 
 std::string validate_bfs_levels(const Csr& g, vid_t src,
                                 const std::vector<std::int32_t>& levels) {
-  std::ostringstream os;
-  if (levels.size() != g.num_vertices()) {
-    return "levels array has wrong size";
-  }
-  if (levels[src] != 0) {
-    os << "source level is " << levels[src] << ", expected 0";
-    return os.str();
-  }
-  const std::vector<std::int32_t> ref = reference_bfs(g, src);
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    if ((levels[v] == kUnreached) != (ref[v] == kUnreached)) {
-      os << "vertex " << v << ": reachability mismatch (got " << levels[v]
-         << ", ref " << ref[v] << ")";
-      return os.str();
-    }
-  }
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    if (levels[v] == kUnreached) continue;
-    bool has_pred = levels[v] == 0;
-    for (vid_t w : g.neighbors(v)) {
-      if (levels[w] == kUnreached) {
-        os << "edge (" << v << "," << w << "): reached->unreached";
-        return os.str();
-      }
-      if (std::abs(levels[v] - levels[w]) > 1) {
-        os << "edge (" << v << "," << w << ") spans levels " << levels[v]
-           << " and " << levels[w];
-        return os.str();
-      }
-      if (levels[w] == levels[v] - 1) has_pred = true;
-    }
-    if (!has_pred) {
-      os << "vertex " << v << " at level " << levels[v]
-         << " has no level-" << (levels[v] - 1) << " neighbor";
-      return os.str();
-    }
-  }
-  return {};
+  return validate_levels_graph500(g, src, levels);
 }
 
 std::string validate_bfs_parents(const Csr& g, vid_t src,
@@ -159,18 +78,6 @@ std::vector<std::uint32_t> reference_sssp(const Csr& g, vid_t src,
     }
   }
   return dist;
-}
-
-std::vector<vid_t> canonical_components(const Csr& g) {
-  std::vector<vid_t> comp = connected_components(g, nullptr);
-  // connected_components numbers components by their lowest-id vertex's
-  // discovery order; remap each id to that lowest vertex itself.
-  std::vector<vid_t> min_vertex;
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    if (comp[v] >= min_vertex.size()) min_vertex.resize(comp[v] + 1, v);
-  }
-  for (vid_t v = 0; v < g.num_vertices(); ++v) comp[v] = min_vertex[comp[v]];
-  return comp;
 }
 
 std::vector<std::uint32_t> reference_kcore(const Csr& g, std::uint32_t k) {
@@ -262,33 +169,6 @@ std::string validate_sssp_distances(const Csr& g, vid_t src,
     if (reached != reachable) {
       os << "vertex " << v << (reached ? " reached" : " unreached")
          << " but BFS says " << (reachable ? "reachable" : "unreachable");
-      return os.str();
-    }
-  }
-  return {};
-}
-
-std::string validate_components(const Csr& g, const std::vector<vid_t>& comp) {
-  std::ostringstream os;
-  if (comp.size() != g.num_vertices()) return "component array has wrong size";
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    for (vid_t w : g.neighbors(v)) {
-      if (comp[v] != comp[w]) {
-        os << "edge (" << v << ", " << w << ") spans labels " << comp[v]
-           << " and " << comp[w];
-        return os.str();
-      }
-    }
-  }
-  // Same-label vertices must actually be connected: the labeling must not
-  // merge reference components.  Each submitted label may map to exactly
-  // one reference component.
-  const std::vector<vid_t> ref = connected_components(g, nullptr);
-  std::unordered_map<vid_t, vid_t> label_to_ref;
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    const auto [it, inserted] = label_to_ref.emplace(comp[v], ref[v]);
-    if (!inserted && it->second != ref[v]) {
-      os << "label " << comp[v] << " spans two disconnected components";
       return os.str();
     }
   }

@@ -6,7 +6,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/csr.h"
@@ -36,20 +39,65 @@ inline std::uint32_t synth_weight(vid_t u, vid_t v, std::uint64_t seed,
   return 1 + static_cast<std::uint32_t>(h % max_weight);
 }
 
-/// Serial queue BFS; levels[v] = hops from src, kUnreached if not reachable.
-std::vector<std::int32_t> reference_bfs(const Csr& g, vid_t src);
+/// Serial queue BFS; levels[v] = hops from src, kUnreached if not reachable
+/// (all of them for an out-of-range src).  `G` is Csr or dyn::DeltaCsr
+/// (anything with num_vertices() and for_each_neighbor()).
+template <typename G>
+std::vector<std::int32_t> reference_bfs(const G& g, vid_t src) {
+  std::vector<std::int32_t> levels(g.num_vertices(), kUnreached);
+  if (src >= g.num_vertices()) return levels;
+  std::deque<vid_t> queue{src};
+  levels[src] = 0;
+  while (!queue.empty()) {
+    const vid_t v = queue.front();
+    queue.pop_front();
+    const std::int32_t next = levels[v] + 1;
+    g.for_each_neighbor(v, [&](vid_t w) {
+      if (levels[w] == kUnreached) {
+        levels[w] = next;
+        queue.push_back(w);
+      }
+    });
+  }
+  return levels;
+}
 
 /// Connected components (undirected view); comp[v] in [0, n_components).
-std::vector<vid_t> connected_components(const Csr& g, vid_t* n_components);
+/// `G` is Csr or dyn::DeltaCsr (anything with num_vertices() and
+/// for_each_neighbor()).
+template <typename G>
+std::vector<vid_t> connected_components(const G& g, vid_t* n_components) {
+  const vid_t n = g.num_vertices();
+  std::vector<vid_t> comp(n, static_cast<vid_t>(-1));
+  vid_t next_comp = 0;
+  std::deque<vid_t> queue;
+  for (vid_t s = 0; s < n; ++s) {
+    if (comp[s] != static_cast<vid_t>(-1)) continue;
+    comp[s] = next_comp;
+    queue.push_back(s);
+    while (!queue.empty()) {
+      const vid_t v = queue.front();
+      queue.pop_front();
+      g.for_each_neighbor(v, [&](vid_t w) {
+        if (comp[w] == static_cast<vid_t>(-1)) {
+          comp[w] = next_comp;
+          queue.push_back(w);
+        }
+      });
+    }
+    ++next_comp;
+  }
+  if (n_components) *n_components = next_comp;
+  return comp;
+}
 
 /// Vertices of the largest component, ascending.  Benches sample BFS
 /// sources from this set so every run traverses the bulk of the graph.
 std::vector<vid_t> largest_component_vertices(const Csr& g);
 
-/// Validate a BFS level assignment without referencing any particular
-/// traversal order.  Checks: level[src]==0; reachability matches; every
-/// edge differs by at most one level; every level-k>0 vertex has a level
-/// k-1 neighbor.  Returns empty string if valid, else a diagnostic.
+/// Validate a BFS level assignment: graph::validate_levels_graph500
+/// (g500_validate.h), the complete level oracle, under its older name.
+/// Returns empty string if valid, else a diagnostic.
 std::string validate_bfs_levels(const Csr& g, vid_t src,
                                 const std::vector<std::int32_t>& levels);
 
@@ -72,8 +120,32 @@ std::vector<std::uint32_t> reference_sssp(const Csr& g, vid_t src,
 /// Canonical connected-component labels: comp[v] = smallest vertex id in
 /// v's component.  Engines that emit min-id labels (label propagation,
 /// incremental union-find) must match exactly; arbitrary-id labelings
-/// compare via validate_components.
-std::vector<vid_t> canonical_components(const Csr& g);
+/// compare via validate_components.  `G` is Csr or dyn::DeltaCsr.
+template <typename G>
+std::vector<vid_t> canonical_components(const G& g) {
+  const vid_t n = g.num_vertices();
+  constexpr vid_t kNone = static_cast<vid_t>(-1);
+  std::vector<vid_t> comp(n, kNone);
+  std::deque<vid_t> queue;
+  // Flooding from sources in ascending id order makes each flood's seed
+  // the smallest vertex of its component.
+  for (vid_t s = 0; s < n; ++s) {
+    if (comp[s] != kNone) continue;
+    comp[s] = s;
+    queue.push_back(s);
+    while (!queue.empty()) {
+      const vid_t v = queue.front();
+      queue.pop_front();
+      g.for_each_neighbor(v, [&](vid_t w) {
+        if (comp[w] == kNone) {
+          comp[w] = s;
+          queue.push_back(w);
+        }
+      });
+    }
+  }
+  return comp;
+}
 
 /// Serial k-core by iterative peeling.  k == 0: cores[v] = coreness of v
 /// (the largest k such that v survives the k-core trim).  k > 0:
@@ -93,8 +165,39 @@ std::string validate_sssp_distances(const Csr& g, vid_t src,
 /// Validate a component labeling as a partition: both endpoints of every
 /// edge share a label, and vertices with equal labels are connected
 /// (checked against a reference labeling, O(V + E)).  Labels themselves
-/// may be arbitrary ids.  Empty string if valid, else a diagnostic.
-std::string validate_components(const Csr& g, const std::vector<vid_t>& comp);
+/// may be arbitrary ids.  Empty string if valid, else a diagnostic.  `G`
+/// is Csr or dyn::DeltaCsr, as for connected_components.
+template <typename G>
+std::string validate_components(const G& g, const std::vector<vid_t>& comp) {
+  const vid_t n = g.num_vertices();
+  if (comp.size() != n) return "component array has wrong size";
+  for (vid_t v = 0; v < n; ++v) {
+    vid_t split = v;  // a neighbor with another label, if any
+    g.for_each_neighbor(v, [&](vid_t w) {
+      if (split == v && comp[w] != comp[v]) split = w;
+    });
+    if (split != v) {
+      std::ostringstream os;
+      os << "edge (" << v << ", " << split << ") spans labels " << comp[v]
+         << " and " << comp[split];
+      return os.str();
+    }
+  }
+  // Same-label vertices must actually be connected: the labeling must not
+  // merge reference components.  Each submitted label may map to exactly
+  // one reference component.
+  const std::vector<vid_t> ref = connected_components(g, nullptr);
+  std::unordered_map<vid_t, vid_t> label_to_ref;
+  for (vid_t v = 0; v < n; ++v) {
+    const auto [it, inserted] = label_to_ref.emplace(comp[v], ref[v]);
+    if (!inserted && it->second != ref[v]) {
+      std::ostringstream os;
+      os << "label " << comp[v] << " spans two disconnected components";
+      return os.str();
+    }
+  }
+  return {};
+}
 
 /// Validate a k-core answer.  k == 0 (decomposition): recomputes the
 /// peeling and requires exact coreness equality.  k > 0 (membership):

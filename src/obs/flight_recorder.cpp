@@ -100,19 +100,27 @@ void FlightRecorder::record(const char* cat, const char* name,
   sim::chk_point("flight.record.claim");
   const std::uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed) + 1;
   Slot& s = slots_[(seq - 1) & mask_];
+  FlightEvent ev;
+  ev.seq = seq;
+  ev.wall_us = wall_now_us();
+  ev.a = a;
+  ev.b = b;
+  ev.c = c;
+  copy_trunc(ev.cat, sizeof(ev.cat), cat ? cat : "");
+  copy_trunc(ev.name, sizeof(ev.name), name ? name : "");
+  copy_trunc(ev.detail, sizeof(ev.detail), detail);
+  std::uint64_t words[kEventWords];
+  std::memcpy(words, &ev, sizeof(ev));
   // Invalidate before writing so a concurrent reader can't accept a
-  // half-overwritten payload; release on the final store publishes it.
+  // half-overwritten payload (the fence keeps the payload stores after
+  // it); release on the final store publishes it.
   sim::chk_point("flight.record.invalidate", seq & mask_);
-  s.ready.store(0, std::memory_order_release);
+  s.ready.store(0, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
   sim::chk_point("flight.record.payload", seq & mask_);
-  s.ev.seq = seq;
-  s.ev.wall_us = wall_now_us();
-  s.ev.a = a;
-  s.ev.b = b;
-  s.ev.c = c;
-  copy_trunc(s.ev.cat, sizeof(s.ev.cat), cat ? cat : "");
-  copy_trunc(s.ev.name, sizeof(s.ev.name), name ? name : "");
-  copy_trunc(s.ev.detail, sizeof(s.ev.detail), detail);
+  for (std::size_t i = 0; i < kEventWords; ++i) {
+    s.words[i].store(words[i], std::memory_order_relaxed);
+  }
   sim::chk_point("flight.record.publish", seq & mask_);
   s.ready.store(seq, std::memory_order_release);
 }
@@ -130,11 +138,18 @@ std::vector<FlightEvent> FlightRecorder::snapshot() const {
     sim::chk_point("flight.snapshot.check", (seq - 1) & mask_);
     if (s.ready.load(std::memory_order_acquire) != seq) continue;
     sim::chk_point("flight.snapshot.copy", (seq - 1) & mask_);
-    FlightEvent ev = s.ev;
+    std::uint64_t words[kEventWords];
+    for (std::size_t i = 0; i < kEventWords; ++i) {
+      words[i] = s.words[i].load(std::memory_order_relaxed);
+    }
     // Seqlock re-check: if a lapping writer touched the slot while we
     // copied, the payload may be torn — discard it.
+    std::atomic_thread_fence(std::memory_order_acquire);
     sim::chk_point("flight.snapshot.recheck", (seq - 1) & mask_);
-    if (s.ready.load(std::memory_order_acquire) != seq) continue;
+    if (s.ready.load(std::memory_order_relaxed) != seq) continue;
+    FlightEvent ev;
+    std::memcpy(&ev, words, sizeof(ev));
+    if (ev.seq != seq) continue;  // two lapping writers interleaved
     out.push_back(ev);
   }
   std::sort(out.begin(), out.end(),

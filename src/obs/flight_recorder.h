@@ -5,11 +5,12 @@
 // something goes wrong.
 //
 // Recording is wait-free for writers: a slot is claimed with one
-// fetch_add on the head sequence, the payload is written, and the slot's
-// `ready` word is release-stored with the claiming sequence.  Readers
-// (dump/snapshot) copy slots and re-check `ready` afterwards — a torn
-// slot (overwritten mid-copy by a lapping writer) fails the re-check and
-// is discarded, seqlock-style.  Old events are overwritten silently; the
+// fetch_add on the head sequence, the payload is written (relaxed atomic
+// words), and the slot's `ready` word is release-stored with the claiming
+// sequence.  Readers (dump/snapshot) copy slots and re-check `ready`
+// afterwards — a torn slot (overwritten mid-copy by a lapping writer)
+// fails the re-check, or carries another seq, and is discarded,
+// seqlock-style.  Old events are overwritten silently; the
 // dump reports how many were dropped.
 //
 // Enabled by XBFS_FLIGHT=<path> (ring capacity via XBFS_FLIGHT_EVENTS,
@@ -106,9 +107,16 @@ class FlightRecorder {
   double wall_now_us() const;
 
  private:
+  /// The payload is stored and loaded a word at a time through relaxed
+  /// atomics: a reader copying mid-overwrite, or two writers a full ring
+  /// apart filling one slot, is a race the `ready` re-check settles, not a
+  /// data race.
+  static constexpr std::size_t kEventWords =
+      sizeof(FlightEvent) / sizeof(std::uint64_t);
+  static_assert(sizeof(FlightEvent) % sizeof(std::uint64_t) == 0);
   struct Slot {
     std::atomic<std::uint64_t> ready{0};  ///< seq once the payload is valid
-    FlightEvent ev;
+    std::atomic<std::uint64_t> words[kEventWords] = {};  ///< a FlightEvent
   };
 
   std::atomic<bool> enabled_{false};

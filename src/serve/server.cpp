@@ -466,21 +466,27 @@ bool Server::note_dispatch_time(unsigned gcd, double dispatch_us) {
 std::string Server::validate_payload(const core::AlgoQuery& q,
                                      const CachedResult& res,
                                      const dyn::Snapshot& snap) const {
+  // BFS and CC validators take either graph: the snapshot a dynamic run
+  // served, else the static topology.
+  const auto on_served = [&](const auto& validate) {
+    return snap ? validate(*snap.graph) : validate(*host_g_);
+  };
   switch (q.algo) {
     case core::AlgoKind::Bfs:
       if (!res.levels) return "bfs payload has no levels vector";
-      return snap ? dyn::validate_levels(*snap.graph, q.source, *res.levels)
-                  : graph::validate_levels_graph500(*host_g_, q.source,
-                                                    *res.levels);
+      return on_served([&](const auto& g) {
+        return graph::validate_levels_graph500(g, q.source, *res.levels);
+      });
+    case core::AlgoKind::Cc:
+      if (!res.components) return "cc payload has no components vector";
+      return on_served([&](const auto& g) {
+        return graph::validate_components(g, *res.components);
+      });
     case core::AlgoKind::Sssp:
       if (!res.distances) return "sssp payload has no distances vector";
       return host_g_ ? graph::validate_sssp_distances(
                            *host_g_, q.source, *res.distances,
                            q.params.weight_seed, q.params.max_weight)
-                     : std::string();
-    case core::AlgoKind::Cc:
-      if (!res.components) return "cc payload has no components vector";
-      return host_g_ ? graph::validate_components(*host_g_, *res.components)
                      : std::string();
     case core::AlgoKind::KCore:
       if (!res.cores) return "kcore payload has no cores vector";
@@ -499,9 +505,9 @@ std::string Server::validate_payload(const core::AlgoQuery& q,
 bool Server::payload_validatable(core::AlgoKind k) const {
   switch (k) {
     case core::AlgoKind::Bfs:
-      return true;  // static and dynamic validators both exist
-    case core::AlgoKind::Sssp:
     case core::AlgoKind::Cc:
+      return true;  // validators take the static or the dynamic graph
+    case core::AlgoKind::Sssp:
     case core::AlgoKind::KCore:
       return host_g_ != nullptr;  // validators need the static topology
     case core::AlgoKind::Bc:

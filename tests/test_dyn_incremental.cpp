@@ -250,7 +250,9 @@ void expect_matches_reference(const GraphStore& store, IncrementalBfs& eng,
   const core::BfsResult got = eng.run(src);
   const std::vector<std::int32_t> want = reference_bfs(*snap.graph, src);
   ASSERT_EQ(got.levels, want) << tag << " (epoch " << snap.epoch << ")";
-  EXPECT_TRUE(validate_levels(*snap.graph, src, got.levels).empty()) << tag;
+  EXPECT_TRUE(graph::validate_levels_graph500(*snap.graph, src, got.levels)
+                  .empty())
+      << tag;
 }
 
 TEST(DynIncremental, RepairMatchesReferenceOnRandomChurn) {
