@@ -292,7 +292,12 @@ int main(int argc, char** argv) {
     // one survives a fault (retried or rung-degraded) — its trace shows
     // admission -> fault -> retry -> validated with per-rung attribution.
     // Prefer one that actually ran on a device (non-zero launch counters)
-    // over a pure host fallback.
+    // over a pure host fallback.  An XBFS traversal is one cooperative
+    // launch, so at the acceptance mix a singleton rarely meets a fault;
+    // the search runs at the escalation probe's raised kernel-fault rate.
+    sim::FaultConfig sfc = fc;
+    sfc.kernel_fault_rate = std::max(opt.fault_kernel, 0.3);
+    sim::FaultInjector::global().configure(sfc);
     bool degraded_on_device = false;
     for (unsigned i = 0; i < 64 && !degraded_on_device; ++i) {
       serve::QueryOptions qo;
@@ -311,6 +316,7 @@ int main(int argc, char** argv) {
         }
       }
     }
+    sim::FaultInjector::global().configure(fc);
 
     chaos_server.shutdown();
     cst = chaos_server.stats();

@@ -49,7 +49,7 @@ void zero_counter_set(sim::BlockCtx& blk, const CounterSpans& set) {
   });
 }
 
-void launch_init(sim::Device& dev, sim::Stream& s, BfsBuffers& b,
+void launch_init(sim::Device& dev, sim::LaunchTarget on, BfsBuffers& b,
                  graph::vid_t src, unsigned block_threads) {
   auto status = b.status.span();
   auto parent =
@@ -65,7 +65,7 @@ void launch_init(sim::Device& dev, sim::Stream& s, BfsBuffers& b,
   cfg.block_threads = block_threads;
   cfg.grid_blocks =
       auto_grid_blocks(dev.profile(), status.size(), block_threads);
-  dev.launch(s, "xbfs_init", cfg, [=](sim::BlockCtx& blk) {
+  dev.launch(on, "xbfs_init", cfg, [=](sim::BlockCtx& blk) {
     auto& ctx = blk.ctx();
     blk.grid_stride(status.size(), [&](std::uint64_t v) {
       const bool is_src = v == src;
@@ -87,14 +87,14 @@ void launch_init(sim::Device& dev, sim::Stream& s, BfsBuffers& b,
   });
 }
 
-void launch_clear_bitmap(sim::Device& dev, sim::Stream& s,
+void launch_clear_bitmap(sim::Device& dev, sim::LaunchTarget on,
                          sim::dspan<std::uint64_t> bitmap,
                          unsigned block_threads) {
   sim::LaunchConfig cfg;
   cfg.block_threads = block_threads;
   cfg.grid_blocks =
       auto_grid_blocks(dev.profile(), bitmap.size(), block_threads);
-  dev.launch(s, "xbfs_clear_bitmap", cfg, [=](sim::BlockCtx& blk) {
+  dev.launch(on, "xbfs_clear_bitmap", cfg, [=](sim::BlockCtx& blk) {
     auto& ctx = blk.ctx();
     blk.grid_stride(bitmap.size(), [&](std::uint64_t i) {
       ctx.store(bitmap, i, std::uint64_t{0});
@@ -102,7 +102,7 @@ void launch_clear_bitmap(sim::Device& dev, sim::Stream& s,
   });
 }
 
-void launch_append_queue(sim::Device& dev, sim::Stream& s,
+void launch_append_queue(sim::Device& dev, sim::LaunchTarget on,
                          sim::dspan<const graph::vid_t> src_queue,
                          std::uint32_t count,
                          sim::dspan<graph::vid_t> dst_queue,
@@ -111,7 +111,7 @@ void launch_append_queue(sim::Device& dev, sim::Stream& s,
   sim::LaunchConfig cfg;
   cfg.block_threads = block_threads;
   cfg.grid_blocks = auto_grid_blocks(dev.profile(), count, block_threads);
-  dev.launch(s, "xbfs_append_pending", cfg, [=](sim::BlockCtx& blk) {
+  dev.launch(on, "xbfs_append_pending", cfg, [=](sim::BlockCtx& blk) {
     auto& ctx = blk.ctx();
     blk.grid_stride(count, [&](std::uint64_t i) {
       ctx.store(dst_queue, dst_offset + i, ctx.load(src_queue, i));
@@ -133,6 +133,19 @@ LevelCounters read_counters(sim::Device& dev, sim::Stream& s,
   c.cur_count = set.counters.h_read(kCurTail);
   c.next_edges = set.edge_counters.h_read(kNextEdges);
   c.pending_edges = set.edge_counters.h_read(kPendingEdges);
+  return c;
+}
+
+LevelCounters load_counters(sim::ExecCtx& ctx, const CounterSpans& set) {
+  // Non-temporal: the one-shot control reads leave the L2's replacement
+  // state to the strategy kernels.
+  LevelCounters c;
+  c.next_count = ctx.load_nontemporal(set.counters, kNextTail);
+  c.pending_count = ctx.load_nontemporal(set.counters, kPendingTail);
+  c.new_count = ctx.load_nontemporal(set.counters, kNewCount);
+  c.cur_count = ctx.load_nontemporal(set.counters, kCurTail);
+  c.next_edges = ctx.load_nontemporal(set.edge_counters, kNextEdges);
+  c.pending_edges = ctx.load_nontemporal(set.edge_counters, kPendingEdges);
   return c;
 }
 

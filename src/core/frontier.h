@@ -1,11 +1,13 @@
 // Frontier queues and level counters: every device buffer one XBFS run
-// needs, plus the small host<->device transfers (modelled) that read the
-// per-level counters back for the adaptive controller.
+// needs, plus the reads of the per-level counters that feed the adaptive
+// controller — a modelled host readback, or device loads inside the
+// cooperative launch.
 //
-// The counters are double-buffered so a level costs one host round trip:
-// level k accumulates into counter_sets[k & 1], and its first kernel zeroes
-// counter_sets[(k + 1) & 1] for level k+1 (the host finished reading that
-// set, level k-1's, before level k launched).
+// The counters are double-buffered so no launch resets them: level k
+// accumulates into counter_sets[k & 1], and its first kernel zeroes
+// counter_sets[(k + 1) & 1] for level k+1.  Level k-1's set was read
+// before level k started: by the host before it launched level k, or by
+// every block before the grid barrier that ends the read.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +90,8 @@ struct BfsBuffers {
   }
 };
 
-/// Host-side snapshot of the level counters (one modelled d2h readback).
+/// One level's counter-set snapshot: a modelled d2h readback on the host,
+/// or the loads of every block of a cooperative launch.
 struct LevelCounters {
   std::uint32_t next_count = 0;
   std::uint32_t pending_count = 0;
@@ -102,7 +105,7 @@ struct LevelCounters {
 /// (kUnvisited, 0 at src), parent (kNoParent, src at src) when allocated,
 /// the three bitmaps when allocated (only src's bit set, in bitmaps[0]),
 /// queue_a[0] = src, and both counter sets zeroed.
-void launch_init(sim::Device& dev, sim::Stream& s, BfsBuffers& b,
+void launch_init(sim::Device& dev, sim::LaunchTarget on, BfsBuffers& b,
                  graph::vid_t src, unsigned block_threads);
 
 /// Device side: block 0 zeroes `set` in one block-wide pass; other blocks
@@ -114,15 +117,20 @@ void zero_counter_set(sim::BlockCtx& blk, const CounterSpans& set);
 LevelCounters read_counters(sim::Device& dev, sim::Stream& s,
                             const CounterSet& set);
 
+/// Device side of read_counters: the calling block loads one counter set
+/// (six loads), as every block of a cooperative launch does after the
+/// barrier that ends a level.
+LevelCounters load_counters(sim::ExecCtx& ctx, const CounterSpans& set);
+
 /// Kernel: clear a frontier bitmap (O(|V|/64) stores).
-void launch_clear_bitmap(sim::Device& dev, sim::Stream& s,
+void launch_clear_bitmap(sim::Device& dev, sim::LaunchTarget on,
                          sim::dspan<std::uint64_t> bitmap,
                          unsigned block_threads);
 
 /// Kernel: append `count` entries of `src_queue` to `dst_queue` starting at
 /// `dst_offset` (used to merge the carried pending queue into the next
 /// frontier).
-void launch_append_queue(sim::Device& dev, sim::Stream& s,
+void launch_append_queue(sim::Device& dev, sim::LaunchTarget on,
                          sim::dspan<const graph::vid_t> src_queue,
                          std::uint32_t count,
                          sim::dspan<graph::vid_t> dst_queue,

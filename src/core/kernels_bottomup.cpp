@@ -29,7 +29,7 @@ unsigned bu_scan_blocks(const sim::DeviceProfile& profile,
   return std::max(1u, std::min(blocks, block_threads));
 }
 
-sim::LaunchResult launch_bu_count(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_bu_count(sim::Device& dev, sim::LaunchTarget on,
                                   const BottomUpArgs& a,
                                   const XbfsConfig& cfg) {
   sim::LaunchConfig lc;
@@ -38,7 +38,7 @@ sim::LaunchResult launch_bu_count(sim::Device& dev, sim::Stream& s,
                        ? cfg.grid_blocks
                        : auto_grid_blocks(dev.profile(), a.num_segments,
                                           cfg.block_threads);
-  return dev.launch(s, "xbfs_bu_count", lc, [=](sim::BlockCtx& blk) {
+  return dev.launch(on, "xbfs_bu_count", lc, [=](sim::BlockCtx& blk) {
     zero_counter_set(blk, a.next_counters);
     auto& ctx = blk.ctx();
     blk.grid_stride(a.num_segments, [&](std::uint64_t seg) {
@@ -55,7 +55,7 @@ sim::LaunchResult launch_bu_count(sim::Device& dev, sim::Stream& s,
   });
 }
 
-sim::LaunchResult launch_bu_scan_block(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_bu_scan_block(sim::Device& dev, sim::LaunchTarget on,
                                        const BottomUpArgs& a,
                                        const XbfsConfig& cfg) {
   const unsigned blocks =
@@ -64,7 +64,7 @@ sim::LaunchResult launch_bu_scan_block(sim::Device& dev, sim::Stream& s,
   sim::LaunchConfig lc;
   lc.block_threads = cfg.block_threads;
   lc.grid_blocks = blocks;
-  return dev.launch(s, "xbfs_bu_scan_block", lc, [=](sim::BlockCtx& blk) {
+  return dev.launch(on, "xbfs_bu_scan_block", lc, [=](sim::BlockCtx& blk) {
     auto& ctx = blk.ctx();
     const std::uint32_t b = blk.block_id();
     const std::uint64_t begin = std::uint64_t{b} * chunk;
@@ -81,7 +81,7 @@ sim::LaunchResult launch_bu_scan_block(sim::Device& dev, sim::Stream& s,
   });
 }
 
-sim::LaunchResult launch_bu_scan_final(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_bu_scan_final(sim::Device& dev, sim::LaunchTarget on,
                                        const BottomUpArgs& a,
                                        const XbfsConfig& cfg) {
   const unsigned blocks =
@@ -90,7 +90,7 @@ sim::LaunchResult launch_bu_scan_final(sim::Device& dev, sim::Stream& s,
   sim::LaunchConfig lc;
   lc.block_threads = cfg.block_threads;
   lc.grid_blocks = 1;  // single block finishes the scan
-  return dev.launch(s, "xbfs_bu_scan_final", lc, [=](sim::BlockCtx& blk) {
+  return dev.launch(on, "xbfs_bu_scan_final", lc, [=](sim::BlockCtx& blk) {
     auto& ctx = blk.ctx();
     // Phase 1: exclusive scan of the per-block partial sums (sequential in
     // the leader thread; `blocks` is at most a few hundred).
@@ -120,7 +120,7 @@ sim::LaunchResult launch_bu_scan_final(sim::Device& dev, sim::Stream& s,
   });
 }
 
-sim::LaunchResult launch_bu_queue_gen(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_bu_queue_gen(sim::Device& dev, sim::LaunchTarget on,
                                       const BottomUpArgs& a,
                                       const XbfsConfig& cfg) {
   sim::LaunchConfig lc;
@@ -129,7 +129,7 @@ sim::LaunchResult launch_bu_queue_gen(sim::Device& dev, sim::Stream& s,
                        ? cfg.grid_blocks
                        : auto_grid_blocks(dev.profile(), a.num_segments,
                                           cfg.block_threads);
-  return dev.launch(s, "xbfs_bu_queue_gen", lc, [=](sim::BlockCtx& blk) {
+  return dev.launch(on, "xbfs_bu_queue_gen", lc, [=](sim::BlockCtx& blk) {
     auto& ctx = blk.ctx();
     blk.grid_stride(a.num_segments, [&](std::uint64_t seg) {
       const std::uint64_t begin = seg * a.segment_size;
@@ -274,7 +274,7 @@ BuChunkResult bu_scan_wavefront_centric(sim::ExecCtx& ctx,
 
 }  // namespace
 
-sim::LaunchResult launch_bu_expand(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_bu_expand(sim::Device& dev, sim::LaunchTarget on,
                                    const BottomUpArgs& a,
                                    std::uint32_t grid_candidates,
                                    const XbfsConfig& cfg) {
@@ -289,7 +289,7 @@ sim::LaunchResult launch_bu_expand(sim::Device& dev, sim::Stream& s,
   lc.lane_work_multiplier = cfg.bottomup_spill_factor;
   const bool warp_centric = cfg.bottomup_warp_centric;
   const bool lookahead = cfg.enable_lookahead;
-  return dev.launch(s, "xbfs_bu_expand", lc, [=](sim::BlockCtx& blk) {
+  return dev.launch(on, "xbfs_bu_expand", lc, [=](sim::BlockCtx& blk) {
     auto& ctx = blk.ctx();
     const std::uint32_t candidates = ctx.load(a.counters, kCurTail);
     blk.wavefronts([&](sim::WavefrontCtx& wf, unsigned) {

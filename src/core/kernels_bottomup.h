@@ -54,23 +54,23 @@ unsigned bu_scan_blocks(const sim::DeviceProfile& profile,
                         std::uint32_t num_segments, unsigned block_threads);
 
 /// Block 0 also zeroes a.next_counters.
-sim::LaunchResult launch_bu_count(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_bu_count(sim::Device& dev, sim::LaunchTarget on,
                                   const BottomUpArgs& a,
                                   const XbfsConfig& cfg);
-sim::LaunchResult launch_bu_scan_block(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_bu_scan_block(sim::Device& dev, sim::LaunchTarget on,
                                        const BottomUpArgs& a,
                                        const XbfsConfig& cfg);
 /// Writes the total candidate count into counters[kCurTail].
-sim::LaunchResult launch_bu_scan_final(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_bu_scan_final(sim::Device& dev, sim::LaunchTarget on,
                                        const BottomUpArgs& a,
                                        const XbfsConfig& cfg);
-sim::LaunchResult launch_bu_queue_gen(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_bu_queue_gen(sim::Device& dev, sim::LaunchTarget on,
                                       const BottomUpArgs& a,
                                       const XbfsConfig& cfg);
 /// Reads the candidate total from counters[kCurTail] (written by k3).
 /// @param grid_candidates estimate of that total; sizes the grid only (the
 ///        kernel is grid-stride over the device total).
-sim::LaunchResult launch_bu_expand(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_bu_expand(sim::Device& dev, sim::LaunchTarget on,
                                    const BottomUpArgs& a,
                                    std::uint32_t grid_candidates,
                                    const XbfsConfig& cfg);

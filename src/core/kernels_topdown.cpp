@@ -227,25 +227,25 @@ sim::LaunchConfig expand_launch_config(const sim::Device& dev,
 
 }  // namespace
 
-sim::LaunchResult launch_scanfree_expand(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_scanfree_expand(sim::Device& dev, sim::LaunchTarget on,
                                          const TopDownArgs& a,
                                          const XbfsConfig& cfg) {
   const sim::LaunchConfig lc = expand_launch_config(dev, a.queue_size, cfg);
   const Balancing bal = cfg.topdown_balancing;
   const unsigned thr = cfg.small_degree_threshold;
-  return dev.launch(s, "xbfs_scanfree_expand", lc, [=](sim::BlockCtx& blk) {
+  return dev.launch(on, "xbfs_scanfree_expand", lc, [=](sim::BlockCtx& blk) {
     zero_counter_set(blk, a.next_counters);
     expand_kernel_body<true, true>(blk, a, a.queue, a.queue_size, bal, thr);
   });
 }
 
-sim::LaunchResult launch_singlescan_expand(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_singlescan_expand(sim::Device& dev, sim::LaunchTarget on,
                                            const TopDownArgs& a,
                                            const XbfsConfig& cfg) {
   const sim::LaunchConfig lc = expand_launch_config(dev, a.queue_size, cfg);
   const Balancing bal = cfg.topdown_balancing;
   const unsigned thr = cfg.small_degree_threshold;
-  return dev.launch(s, "xbfs_singlescan_expand", lc, [=](sim::BlockCtx& blk) {
+  return dev.launch(on, "xbfs_singlescan_expand", lc, [=](sim::BlockCtx& blk) {
     zero_counter_set(blk, a.next_counters);
     const std::uint32_t size = a.queue_size_on_device
                                    ? blk.ctx().load(a.counters, kCurTail)
@@ -255,7 +255,7 @@ sim::LaunchResult launch_singlescan_expand(sim::Device& dev, sim::Stream& s,
 }
 
 sim::LaunchResult launch_singlescan_generate(
-    sim::Device& dev, sim::Stream& s, sim::dspan<std::uint32_t> status,
+    sim::Device& dev, sim::LaunchTarget on, sim::dspan<std::uint32_t> status,
     sim::dspan<graph::vid_t> queue_out, sim::dspan<std::uint32_t> counters,
     std::uint32_t cur_level, const XbfsConfig& cfg,
     const CounterSpans& next_counters) {
@@ -266,7 +266,7 @@ sim::LaunchResult launch_singlescan_generate(
                        : auto_grid_blocks(dev.profile(), status.size(),
                                           cfg.block_threads);
   const std::uint64_t n = status.size();
-  return dev.launch(s, "xbfs_singlescan_generate", lc, [=](sim::BlockCtx&
+  return dev.launch(on, "xbfs_singlescan_generate", lc, [=](sim::BlockCtx&
                                                                blk) {
     zero_counter_set(blk, next_counters);
     auto& ctx = blk.ctx();
@@ -301,7 +301,7 @@ sim::LaunchResult launch_singlescan_generate(
   });
 }
 
-sim::LaunchResult launch_classify_bins(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_classify_bins(sim::Device& dev, sim::LaunchTarget on,
                                        const TopDownArgs& a,
                                        sim::dspan<graph::vid_t> bin_small,
                                        sim::dspan<graph::vid_t> bin_medium,
@@ -310,7 +310,7 @@ sim::LaunchResult launch_classify_bins(sim::Device& dev, sim::Stream& s,
   const sim::LaunchConfig lc = expand_launch_config(dev, a.queue_size, cfg);
   const std::uint32_t med_min = cfg.medium_min_degree;
   const std::uint32_t large_min = cfg.large_min_degree;
-  return dev.launch(s, "xbfs_classify_bins", lc, [=](sim::BlockCtx& blk) {
+  return dev.launch(on, "xbfs_classify_bins", lc, [=](sim::BlockCtx& blk) {
     zero_counter_set(blk, a.next_counters);
     auto& ctx = blk.ctx();
     blk.wavefronts([&](sim::WavefrontCtx& wf, unsigned) {
@@ -353,7 +353,7 @@ sim::LaunchResult launch_classify_bins(sim::Device& dev, sim::Stream& s,
   });
 }
 
-sim::LaunchResult launch_scanfree_expand_bin(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_scanfree_expand_bin(sim::Device& dev, sim::LaunchTarget on,
                                              const TopDownArgs& a,
                                              sim::dspan<const graph::vid_t> bin,
                                              std::uint32_t bin_size,
@@ -362,7 +362,7 @@ sim::LaunchResult launch_scanfree_expand_bin(sim::Device& dev, sim::Stream& s,
                                              const XbfsConfig& cfg) {
   const sim::LaunchConfig lc = expand_launch_config(dev, bin_size, cfg);
   const unsigned thr = cfg.small_degree_threshold;
-  return dev.launch(s, kernel_name, lc, [=](sim::BlockCtx& blk) {
+  return dev.launch(on, kernel_name, lc, [=](sim::BlockCtx& blk) {
     expand_kernel_body<true, true>(blk, a, bin, bin_size, balancing, thr);
   });
 }

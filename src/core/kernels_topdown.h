@@ -40,7 +40,7 @@ struct TopDownArgs {
 
 /// Scan-free: expand `queue`, CAS statuses to cur_level+1, enqueue winners
 /// into next_queue (warp-aggregated atomics) and accumulate their degrees.
-sim::LaunchResult launch_scanfree_expand(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_scanfree_expand(sim::Device& dev, sim::LaunchTarget on,
                                          const TopDownArgs& a,
                                          const XbfsConfig& cfg);
 
@@ -48,7 +48,7 @@ sim::LaunchResult launch_scanfree_expand(sim::Device& dev, sim::Stream& s,
 /// (atomically) enqueue the matches into `queue_out`, tail counters[kCurTail].
 /// Block 0 zeroes `next_counters`.
 sim::LaunchResult launch_singlescan_generate(
-    sim::Device& dev, sim::Stream& s, sim::dspan<std::uint32_t> status,
+    sim::Device& dev, sim::LaunchTarget on, sim::dspan<std::uint32_t> status,
     sim::dspan<graph::vid_t> queue_out, sim::dspan<std::uint32_t> counters,
     std::uint32_t cur_level, const XbfsConfig& cfg,
     const CounterSpans& next_counters = {});
@@ -56,13 +56,13 @@ sim::LaunchResult launch_singlescan_generate(
 /// Single-scan kernel 2: expand `queue` with plain (atomic-free) status
 /// checks/updates; counts newly visited vertices and their degrees but does
 /// not build the next queue.
-sim::LaunchResult launch_singlescan_expand(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_singlescan_expand(sim::Device& dev, sim::LaunchTarget on,
                                            const TopDownArgs& a,
                                            const XbfsConfig& cfg);
 
 /// TripleBinned classification: split `queue` into three degree bins
 /// (tails at kBinSmall/kBinMedium/kBinLarge).
-sim::LaunchResult launch_classify_bins(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_classify_bins(sim::Device& dev, sim::LaunchTarget on,
                                        const TopDownArgs& a,
                                        sim::dspan<graph::vid_t> bin_small,
                                        sim::dspan<graph::vid_t> bin_medium,
@@ -71,7 +71,7 @@ sim::LaunchResult launch_classify_bins(sim::Device& dev, sim::Stream& s,
 
 /// Scan-free expansion over one degree bin with a fixed balancing mode
 /// (used by the TripleBinned / three-stream configuration).
-sim::LaunchResult launch_scanfree_expand_bin(sim::Device& dev, sim::Stream& s,
+sim::LaunchResult launch_scanfree_expand_bin(sim::Device& dev, sim::LaunchTarget on,
                                              const TopDownArgs& a,
                                              sim::dspan<const graph::vid_t> bin,
                                              std::uint32_t bin_size,

@@ -4,8 +4,7 @@ namespace xbfs::core {
 
 LevelDecision AdaptivePolicy::decide(const LevelInputs& in) const {
   LevelDecision d;
-  d.ratio = static_cast<double>(in.frontier_edges) /
-            static_cast<double>(in.total_edges ? in.total_edges : 1);
+  d.ratio = frontier_ratio(in.frontier_edges, in.total_edges);
 
   if (cfg_.forced_strategy >= 0) {
     d.strategy = static_cast<Strategy>(cfg_.forced_strategy);

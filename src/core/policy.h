@@ -31,7 +31,17 @@ struct LevelDecision {
   /// Single-scan only: skip the generation scan and reuse the queue (NFG).
   bool skip_generation = false;
   double ratio = 0.0;  ///< frontier_edges / total_edges, for telemetry
+
+  bool operator==(const LevelDecision&) const = default;
 };
+
+/// ratio = frontier_edges / |E|, the controller's bottom-up signal (an
+/// edgeless graph counts |E| as 1).
+inline double frontier_ratio(std::uint64_t frontier_edges,
+                             std::uint64_t total_edges) {
+  return static_cast<double>(frontier_edges) /
+         static_cast<double>(total_edges ? total_edges : 1);
+}
 
 class AdaptivePolicy {
  public:

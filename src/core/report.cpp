@@ -89,7 +89,7 @@ obs::RunRecord to_run_record(const BfsResult& r, std::string tool,
       k.kernel = lr.kernel;
       k.runtime_ms += lr.runtime_ms();
       k.fetch_kb += lr.fetch_kb();
-      k.launches += 1;
+      if (lr.launched) k.launches += 1;
     }
     rec.kernels.reserve(acc.size());
     for (auto& [_, k] : acc) rec.kernels.push_back(std::move(k));

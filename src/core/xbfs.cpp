@@ -9,6 +9,7 @@
 #include "core/kernels_topdown.h"
 #include "core/report.h"
 #include "core/status.h"
+#include "hipsim/grid.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -38,6 +39,193 @@ std::uint32_t pick_segment_size(const sim::DeviceProfile& profile,
   return std::max<std::uint32_t>(seg, w);
 }
 
+/// What the level loop carries from one level to the next.  In the
+/// cooperative launch every block holds this copy, updated only from
+/// uniform values (and the kernel arguments that seed it).
+struct LoopState {
+  std::uint64_t cur_count = 1;  ///< frontier vertices (carry included)
+  std::uint64_t cur_edges = 0;  ///< their degree sum
+  std::uint64_t claimed = 1;    ///< vertices with a status, for k5's grid
+  /// Look-ahead (level+2) vertices of the last pass, merged into the next
+  /// frontier.
+  std::uint64_t carry_count = 0;
+  std::uint64_t carry_edges = 0;
+  bool use_a_queue = true;
+  bool use_a_pending = true;
+  LevelDecision decision;
+};
+
+/// What one level's counter set means for the loop: the level's own
+/// frontier size, the next frontier, and the next decision unless the
+/// traversal is done.
+struct LevelStep {
+  std::uint64_t frontier_count = 0;
+  std::uint64_t next_raw = 0;  ///< this pass's next frontier, carry excluded
+  std::uint64_t next_count = 0;
+  std::uint64_t next_edges = 0;
+  std::uint64_t pending_count = 0;
+  std::uint64_t pending_edges = 0;
+  bool done = false;
+  LevelDecision next;
+
+  bool operator==(const LevelStep&) const = default;
+};
+
+LevelStep next_step(const AdaptivePolicy& policy, std::uint64_t total_edges,
+                    const LoopState& ls, const LevelCounters& lc,
+                    std::uint32_t level) {
+  const LevelDecision& d = ls.decision;
+  const bool built_queue = d.strategy != Strategy::SingleScan;
+  // A generation scan sizes the frontier it expands on the device.
+  const bool generated =
+      d.strategy == Strategy::SingleScan && !d.skip_generation;
+  LevelStep st;
+  st.frontier_count = generated ? lc.cur_count : ls.cur_count;
+  st.next_raw = built_queue ? lc.next_count : lc.new_count;
+  st.next_count = st.next_raw + ls.carry_count;
+  st.next_edges = lc.next_edges + ls.carry_edges;
+  st.pending_count = lc.pending_count;
+  st.pending_edges = lc.pending_edges;
+  st.done = st.next_count == 0 && lc.pending_count == 0;
+  if (st.done) return st;
+
+  LevelInputs in;
+  in.level = level + 1;
+  in.frontier_count = st.next_count;
+  in.frontier_edges = st.next_edges;
+  in.prev_frontier_count = ls.cur_count;
+  in.total_edges = total_edges;
+  in.queue_available = built_queue;
+  in.has_prev = true;
+  in.prev_strategy = d.strategy;
+  st.next = policy.decide(in);
+  return st;
+}
+
+LoopState advance(LoopState ls, const LevelStep& st) {
+  ls.claimed += st.next_raw + st.pending_count;
+  ls.carry_count = st.pending_count;
+  ls.carry_edges = st.pending_edges;
+  ls.use_a_pending = !ls.use_a_pending;
+  if (ls.decision.strategy != Strategy::SingleScan) {
+    ls.use_a_queue = !ls.use_a_queue;
+  }
+  ls.cur_count = st.next_count;
+  ls.cur_edges = st.next_edges;
+  ls.decision = st.next;
+  return ls;
+}
+
+/// The traversal facts of one level (the profile fields stay zero).
+LevelStats level_facts(std::uint32_t level, const LoopState& ls,
+                       const LevelStep& st) {
+  LevelStats f;
+  f.level = level;
+  f.strategy = ls.decision.strategy;
+  f.skipped_generation = ls.decision.strategy == Strategy::SingleScan &&
+                         ls.decision.skip_generation;
+  f.frontier_count = st.frontier_count;
+  f.frontier_edges = ls.cur_edges;
+  f.ratio = ls.decision.ratio;
+  return f;
+}
+
+// Device level log: word 0 counts the levels run; level k's row is words
+// 1 + 2k (frontier count | strategy << 32 | nfg << 34) and 2 + 2k
+// (frontier edges).  The ratio is re-derived from the edges on the host.
+constexpr std::size_t kLevelRowWords = 2;
+
+/// Non-temporal stores: the log is write-once device data for the host and
+/// must not displace the strategy kernels' lines from L2.
+void store_level_row(sim::ExecCtx& ctx, sim::dspan<std::uint64_t> log,
+                     const LevelStats& f) {
+  const std::size_t row = 1 + kLevelRowWords * f.level;
+  ctx.store_nontemporal(log, 0, std::uint64_t{f.level} + 1);
+  ctx.store_nontemporal(
+      log, row,
+      f.frontier_count | static_cast<std::uint64_t>(f.strategy) << 32 |
+          static_cast<std::uint64_t>(f.skipped_generation) << 34);
+  ctx.store_nontemporal(log, row + 1, f.frontier_edges);
+}
+
+LevelStats load_level_row(const sim::DeviceBuffer<std::uint64_t>& log,
+                          std::uint32_t level, std::uint64_t total_edges) {
+  const std::size_t row = 1 + kLevelRowWords * level;
+  const std::uint64_t w = log.h_read(row);
+  LevelStats f;
+  f.level = level;
+  f.frontier_count = w & 0xFFFFFFFFu;
+  f.strategy = static_cast<Strategy>((w >> 32) & 3);
+  f.skipped_generation = ((w >> 34) & 1) != 0;
+  f.frontier_edges = log.h_read(row + 1);
+  f.ratio = frontier_ratio(f.frontier_edges, total_edges);
+  return f;
+}
+
+/// The simulator's own per-level profile (modelled span, counters and
+/// kernels of the level's strategy), gathered the way rocprof reads
+/// counters, beside the traversal facts the device reports.
+struct LevelProfile {
+  double t0_us = 0.0;
+  double t1_us = 0.0;
+  sim::KernelCounters accum;
+  unsigned kernels = 0;
+};
+
+/// Level loop executor of StreamMode::TripleBinned, the CUDA design: every
+/// level ends in a host round trip — wait, read the counter set back, and
+/// decide on the host.
+struct HostLevels {
+  sim::Device& dev;
+  const AdaptivePolicy& policy;
+  std::uint64_t total_edges;
+  LoopState start;
+  std::vector<LevelProfile> profiles;
+  std::vector<LevelStats> facts;
+
+  sim::LaunchTarget on() { return dev.stream(0); }
+  double now_us() const { return dev.now_us(); }
+  LevelStep end_level(std::uint32_t level, const CounterSet& set,
+                      const LoopState& ls) {
+    sim::Stream& s = dev.stream(0);
+    s.synchronize();
+    const LevelStep st =
+        next_step(policy, total_edges, ls, read_counters(dev, s, set), level);
+    facts.push_back(level_facts(level, ls, st));
+    return st;
+  }
+};
+
+/// Level loop executor of StreamMode::Single: the loop runs inside one
+/// cooperative launch.  After the barrier that ends a level, every block
+/// loads the level's counter set and runs the unchanged policy; the
+/// simulator checks they agree (GridCtx::uniform), and block 0 appends the
+/// level's row to the device log.
+struct GridLevels {
+  sim::GridCtx& grid;
+  const AdaptivePolicy& policy;
+  std::uint64_t total_edges;
+  sim::dspan<std::uint64_t> log;
+  LoopState start;
+  std::vector<LevelProfile> profiles;
+
+  sim::LaunchTarget on() { return grid; }
+  double now_us() const { return grid.now_us(); }
+  LevelStep end_level(std::uint32_t level, CounterSet& set,
+                      const LoopState& ls) {
+    const CounterSpans counters = set.spans();
+    return grid.uniform("xbfs_level_step", [&](sim::BlockCtx& blk) {
+      sim::ExecCtx& ctx = blk.ctx();
+      const LevelStep st = next_step(policy, total_edges, ls,
+                                     load_counters(ctx, counters), level);
+      if (blk.block_id() == 0) {
+        store_level_row(ctx, log, level_facts(level, ls, st));
+      }
+      return st;
+    });
+  }
+};
+
 }  // namespace
 
 struct Xbfs::FrontierState {
@@ -52,7 +240,8 @@ struct Xbfs::FrontierState {
   CounterSet* counters = nullptr;  ///< this level's set
   CounterSpans next_counters;      ///< zeroed by the level's first kernel
   std::uint32_t cur_count = 0;
-  std::uint32_t unclaimed = 0;  ///< host estimate of bottom-up candidates
+  std::uint32_t unclaimed = 0;  ///< estimate of bottom-up candidates
+  double t0_us = 0.0;           ///< modelled clock at the level's start
   // Per-level accumulation (filled by the run_* methods).
   mutable sim::KernelCounters accum;
   mutable unsigned kernels = 0;
@@ -77,6 +266,11 @@ Xbfs::Xbfs(sim::Device& dev, const graph::DeviceCsr& g, XbfsConfig cfg)
           cfg.build_parents,
           cfg.stream_mode == StreamMode::TripleBinned,
           cfg.bottomup_bitmap)) {
+  if (cfg_.stream_mode == StreamMode::Single) {
+    // Depth is at most |V|: one level per vertex on a path.
+    level_log_ = dev_.alloc<std::uint64_t>(
+        1 + kLevelRowWords * std::size_t{g_.n}, "bfs.level_log");
+  }
   if (cfg_.stream_mode == StreamMode::TripleBinned) {
     bin_streams_[0] = &dev_.create_stream("bin-small");
     bin_streams_[1] = &dev_.create_stream("bin-medium");
@@ -84,8 +278,8 @@ Xbfs::Xbfs(sim::Device& dev, const graph::DeviceCsr& g, XbfsConfig cfg)
   }
 }
 
-void Xbfs::run_scanfree(const FrontierState& fs, std::uint32_t level) {
-  sim::Stream& s = dev_.stream(0);
+void Xbfs::run_scanfree(sim::LaunchTarget on, const FrontierState& fs,
+                        std::uint32_t level) {
   TopDownArgs a;
   a.offsets = g_.offsets_span();
   a.cols = g_.cols_span();
@@ -101,9 +295,10 @@ void Xbfs::run_scanfree(const FrontierState& fs, std::uint32_t level) {
   a.cur_level = level;
 
   if (cfg_.stream_mode == StreamMode::Single) {
-    fs.add(launch_scanfree_expand(dev_, s, a, cfg_));
+    fs.add(launch_scanfree_expand(dev_, on, a, cfg_));
     return;
   }
+  sim::Stream& s = *on.stream();
 
   // CUDA XBFS's three-stream design: classify the frontier into degree bins
   // and expand each bin with a dedicated kernel on its own stream.  On the
@@ -146,17 +341,16 @@ void Xbfs::run_scanfree(const FrontierState& fs, std::uint32_t level) {
   dev_.join_streams(all);  // the level boundary waits on all three bins
 }
 
-void Xbfs::run_singlescan(const FrontierState& fs, std::uint32_t level,
-                          bool skip_generation) {
-  sim::Stream& s = dev_.stream(0);
+void Xbfs::run_singlescan(sim::LaunchTarget on, const FrontierState& fs,
+                          std::uint32_t level, bool skip_generation) {
   TopDownArgs a;
   a.offsets = g_.offsets_span();
   a.cols = g_.cols_span();
   a.status = buffers_.status.span();
   if (!buffers_.parent.empty()) a.parent = buffers_.parent.span();
   a.queue = fs.cur_queue;
-  // The generated size stays on the device; the host's count from the last
-  // readback bounds it and sizes the grid.
+  // The generated size stays on the device; the loop's count of the level
+  // bounds it and sizes the grid.
   a.queue_size = fs.cur_count;
   a.queue_size_on_device = !skip_generation;
   a.next_queue = fs.next_queue;  // unused: single-scan builds no queue
@@ -167,15 +361,15 @@ void Xbfs::run_singlescan(const FrontierState& fs, std::uint32_t level,
   if (skip_generation) {
     a.next_counters = fs.next_counters;
   } else {
-    fs.add(launch_singlescan_generate(dev_, s, buffers_.status.span(),
+    fs.add(launch_singlescan_generate(dev_, on, buffers_.status.span(),
                                       fs.cur_queue_mut, a.counters, level,
                                       cfg_, fs.next_counters));
   }
-  fs.add(launch_singlescan_expand(dev_, s, a, cfg_));
+  fs.add(launch_singlescan_expand(dev_, on, a, cfg_));
 }
 
-void Xbfs::run_bottomup(const FrontierState& fs, std::uint32_t level) {
-  sim::Stream& s = dev_.stream(0);
+void Xbfs::run_bottomup(sim::LaunchTarget on, const FrontierState& fs,
+                        std::uint32_t level) {
   BottomUpArgs a;
   a.offsets = g_.offsets_span();
   a.cols = g_.cols_span();
@@ -198,13 +392,82 @@ void Xbfs::run_bottomup(const FrontierState& fs, std::uint32_t level) {
   a.segment_size = buffers_.segment_size;
   a.cur_level = level;
 
-  fs.add(launch_bu_count(dev_, s, a, cfg_));
-  fs.add(launch_bu_scan_block(dev_, s, a, cfg_));
-  fs.add(launch_bu_scan_final(dev_, s, a, cfg_));
-  fs.add(launch_bu_queue_gen(dev_, s, a, cfg_));
-  // k5 reads the candidate total k3 left on the device; the host's count
+  fs.add(launch_bu_count(dev_, on, a, cfg_));
+  fs.add(launch_bu_scan_block(dev_, on, a, cfg_));
+  fs.add(launch_bu_scan_final(dev_, on, a, cfg_));
+  fs.add(launch_bu_queue_gen(dev_, on, a, cfg_));
+  // k5 reads the candidate total k3 left on the device; the loop's count
   // of unclaimed vertices estimates it and sizes the grid.
-  fs.add(launch_bu_expand(dev_, s, a, fs.unclaimed, cfg_));
+  fs.add(launch_bu_expand(dev_, on, a, fs.unclaimed, cfg_));
+}
+
+template <typename Exec>
+void Xbfs::level_loop(Exec& ex) {
+  const bool bitmaps_on = cfg_.bottomup_bitmap;
+  LoopState ls = ex.start;
+  for (std::uint32_t level = 0;; ++level) {
+    dev_.profiler().set_context(static_cast<int>(level),
+                                strategy_name(ls.decision.strategy));
+    FrontierState fs;
+    fs.t0_us = ex.now_us();
+    auto& curq = ls.use_a_queue ? buffers_.queue_a : buffers_.queue_b;
+    auto& nextq = ls.use_a_queue ? buffers_.queue_b : buffers_.queue_a;
+    auto& pendq = ls.use_a_pending ? buffers_.pending_a : buffers_.pending_b;
+    auto& carried_pendq =
+        ls.use_a_pending ? buffers_.pending_b : buffers_.pending_a;
+    fs.cur_queue = curq.cspan();
+    fs.cur_queue_mut = curq.span();
+    fs.next_queue = nextq.span();
+    fs.pending_queue = pendq.span();
+    fs.counters = &buffers_.counter_sets[level & 1];
+    fs.next_counters = buffers_.counter_sets[(level + 1) & 1].spans();
+    fs.cur_count = static_cast<std::uint32_t>(ls.cur_count);
+    fs.unclaimed = static_cast<std::uint32_t>(
+        ls.claimed < g_.n ? g_.n - ls.claimed : 0);
+    if (bitmaps_on) {
+      // Rotate the three frontier bitmaps; the incoming next-next map still
+      // holds level-(k-1) bits and must be wiped before look-ahead claims
+      // land in it.
+      fs.bitmap_cur = buffers_.bitmaps[level % 3].cspan();
+      fs.bitmap_next = buffers_.bitmaps[(level + 1) % 3].span();
+      fs.bitmap_nextnext = buffers_.bitmaps[(level + 2) % 3].span();
+      if (level > 0) {
+        launch_clear_bitmap(dev_, ex.on(), fs.bitmap_nextnext,
+                            cfg_.block_threads);
+      }
+    }
+
+    switch (ls.decision.strategy) {
+      case Strategy::ScanFree:
+        run_scanfree(ex.on(), fs, level);
+        break;
+      case Strategy::SingleScan:
+        run_singlescan(ex.on(), fs, level, ls.decision.skip_generation);
+        break;
+      case Strategy::BottomUp:
+        run_bottomup(ex.on(), fs, level);
+        break;
+    }
+    const LevelStep st = ex.end_level(level, *fs.counters, ls);
+    ex.profiles.push_back({fs.t0_us, ex.now_us(), fs.accum, fs.kernels});
+    if (st.done) break;
+
+    // Merge the carried look-ahead vertices (level+1) into the next queue
+    // when the next pass consumes that queue as its frontier.
+    const bool consumes_queue =
+        ls.decision.strategy != Strategy::SingleScan &&
+        (st.next.strategy == Strategy::ScanFree ||
+         (st.next.strategy == Strategy::SingleScan &&
+          st.next.skip_generation));
+    if (consumes_queue && ls.carry_count > 0) {
+      launch_append_queue(dev_, ex.on(), carried_pendq.cspan(),
+                          static_cast<std::uint32_t>(ls.carry_count),
+                          fs.next_queue,
+                          static_cast<std::uint32_t>(st.next_raw),
+                          cfg_.block_threads);
+    }
+    ls = advance(ls, st);
+  }
 }
 
 namespace {
@@ -258,146 +521,75 @@ BfsResult Xbfs::run(vid_t src) {
   sim::Stream& s = dev_.stream(0);
   const double t0_us = dev_.now_us();
   const std::size_t prof_start = dev_.profiler().records().size();
+  const std::uint64_t n = g_.n;
   BfsResult result;
 
-  dev_.profiler().set_context(-1, "setup");
-  launch_init(dev_, s, buffers_, src, cfg_.block_threads);
-  const bool bitmaps_on = cfg_.bottomup_bitmap;
-
-  // Level-0 frontier metadata: the host already holds the offsets.
+  // The loop's starting state is kernel arguments: the level-0 frontier is
+  // the source, whose degree the host already holds.
   const eid_t* offsets_host = g_.offsets.host_data();
-  std::uint64_t cur_count = 1;
-  std::uint64_t cur_edges = offsets_host[src + 1] - offsets_host[src];
-  std::uint64_t claimed = 1;  // vertices with a status, for k5's grid
-
-  bool use_a_queue = true;
-  bool use_a_pending = true;
-  std::uint64_t carry_count = 0, carry_edges = 0;
-
+  LoopState start;
+  start.cur_edges = offsets_host[src + 1] - offsets_host[src];
   LevelInputs in0;
   in0.level = 0;
-  in0.frontier_count = cur_count;
-  in0.frontier_edges = cur_edges;
+  in0.frontier_count = start.cur_count;
+  in0.frontier_edges = start.cur_edges;
   in0.prev_frontier_count = 0;
   in0.total_edges = g_.m;
   in0.queue_available = true;
   in0.has_prev = false;
-  LevelDecision decision = policy_.decide(in0);
+  start.decision = policy_.decide(in0);
 
-  for (std::uint32_t level = 0;; ++level) {
-    dev_.profiler().set_context(
-        static_cast<int>(level), strategy_name(decision.strategy));
-    const double level_t0 = dev_.now_us();
-
-    FrontierState fs;
-    auto& curq = use_a_queue ? buffers_.queue_a : buffers_.queue_b;
-    auto& nextq = use_a_queue ? buffers_.queue_b : buffers_.queue_a;
-    auto& pendq = use_a_pending ? buffers_.pending_a : buffers_.pending_b;
-    auto& carried_pendq = use_a_pending ? buffers_.pending_b
-                                        : buffers_.pending_a;
-    fs.cur_queue = curq.cspan();
-    fs.cur_queue_mut = curq.span();
-    fs.next_queue = nextq.span();
-    fs.pending_queue = pendq.span();
-    fs.counters = &buffers_.counter_sets[level & 1];
-    fs.next_counters = buffers_.counter_sets[(level + 1) & 1].spans();
-    fs.cur_count = static_cast<std::uint32_t>(cur_count);
-    fs.unclaimed = static_cast<std::uint32_t>(
-        claimed < g_.n ? g_.n - claimed : 0);
-    if (bitmaps_on) {
-      // Rotate the three frontier bitmaps; the incoming next-next map still
-      // holds level-(k-1) bits and must be wiped before look-ahead claims
-      // land in it.
-      fs.bitmap_cur = buffers_.bitmaps[level % 3].cspan();
-      fs.bitmap_next = buffers_.bitmaps[(level + 1) % 3].span();
-      fs.bitmap_nextnext = buffers_.bitmaps[(level + 2) % 3].span();
-      if (level > 0) {
-        launch_clear_bitmap(dev_, s, fs.bitmap_nextnext, cfg_.block_threads);
-      }
+  std::vector<LevelStats> facts;
+  std::vector<LevelProfile> profiles;
+  if (cfg_.stream_mode == StreamMode::TripleBinned) {
+    dev_.profiler().set_context(-1, "setup");
+    launch_init(dev_, s, buffers_, src, cfg_.block_threads);
+    HostLevels ex{dev_, policy_, g_.m, start, {}, {}};
+    level_loop(ex);
+    facts = std::move(ex.facts);
+    profiles = std::move(ex.profiles);
+    // Read the status (and parent) arrays back to the host; the typed
+    // copies charge the n-word transfers and mark the buffers host-synced.
+    dev_.memcpy_d2h(s, buffers_.status);
+    if (!buffers_.parent.empty()) dev_.memcpy_d2h(s, buffers_.parent);
+  } else {
+    sim::LaunchConfig lc;
+    lc.grid_blocks =
+        std::max(max_grid_blocks(dev_.profile()), cfg_.grid_blocks);
+    lc.block_threads = cfg_.block_threads;
+    dev_.launch_grid(s, "xbfs_level_loop", lc, [&](sim::GridCtx& grid) {
+      dev_.profiler().set_context(-1, "setup");
+      launch_init(dev_, grid, buffers_, src, cfg_.block_threads);
+      GridLevels ex{grid, policy_, g_.m, level_log_.span(), start, {}};
+      level_loop(ex);
+      profiles = std::move(ex.profiles);
+    });
+    // Two copies, whatever the depth: the log's level count, then the
+    // status (and parent) arrays with the log's rows.
+    dev_.memcpy_d2h(s, sizeof(std::uint64_t));
+    level_log_.mark_host_synced();
+    const std::uint64_t depth = level_log_.h_read(0);
+    dev_.memcpy_d2h(s, n * sizeof(std::uint32_t) +
+                           buffers_.parent.size() * sizeof(vid_t) +
+                           depth * kLevelRowWords * sizeof(std::uint64_t));
+    buffers_.status.mark_host_synced();
+    buffers_.parent.mark_host_synced();
+    for (std::uint32_t l = 0; l < depth; ++l) {
+      facts.push_back(load_level_row(level_log_, l, g_.m));
     }
+  }
+  s.synchronize();
 
-    switch (decision.strategy) {
-      case Strategy::ScanFree:
-        run_scanfree(fs, level);
-        break;
-      case Strategy::SingleScan:
-        run_singlescan(fs, level, decision.skip_generation);
-        break;
-      case Strategy::BottomUp:
-        run_bottomup(fs, level);
-        break;
-    }
-    // The level's one host round trip (Sec. IV-B cost): wait, then read
-    // its counter set.
-    s.synchronize();
-    const LevelCounters lc = read_counters(dev_, s, *fs.counters);
-
-    const bool built_queue = decision.strategy != Strategy::SingleScan;
-    const std::uint64_t next_count_raw =
-        built_queue ? lc.next_count : lc.new_count;
-    const std::uint64_t next_count = next_count_raw + carry_count;
-    const std::uint64_t next_edges = lc.next_edges + carry_edges;
-
-    LevelStats st;
-    st.level = level;
-    st.strategy = decision.strategy;
-    st.skipped_generation = decision.strategy == Strategy::SingleScan &&
-                            decision.skip_generation;
-    // A generation scan sizes the frontier it expands on the device.
-    const bool generated =
-        decision.strategy == Strategy::SingleScan && !st.skipped_generation;
-    st.frontier_count = generated ? lc.cur_count : fs.cur_count;
-    st.frontier_edges = cur_edges;
-    st.ratio = decision.ratio;
-    st.fetch_kb = fs.accum.fetch_kb();
-    st.kernels = fs.kernels;
-    st.time_ms = (dev_.now_us() - level_t0) / 1000.0;
-    emit_level_telemetry(dev_, st, level_t0, dev_.now_us());
+  for (std::size_t l = 0; l < facts.size(); ++l) {
+    LevelStats st = facts[l];
+    const LevelProfile& p = profiles[l];
+    st.fetch_kb = p.accum.fetch_kb();
+    st.kernels = p.kernels;
+    st.time_ms = (p.t1_us - p.t0_us) / 1000.0;
+    emit_level_telemetry(dev_, st, p.t0_us, p.t1_us);
     result.level_stats.push_back(st);
-
-    if (next_count == 0 && lc.pending_count == 0) break;
-
-    LevelInputs in;
-    in.level = level + 1;
-    in.frontier_count = next_count;
-    in.frontier_edges = next_edges;
-    in.prev_frontier_count = cur_count;
-    in.total_edges = g_.m;
-    in.queue_available = built_queue;
-    in.has_prev = true;
-    in.prev_strategy = decision.strategy;
-    const LevelDecision next_decision = policy_.decide(in);
-
-    // Merge the carried look-ahead vertices (level+1) into the next queue
-    // when the next pass consumes that queue as its frontier.
-    const bool consumes_queue =
-        built_queue &&
-        (next_decision.strategy == Strategy::ScanFree ||
-         (next_decision.strategy == Strategy::SingleScan &&
-          next_decision.skip_generation));
-    if (consumes_queue && carry_count > 0) {
-      launch_append_queue(dev_, s, carried_pendq.cspan(),
-                          static_cast<std::uint32_t>(carry_count),
-                          fs.next_queue,
-                          static_cast<std::uint32_t>(next_count_raw),
-                          cfg_.block_threads);
-    }
-
-    claimed += next_count_raw + lc.pending_count;
-    carry_count = lc.pending_count;
-    carry_edges = lc.pending_edges;
-    use_a_pending = !use_a_pending;
-    if (built_queue) use_a_queue = !use_a_queue;
-
-    cur_count = next_count;
-    cur_edges = next_edges;
-    decision = next_decision;
   }
 
-  // Read the status (and parent) arrays back to the host; the typed copies
-  // charge the same n-word transfers and mark the buffers host-synced.
-  const std::uint64_t n = g_.n;
-  dev_.memcpy_d2h(s, buffers_.status);
   result.levels.resize(n);
   for (std::uint64_t v = 0; v < n; ++v) {
     const std::uint32_t st = buffers_.status.h_read(v);
@@ -405,11 +597,9 @@ BfsResult Xbfs::run(vid_t src) {
                                         : static_cast<std::int32_t>(st);
   }
   if (!buffers_.parent.empty()) {
-    dev_.memcpy_d2h(s, buffers_.parent);
     const graph::vid_t* parent_host = std::as_const(buffers_.parent).host_data();
     result.parent.assign(parent_host, parent_host + n);
   }
-  s.synchronize();
 
   result.depth = static_cast<std::uint32_t>(result.level_stats.size());
   result.total_ms = (dev_.now_us() - t0_us) / 1000.0;

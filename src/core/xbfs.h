@@ -1,5 +1,11 @@
 // Public API of the XBFS reproduction: adaptive BFS on the simulated GPU.
 //
+// In the default StreamMode::Single a traversal is one cooperative launch
+// (hipsim/grid.h): init, every level's strategy kernels as grid phases, and
+// the direction policy evaluated by every block between levels, with the
+// per-level rows read back once at the end.  StreamMode::TripleBinned keeps
+// the CUDA design's host loop, one round trip per level.
+//
 // Usage:
 //   sim::Device dev(sim::DeviceProfile::mi250x_gcd());
 //   auto g = graph::DeviceCsr::upload(dev, host_csr);
@@ -43,16 +49,25 @@ class Xbfs final : public TraversalEngine {
 
  private:
   struct FrontierState;
-  void run_scanfree(const FrontierState& fs, std::uint32_t level);
-  void run_singlescan(const FrontierState& fs, std::uint32_t level,
-                      bool skip_generation);
-  void run_bottomup(const FrontierState& fs, std::uint32_t level);
+  /// The level loop, shared by both stream modes; `Exec` issues the kernels
+  /// and ends each level (host round trip or uniform device value).
+  template <typename Exec>
+  void level_loop(Exec& ex);
+  void run_scanfree(sim::LaunchTarget on, const FrontierState& fs,
+                    std::uint32_t level);
+  void run_singlescan(sim::LaunchTarget on, const FrontierState& fs,
+                      std::uint32_t level, bool skip_generation);
+  void run_bottomup(sim::LaunchTarget on, const FrontierState& fs,
+                    std::uint32_t level);
 
   sim::Device& dev_;
   const graph::DeviceCsr& g_;
   XbfsConfig cfg_;
   AdaptivePolicy policy_;
   BfsBuffers buffers_;
+  /// StreamMode::Single: the device-side level rows (word 0 = levels run,
+  /// then two words per level), read back once per traversal.
+  sim::DeviceBuffer<std::uint64_t> level_log_;
   sim::Stream* bin_streams_[3] = {nullptr, nullptr, nullptr};
 };
 

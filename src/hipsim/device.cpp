@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "hipsim/chk_point.h"
 #include "hipsim/fault.h"
@@ -76,7 +78,15 @@ void Device::maybe_corrupt_copy(const char* name) {
       static_cast<std::uint64_t>(trace_pid_));
 }
 
+void Device::check_no_grid(const char* what) const {
+  if (active_grid_ != nullptr) {
+    throw std::logic_error(std::string(what) +
+                           " while a cooperative launch is running");
+  }
+}
+
 double Device::memcpy_h2d(Stream& s, std::uint64_t bytes) {
+  check_no_grid("memcpy_h2d");
   // SchedCheck yield point: a controlled task may be preempted between a
   // peer's kernel and the copy that publishes its data — the window a
   // missing synchronize() leaves open.
@@ -95,6 +105,7 @@ double Device::memcpy_h2d(Stream& s, std::uint64_t bytes) {
 }
 
 double Device::memcpy_d2h(Stream& s, std::uint64_t bytes) {
+  check_no_grid("memcpy_d2h");
   chk_point("sim.memcpy.d2h", bytes);
   const double t = profile_.memcpy_overhead_us +
                    static_cast<double>(bytes) / profile_.d2h_bytes_per_us;
@@ -125,6 +136,8 @@ void Device::trace_memcpy(const char* name, const Stream& s, double start_us,
 }
 
 void Device::synchronize() {
+  check_no_grid("synchronize");
+  if (attr_sink_ != nullptr) attr_sink_->syncs += 1;
   double max_end = t_floor_;
   for (const Stream& s : streams_) max_end = std::max(max_end, s.t_end_);
   t_floor_ = max_end + profile_.device_sync_us;
@@ -168,6 +181,8 @@ void Event::record(const Stream& s) {
 }
 
 void Stream::synchronize() {
+  device_->check_no_grid("synchronize");
+  if (device_->attr_sink_ != nullptr) device_->attr_sink_->syncs += 1;
   device_->t_floor_ =
       std::max(device_->t_floor_, t_end_) + device_->profile_.device_sync_us;
   t_end_ = device_->t_floor_;

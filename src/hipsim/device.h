@@ -49,6 +49,25 @@ struct LaunchResult {
   TimingBreakdown timing;
 };
 
+class GridCtx;
+
+/// Where a kernel body is issued: as its own launch on a stream, or as one
+/// phase of a running cooperative launch (hipsim/grid.h).  Kernel helpers
+/// take a LaunchTarget, so one copy of a body serves both; the implicit
+/// conversions keep stream call sites unchanged.
+class LaunchTarget {
+ public:
+  LaunchTarget(Stream& s) : stream_(&s) {}
+  LaunchTarget(GridCtx& g) : grid_(&g) {}
+
+  Stream* stream() const { return stream_; }
+  GridCtx* grid() const { return grid_; }
+
+ private:
+  Stream* stream_ = nullptr;
+  GridCtx* grid_ = nullptr;
+};
+
 /// Per-consumer counter-attribution sink (obs tentpole: per-query cost
 /// slicing).  While attached, every launch and modelled copy adds its
 /// KernelCounters rollup, launch/copy counts and modelled time here, so
@@ -60,6 +79,7 @@ struct AttributionSink {
   KernelCounters counters;
   std::uint64_t launches = 0;
   std::uint64_t memcpys = 0;
+  std::uint64_t syncs = 0;   ///< host waits (counted, their time not billed)
   double modelled_us = 0.0;  ///< kernel + copy time attributed
 };
 
@@ -133,13 +153,23 @@ class Device {
 
   // --- execution ----------------------------------------------------------
   using KernelBody = std::function<void(BlockCtx&)>;
+  using GridProgram = std::function<void(GridCtx&)>;
 
-  LaunchResult launch(Stream& s, std::string_view name,
+  /// On a stream: one launch.  On a cooperative launch: one of its phases
+  /// (GridCtx::phase).
+  LaunchResult launch(LaunchTarget on, std::string_view name,
                       const LaunchConfig& cfg, const KernelBody& body);
   LaunchResult launch(std::string_view name, const LaunchConfig& cfg,
                       const KernelBody& body) {
     return launch(stream(0), name, cfg, body);
   }
+  /// Cooperative (grid-resident) launch: cfg.grid_blocks blocks stay
+  /// resident while `program` issues the kernel's phases through the
+  /// GridCtx (hipsim/grid.h).  Pays the launch overhead once; the result
+  /// carries the whole launch's counters and modelled time.
+  LaunchResult launch_grid(Stream& s, std::string_view name,
+                           const LaunchConfig& cfg,
+                           const GridProgram& program);
 
   // --- streams and the modelled clock ---------------------------------------
   /// Stream 0 always exists; create_stream() adds more.
@@ -185,6 +215,27 @@ class Device {
 
  private:
   friend class Stream;
+  friend class GridCtx;
+
+  /// What executing a grid of blocks yields before any pricing.
+  struct BlockRun {
+    KernelCounters counters;
+    double raw_imbalance = 1.0;
+  };
+  void check_launch_config(std::string_view name,
+                           const LaunchConfig& cfg) const;
+  /// Host work (copies, synchronization) cannot run while a cooperative
+  /// launch is resident: throws std::logic_error naming `what`.
+  void check_no_grid(const char* what) const;
+  /// Fault injection at a launch: throws FaultInjected on an injected
+  /// kernel fault, else returns the injected latency spike (us).
+  double inject_launch_faults(Stream& s, std::string_view name);
+  /// Attribution sink and metrics for one finished launch.
+  void bill_launch(const LaunchResult& r);
+  /// Run cfg.grid_blocks blocks of `body` (worker pool, or controlled tasks
+  /// under SchedCheck) with SimSan's per-launch analysis.
+  BlockRun run_blocks(std::string_view name, const LaunchConfig& cfg,
+                      const KernelBody& body);
   std::uint64_t reserve_addr(std::uint64_t bytes);
   double stream_begin(Stream& s) const;
   void maybe_corrupt_copy(const char* name);
@@ -205,6 +256,7 @@ class Device {
   std::uint64_t corrupted_copies_ = 0;
   int trace_pid_ = 0;
   AttributionSink* attr_sink_ = nullptr;
+  GridCtx* active_grid_ = nullptr;  ///< the running cooperative launch
 };
 
 /// RAII attach/detach for AttributionSink around one attributed scope.

@@ -58,6 +58,34 @@ class ExecCtx {
     relaxed_store(s[i], v);
   }
 
+  /// Non-temporal (streaming) load/store, HIP's __builtin_nontemporal_*:
+  /// one-shot traffic that neither allocates L2 lines nor ages them
+  /// (L2Model::stream).
+  template <typename T>
+  T load_nontemporal(dspan<const T> s, std::size_t i) {
+    if (rec_ != nullptr &&
+        !san(s.shadow(), s.addr_of(i), i, s.size(), sizeof(T),
+             AccKind::Read)) {
+      return T{};
+    }
+    probe_->read_nontemporal(s.addr_of(i), sizeof(T));
+    return relaxed_load(s[i]);
+  }
+  template <typename T>
+  T load_nontemporal(dspan<T> s, std::size_t i) {
+    return load_nontemporal(dspan<const T>(s), i);
+  }
+  template <typename T>
+  void store_nontemporal(dspan<T> s, std::size_t i, T v) {
+    if (rec_ != nullptr &&
+        !san(s.shadow(), s.addr_of(i), i, s.size(), sizeof(T),
+             AccKind::Write)) {
+      return;
+    }
+    probe_->write_nontemporal(s.addr_of(i), sizeof(T));
+    relaxed_store(s[i], v);
+  }
+
   // --- atomics ---------------------------------------------------------------
   template <typename T>
   T atomic_add(dspan<T> s, std::size_t i, T v) {

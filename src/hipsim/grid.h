@@ -1,0 +1,116 @@
+// Cooperative (grid-resident) launches: one launch whose body is a sequence
+// of grid phases separated by grid barriers — the grid-scope analogue of
+// BlockCtx::threads phases separated by __syncthreads().
+//
+// Device::launch_grid keeps cfg.grid_blocks blocks resident and hands a
+// GridCtx to the launch's *program*.  The program runs once, on the
+// launching thread, and stands for the control flow every block of the
+// kernel executes in lockstep:
+//
+//   * phase(name, cfg, body) runs body on blocks [0, cfg.grid_blocks) — the
+//     block count a stand-alone launch of the same kernel would use — while
+//     the other resident blocks go straight to the barrier that ends it.
+//     Kernel helpers reach it through a LaunchTarget (device.h), so one
+//     body serves both the stream launch and the phase.
+//   * uniform(name, f) is a phase over every resident block in which each
+//     block computes f(blk) — typically from counters the previous phases
+//     left in device memory.  The simulator checks that all blocks compute
+//     the same value and returns it; the program's loop state must come
+//     only from such values (and kernel arguments), never from host reads.
+//
+// Pricing: the launch pays kernel_launch_us once; each phase costs its
+// bottleneck x imbalance (phase_time, exactly a stand-alone launch's body);
+// each barrier between two phases costs grid_barrier_us (one global atomic
+// per resident block plus an L2 round trip).  Phases other than uniform
+// ones record one profiler row each under the kernel's own name; the first
+// of them carries the launch overhead and LaunchRecord::launched.
+//
+// Fault injection draws once per cooperative launch, at the launch.  An
+// injected kernel fault is reported the way a device-side error is: the
+// kernel runs, launch_grid throws FaultInjected when it ends, and the
+// attribution sink is billed for it.
+//
+// SimSan analyzes each phase separately, so a phase boundary is a
+// happens-before edge between blocks while a cross-block conflict inside
+// one phase is still a race; under SchedCheck each phase is one controlled
+// session.  While a program runs, the device refuses stream launches and
+// host copies: the kernel is resident, and nothing returns to the host
+// until it ends.
+#pragma once
+
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "hipsim/device.h"
+
+namespace xbfs::sim {
+
+class GridCtx {
+ public:
+  GridCtx(const GridCtx&) = delete;
+  GridCtx& operator=(const GridCtx&) = delete;
+
+  Device& device() const { return dev_; }
+  unsigned resident_blocks() const { return cfg_.grid_blocks; }
+  /// Modelled device clock at the end of the last phase (us).
+  double now_us() const { return start_us_ + elapsed_us_; }
+  unsigned phases() const { return phases_; }
+  unsigned barriers() const { return barriers_; }
+
+  /// One grid phase; throws std::invalid_argument unless cfg.grid_blocks
+  /// fits the resident grid and cfg.block_threads matches it.  The result
+  /// prices the phase body alone (no launch overhead).
+  LaunchResult phase(std::string_view name, const LaunchConfig& cfg,
+                     const Device::KernelBody& body) {
+    return run_phase(name, cfg, body, /*row=*/true);
+  }
+
+  /// Every resident block evaluates f(blk); throws std::logic_error unless
+  /// all results compare equal, else returns the common value.
+  template <typename F>
+  auto uniform(std::string_view name, F&& f) {
+    using T = std::decay_t<std::invoke_result_t<F&, BlockCtx&>>;
+    std::vector<std::optional<T>> got(resident_blocks());
+    run_phase(
+        name, cfg_,
+        [&](BlockCtx& blk) { got[blk.block_id()].emplace(f(blk)); },
+        /*row=*/false);
+    for (std::size_t b = 1; b < got.size(); ++b) {
+      if (!(*got[b] == *got[0])) {
+        throw std::logic_error("GridCtx::uniform '" + std::string(name) +
+                               "': block " + std::to_string(b) +
+                               " computed a different value than block 0");
+      }
+    }
+    return std::move(*got[0]);
+  }
+
+ private:
+  friend class Device;
+  GridCtx(Device& dev, Stream& s, std::string_view name,
+          const LaunchConfig& cfg, double start_us, double launch_us);
+
+  LaunchResult run_phase(std::string_view name, const LaunchConfig& cfg,
+                         const Device::KernelBody& body, bool row);
+
+  Device& dev_;
+  Stream& stream_;
+  std::string name_;
+  LaunchConfig cfg_;
+  double start_us_;
+  double launch_us_;   ///< launch overhead (+ warm-up, injected spike)
+  double barrier_us_;  ///< grid_barrier_us of the resident grid
+  double elapsed_us_;  ///< launch overhead + phases + barriers so far
+  unsigned phases_ = 0;
+  unsigned barriers_ = 0;
+  bool launch_billed_ = false;  ///< a profiler row carries the launch
+  KernelCounters counters_;     ///< every phase, uniform ones included
+  TimingBreakdown timing_;      ///< per-resource times summed over phases
+};
+
+}  // namespace xbfs::sim

@@ -7,6 +7,7 @@
 #include "hipsim/device.h"
 #include "hipsim/device_profile.h"
 #include "hipsim/exec_ctx.h"
+#include "hipsim/grid.h"
 #include "hipsim/intrinsics.h"
 #include "hipsim/mem_model.h"
 #include "hipsim/profiler.h"

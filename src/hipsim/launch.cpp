@@ -1,13 +1,17 @@
 // Kernel launch: schedules the grid's blocks onto the worker pool, merges
 // per-worker counters, derives the per-virtual-CU load-imbalance factor and
-// advances the owning stream's clock by the modelled kernel time.
+// advances the owning stream's clock by the modelled kernel time.  A
+// cooperative launch (hipsim/grid.h) runs the same block execution once per
+// phase and pays the launch overhead once.
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <stdexcept>
 #include <vector>
 
 #include "hipsim/device.h"
 #include "hipsim/fault.h"
+#include "hipsim/grid.h"
 #include "hipsim/sanitizer.h"
 #include "hipsim/schedcheck.h"
 #include "obs/flight_recorder.h"
@@ -36,43 +40,87 @@ double block_micro_time(const DeviceProfile& p, const KernelCounters& before,
   return fetch + l2 + slots + atomics;
 }
 
+/// The kernel span of one launch or phase on its stream's lane, stamped with
+/// the modelled interval and the rocprofiler-style counters.
+/// `prof` supplies the level/tag context (null: none).
+obs::Span kernel_span(std::string_view name, const Stream& s, int pid,
+                      const Profiler* prof, double start_us,
+                      const LaunchConfig& cfg, const LaunchResult& r) {
+  obs::Span sp;
+  sp.name = std::string(name);
+  sp.category = "kernel";
+  sp.track = "stream:" + s.name();
+  sp.pid = pid;
+  sp.sim_start_us = start_us;
+  sp.sim_dur_us = r.time_us;
+  sp.attr("grid_blocks", static_cast<std::uint64_t>(cfg.grid_blocks));
+  sp.attr("block_threads", static_cast<std::uint64_t>(cfg.block_threads));
+  sp.attr("fetch_kb", r.counters.fetch_kb());
+  sp.attr("l2_hit_pct", r.counters.l2_hit_pct());
+  sp.attr("mem_unit_busy_pct", r.timing.mem_unit_busy_pct());
+  sp.attr("lane_efficiency", r.counters.lane_efficiency());
+  if (prof != nullptr && prof->level() >= 0) {
+    sp.attr("level", static_cast<std::int64_t>(prof->level()));
+  }
+  if (prof != nullptr && !prof->tag().empty()) sp.attr("tag", prof->tag());
+  return sp;
+}
+
+void add_timing(TimingBreakdown& acc, const TimingBreakdown& t) {
+  acc.t_hbm_us += t.t_hbm_us;
+  acc.t_l2_us += t.t_l2_us;
+  acc.t_latency_us += t.t_latency_us;
+  acc.t_slots_us += t.t_slots_us;
+  acc.t_atomic_us += t.t_atomic_us;
+  acc.bottleneck_us += t.bottleneck_us;
+}
+
 }  // namespace
 
-LaunchResult Device::launch(Stream& s, std::string_view name,
-                            const LaunchConfig& cfg, const KernelBody& body) {
+void Device::check_launch_config(std::string_view name,
+                                 const LaunchConfig& cfg) const {
   if (cfg.grid_blocks < 1 || cfg.block_threads < 1 ||
       cfg.block_threads > profile_.max_block_threads) {
     throw std::invalid_argument(
         "invalid launch configuration for kernel '" + std::string(name) +
         "' (hipErrorInvalidConfiguration)");
   }
-
-  FaultInjector& faults = FaultInjector::global();
-  double spike_us = 0.0;
-  if (faults.enabled()) {
-    if (faults.should_inject(FaultKind::KernelFault)) {
-      obs::MetricsRegistry& fmx = obs::MetricsRegistry::global();
-      if (fmx.enabled()) fmx.counter("sim.faults.kernel").add();
-      obs::TraceSession& ftr = obs::TraceSession::global();
-      if (ftr.enabled()) {
-        ftr.instant("fault.kernel", "fault", "stream:" + s.name(),
-                    trace_pid_, stream_begin(s));
-      }
-      obs::FlightRecorder::global().record(
-          "sim", "kernel_fault", name, 0,
-          static_cast<std::uint64_t>(trace_pid_));
-      throw FaultInjected(
-          FaultKind::KernelFault,
-          "injected kernel fault in '" + std::string(name) +
-              "' (hipErrorUnknown)");
-    }
-    if (faults.should_inject(FaultKind::LatencySpike)) {
-      spike_us = faults.latency_spike_us();
-      obs::MetricsRegistry& fmx = obs::MetricsRegistry::global();
-      if (fmx.enabled()) fmx.counter("sim.faults.spike").add();
-    }
+  if (active_grid_ != nullptr) {
+    throw std::logic_error("launch of '" + std::string(name) +
+                           "' while a cooperative launch is running; issue "
+                           "it as a phase through the GridCtx");
   }
+}
 
+double Device::inject_launch_faults(Stream& s, std::string_view name) {
+  FaultInjector& faults = FaultInjector::global();
+  if (!faults.enabled()) return 0.0;
+  if (faults.should_inject(FaultKind::KernelFault)) {
+    obs::MetricsRegistry& fmx = obs::MetricsRegistry::global();
+    if (fmx.enabled()) fmx.counter("sim.faults.kernel").add();
+    obs::TraceSession& ftr = obs::TraceSession::global();
+    if (ftr.enabled()) {
+      ftr.instant("fault.kernel", "fault", "stream:" + s.name(), trace_pid_,
+                  stream_begin(s));
+    }
+    obs::FlightRecorder::global().record(
+        "sim", "kernel_fault", name, 0,
+        static_cast<std::uint64_t>(trace_pid_));
+    throw FaultInjected(FaultKind::KernelFault,
+                        "injected kernel fault in '" + std::string(name) +
+                            "' (hipErrorUnknown)");
+  }
+  if (faults.should_inject(FaultKind::LatencySpike)) {
+    obs::MetricsRegistry& fmx = obs::MetricsRegistry::global();
+    if (fmx.enabled()) fmx.counter("sim.faults.spike").add();
+    return faults.latency_spike_us();
+  }
+  return 0.0;
+}
+
+Device::BlockRun Device::run_blocks(std::string_view name,
+                                    const LaunchConfig& cfg,
+                                    const KernelBody& body) {
   const unsigned n_workers = pool_->size();
   std::vector<KernelCounters> worker_counters(n_workers);
   std::vector<MemProbe> probes;
@@ -158,8 +206,8 @@ LaunchResult Device::launch(Stream& s, std::string_view name,
     if (sanitize) san.analyze_launch(name, san_recs);
   }
 
-  LaunchResult result;
-  for (const KernelCounters& wc : worker_counters) result.counters += wc;
+  BlockRun run;
+  for (const KernelCounters& wc : worker_counters) run.counters += wc;
 
   // Imbalance: critical-path CU over the mean across CUs that could have
   // been used (all of them once the grid saturates the device).
@@ -171,10 +219,27 @@ LaunchResult Device::launch(Stream& s, std::string_view name,
   }
   const unsigned used_vcus = std::min<unsigned>(n_vcus, cfg.grid_blocks);
   const double mean_busy = used_vcus > 0 ? sum_busy / used_vcus : 0.0;
-  const double raw_imbalance =
-      mean_busy > 0.0 ? max_busy / mean_busy : 1.0;
+  run.raw_imbalance = mean_busy > 0.0 ? max_busy / mean_busy : 1.0;
+  return run;
+}
 
-  result.timing = kernel_time(profile_, result.counters, raw_imbalance,
+LaunchResult Device::launch(LaunchTarget on, std::string_view name,
+                            const LaunchConfig& cfg, const KernelBody& body) {
+  if (GridCtx* grid = on.grid()) {
+    if (&grid->device() != this) {
+      throw std::invalid_argument("kernel '" + std::string(name) +
+                                  "' issued on another device's grid");
+    }
+    return grid->phase(name, cfg, body);
+  }
+  Stream& s = *on.stream();
+  check_launch_config(name, cfg);
+  const double spike_us = inject_launch_faults(s, name);
+  const BlockRun run = run_blocks(name, cfg, body);
+
+  LaunchResult result;
+  result.counters = run.counters;
+  result.timing = kernel_time(profile_, result.counters, run.raw_imbalance,
                               cfg.lane_work_multiplier);
   if (!first_launch_done_) {
     // HIP module load / runtime warm-up lands on the first kernel.
@@ -189,13 +254,8 @@ LaunchResult Device::launch(Stream& s, std::string_view name,
   const double sim_start_us = stream_begin(s);
   s.t_end_ = sim_start_us + result.time_us;
 
-  // Bill the launch to whoever is being served right now (per-query
-  // attribution); a faulted launch threw above and attributes nothing.
-  if (attr_sink_ != nullptr) {
-    attr_sink_->counters += result.counters;
-    attr_sink_->launches += 1;
-    attr_sink_->modelled_us += result.time_us;
-  }
+  // A faulted stand-alone launch threw above and attributes nothing.
+  bill_launch(result);
 
   if (profiler_.enabled()) {
     LaunchRecord rec;
@@ -207,40 +267,149 @@ LaunchResult Device::launch(Stream& s, std::string_view name,
     profiler_.record(std::move(rec));
   }
 
-  // Every launch is a trace span on its stream's lane, stamped with the
-  // modelled interval and the rocprofiler-style counters — callers get
-  // kernel attribution without remembering to set any context.
+  // Every launch is a trace span on its stream's lane — callers get kernel
+  // attribution without remembering to set any context.
   obs::TraceSession& tr = obs::TraceSession::global();
   if (tr.enabled()) {
-    obs::Span sp;
-    sp.name = std::string(name);
-    sp.category = "kernel";
-    sp.track = "stream:" + s.name();
-    sp.pid = trace_pid_;
-    sp.sim_start_us = sim_start_us;
-    sp.sim_dur_us = result.time_us;
-    sp.attr("grid_blocks", static_cast<std::uint64_t>(cfg.grid_blocks));
-    sp.attr("block_threads", static_cast<std::uint64_t>(cfg.block_threads));
-    sp.attr("fetch_kb", result.counters.fetch_kb());
-    sp.attr("l2_hit_pct", result.counters.l2_hit_pct());
-    sp.attr("mem_unit_busy_pct", result.timing.mem_unit_busy_pct());
-    sp.attr("lane_efficiency", result.counters.lane_efficiency());
-    if (profiler_.level() >= 0) {
-      sp.attr("level", static_cast<std::int64_t>(profiler_.level()));
-    }
-    if (!profiler_.tag().empty()) sp.attr("tag", profiler_.tag());
-    tr.complete(std::move(sp));
+    tr.complete(kernel_span(name, s, trace_pid_, &profiler_, sim_start_us,
+                            cfg, result));
   }
+  return result;
+}
 
+void Device::bill_launch(const LaunchResult& r) {
+  // Bill the launch to whoever is being served right now (per-query
+  // attribution).
+  if (attr_sink_ != nullptr) {
+    attr_sink_->counters += r.counters;
+    attr_sink_->launches += 1;
+    attr_sink_->modelled_us += r.time_us;
+  }
   obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
   if (mx.enabled()) {
     mx.counter("sim.launches").add();
-    mx.counter("sim.fetch_bytes").add(result.counters.fetch_bytes);
-    mx.counter("sim.atomics").add(result.counters.atomics);
-    mx.counter("sim.lane_slots").add(result.counters.lane_slots);
-    mx.counter("sim.active_lanes").add(result.counters.active_lanes);
-    mx.histogram("sim.kernel_us").observe(result.time_us);
+    mx.counter("sim.fetch_bytes").add(r.counters.fetch_bytes);
+    mx.counter("sim.atomics").add(r.counters.atomics);
+    mx.counter("sim.lane_slots").add(r.counters.lane_slots);
+    mx.counter("sim.active_lanes").add(r.counters.active_lanes);
+    mx.histogram("sim.kernel_us").observe(r.time_us);
   }
+}
+
+// --- cooperative launches ----------------------------------------------------
+
+GridCtx::GridCtx(Device& dev, Stream& s, std::string_view name,
+                 const LaunchConfig& cfg, double start_us, double launch_us)
+    : dev_(dev),
+      stream_(s),
+      name_(name),
+      cfg_(cfg),
+      start_us_(start_us),
+      launch_us_(launch_us),
+      barrier_us_(grid_barrier_us(dev.profile(), cfg.grid_blocks)),
+      elapsed_us_(launch_us) {}
+
+LaunchResult GridCtx::run_phase(std::string_view name, const LaunchConfig& cfg,
+                                const Device::KernelBody& body, bool row) {
+  if (cfg.grid_blocks < 1 || cfg.grid_blocks > cfg_.grid_blocks ||
+      cfg.block_threads != cfg_.block_threads) {
+    throw std::invalid_argument(
+        "phase '" + std::string(name) + "' of cooperative launch '" + name_ +
+        "' needs " + std::to_string(cfg.grid_blocks) + " blocks of " +
+        std::to_string(cfg.block_threads) + " threads; the resident grid is " +
+        std::to_string(cfg_.grid_blocks) + " blocks of " +
+        std::to_string(cfg_.block_threads));
+  }
+  if (phases_ > 0) {
+    elapsed_us_ += barrier_us_;
+    ++barriers_;
+  }
+  const Device::BlockRun run = dev_.run_blocks(name, cfg, body);
+  LaunchResult r;
+  r.counters = run.counters;
+  r.timing = phase_time(dev_.profile_, r.counters, run.raw_imbalance,
+                        cfg.lane_work_multiplier);
+  r.time_us = r.timing.total_us;
+  const double start = now_us();
+  elapsed_us_ += r.time_us;
+  ++phases_;
+  counters_ += r.counters;
+  add_timing(timing_, r.timing);
+  if (!row) return r;
+
+  const bool launched = !launch_billed_;
+  launch_billed_ = true;
+  Profiler& prof = dev_.profiler_;
+  if (prof.enabled()) {
+    LaunchRecord rec;
+    rec.kernel = std::string(name);
+    rec.tag = prof.tag();
+    rec.level = prof.level();
+    rec.launched = launched;
+    rec.counters = r.counters;
+    rec.timing = r.timing;
+    if (launched) rec.timing.total_us = launch_us_ + rec.timing.total_us;
+    prof.record(std::move(rec));
+  }
+  obs::TraceSession& tr = obs::TraceSession::global();
+  if (tr.enabled()) {
+    obs::Span sp =
+        kernel_span(name, stream_, dev_.trace_pid_, &prof, start, cfg, r);
+    sp.attr("phase", static_cast<std::uint64_t>(phases_ - 1));
+    tr.complete(std::move(sp));
+  }
+  return r;
+}
+
+LaunchResult Device::launch_grid(Stream& s, std::string_view name,
+                                 const LaunchConfig& cfg,
+                                 const GridProgram& program) {
+  check_launch_config(name, cfg);
+  // Faults are drawn at the launch, as for any launch.  An injected kernel
+  // fault surfaces the way a device-side error in a resident kernel does:
+  // the kernel runs, the error is reported when it ends, and the work the
+  // attempt consumed is billed like any other.
+  std::exception_ptr fault;
+  double launch_us = profile_.kernel_launch_us;
+  try {
+    launch_us += inject_launch_faults(s, name);
+  } catch (const FaultInjected&) {
+    fault = std::current_exception();
+  }
+  if (!first_launch_done_) {
+    launch_us += profile_.first_launch_us;
+    first_launch_done_ = true;
+  }
+
+  const double sim_start_us = stream_begin(s);
+  GridCtx grid(*this, s, name, cfg, sim_start_us, launch_us);
+  active_grid_ = &grid;
+  try {
+    program(grid);
+  } catch (...) {
+    active_grid_ = nullptr;
+    throw;
+  }
+  active_grid_ = nullptr;
+
+  LaunchResult result;
+  result.counters = grid.counters_;
+  result.timing = grid.timing_;
+  result.time_us = grid.elapsed_us_;
+  result.timing.total_us = result.time_us;
+  s.t_end_ = sim_start_us + result.time_us;
+  bill_launch(result);
+
+  obs::TraceSession& tr = obs::TraceSession::global();
+  if (tr.enabled()) {
+    obs::Span sp =
+        kernel_span(name, s, trace_pid_, nullptr, sim_start_us, cfg, result);
+    sp.attr("cooperative", true);
+    sp.attr("phases", static_cast<std::uint64_t>(grid.phases_));
+    sp.attr("barriers", static_cast<std::uint64_t>(grid.barriers_));
+    tr.complete(std::move(sp));
+  }
+  if (fault) std::rethrow_exception(fault);
   return result;
 }
 

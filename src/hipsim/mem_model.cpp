@@ -22,12 +22,23 @@ CacheShard::CacheShard(std::uint64_t capacity_bytes, unsigned line_bytes,
   ways_storage_.assign(static_cast<std::size_t>(num_sets_) * ways_, Way{});
 }
 
-CacheShard::AccessResult CacheShard::access(std::uint64_t line,
-                                            bool is_write) {
+unsigned CacheShard::set_of(std::uint64_t line) const {
   // Mix the line index so that strided access patterns spread over sets.
   const std::uint64_t mixed = line * 0x9E3779B97F4A7C15ull;
-  const unsigned set = static_cast<unsigned>((mixed >> 17) & (num_sets_ - 1));
-  Way* row = &ways_storage_[static_cast<std::size_t>(set) * ways_];
+  return static_cast<unsigned>((mixed >> 17) & (num_sets_ - 1));
+}
+
+bool CacheShard::contains(std::uint64_t line) const {
+  const Way* row = &ways_storage_[std::size_t{set_of(line)} * ways_];
+  for (unsigned w = 0; w < ways_; ++w) {
+    if (row[w].tag == line) return true;
+  }
+  return false;
+}
+
+CacheShard::AccessResult CacheShard::access(std::uint64_t line,
+                                            bool is_write) {
+  Way* row = &ways_storage_[std::size_t{set_of(line)} * ways_];
   ++stamp_;
 
   unsigned victim = 0;
@@ -91,6 +102,31 @@ void L2Model::access(std::uint64_t addr, unsigned bytes, bool is_write,
       c.fetch_bytes += line_bytes_;
     }
     if (r.writeback) c.writeback_bytes += line_bytes_;
+  }
+}
+
+void L2Model::stream(std::uint64_t addr, unsigned bytes, bool is_write,
+                     KernelCounters& c) {
+  if (is_write) {
+    c.writeback_bytes += bytes;
+    return;
+  }
+  const std::uint64_t first_line = addr / line_bytes_;
+  const std::uint64_t last_line = (addr + (bytes ? bytes - 1 : 0)) / line_bytes_;
+  const unsigned mask = n_shards() - 1;
+  const unsigned nlines = static_cast<unsigned>(last_line - first_line + 1);
+  for (std::uint64_t line = first_line; line <= last_line; ++line) {
+    const unsigned shard = static_cast<unsigned>(line & mask);
+    locks_[shard].lock();
+    const bool hit = shards_[shard]->contains(line);
+    locks_[shard].unlock();
+    if (hit) {
+      c.l2_hits += 1;
+      c.l2_hit_bytes += bytes / nlines;
+    } else {
+      c.l2_misses += 1;
+      c.fetch_bytes += line_bytes_;
+    }
   }
 }
 

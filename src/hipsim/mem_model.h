@@ -41,6 +41,8 @@ class CacheShard {
 
   /// Probe/fill one line.  @param line line index (already addr/line_bytes).
   AccessResult access(std::uint64_t line, bool is_write);
+  /// Whether `line` is resident; changes no replacement state.
+  bool contains(std::uint64_t line) const;
 
   /// Drop all resident lines (used between independent experiments).
   void invalidate_all();
@@ -50,6 +52,8 @@ class CacheShard {
 
  private:
   static constexpr std::uint64_t kInvalidTag = ~0ull;
+
+  unsigned set_of(std::uint64_t line) const;
 
   struct Way {
     std::uint64_t tag = kInvalidTag;
@@ -72,6 +76,12 @@ class L2Model {
   /// address `addr`; accounts line fills into `c`.  Crossing accesses touch
   /// every covered line.
   void access(std::uint64_t addr, unsigned bytes, bool is_write,
+              KernelCounters& c);
+  /// Non-temporal (streaming) access, HIP's __builtin_nontemporal_load /
+  /// _store: a read is served from L2 when its line is resident and from
+  /// HBM otherwise, a write goes through to HBM, and neither allocates a
+  /// line or touches replacement state.
+  void stream(std::uint64_t addr, unsigned bytes, bool is_write,
               KernelCounters& c);
 
   void invalidate_all();
@@ -110,6 +120,16 @@ class MemProbe {
     counters_->mem_writes += 1;
     counters_->bytes_written += bytes;
     l2_->access(addr, bytes, /*is_write=*/true, *counters_);
+  }
+  void read_nontemporal(std::uint64_t addr, unsigned bytes) {
+    counters_->mem_reads += 1;
+    counters_->bytes_read += bytes;
+    l2_->stream(addr, bytes, /*is_write=*/false, *counters_);
+  }
+  void write_nontemporal(std::uint64_t addr, unsigned bytes) {
+    counters_->mem_writes += 1;
+    counters_->bytes_written += bytes;
+    l2_->stream(addr, bytes, /*is_write=*/true, *counters_);
   }
   /// Atomic read-modify-write: counted as an atomic plus a write-probe.
   void atomic_rmw(std::uint64_t addr, unsigned bytes) {

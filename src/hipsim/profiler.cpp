@@ -57,7 +57,7 @@ std::vector<Profiler::KernelTotal> Profiler::aggregate_by_kernel() const {
     t.kernel = r.kernel;
     t.runtime_ms += r.runtime_ms();
     t.fetch_kb += r.fetch_kb();
-    t.launches += 1;
+    if (r.launched) t.launches += 1;
   }
   std::vector<KernelTotal> out;
   out.reserve(acc.size());

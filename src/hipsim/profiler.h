@@ -18,6 +18,10 @@ struct LaunchRecord {
   std::string kernel;   ///< kernel name as passed to Device::launch
   std::string tag;      ///< caller-set context, e.g. "level=3 strategy=bu"
   int level = -1;       ///< caller-set BFS level (or -1)
+  /// Paid a launch: true for a stand-alone launch and for the first phase
+  /// of a cooperative launch (whose timing carries the launch overhead),
+  /// false for the other phases (hipsim/grid.h).
+  bool launched = true;
   KernelCounters counters;
   TimingBreakdown timing;
 
@@ -65,7 +69,7 @@ class Profiler {
   void print_table(std::ostream& os) const;
 
   /// Runtime summed per kernel name (the Fig. 5 "toolkit" view), sorted by
-  /// descending total runtime.
+  /// descending total runtime.  `launches` counts rows that paid a launch.
   struct KernelTotal {
     std::string kernel;
     double runtime_ms = 0;

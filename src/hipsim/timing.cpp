@@ -4,9 +4,9 @@
 
 namespace xbfs::sim {
 
-TimingBreakdown kernel_time(const DeviceProfile& profile,
-                            const KernelCounters& c, double raw_imbalance,
-                            double lane_work_multiplier) {
+TimingBreakdown phase_time(const DeviceProfile& profile,
+                           const KernelCounters& c, double raw_imbalance,
+                           double lane_work_multiplier) {
   TimingBreakdown t;
   const double hbm_bytes =
       static_cast<double>(c.fetch_bytes + c.writeback_bytes);
@@ -30,9 +30,23 @@ TimingBreakdown kernel_time(const DeviceProfile& profile,
   // lane_work_multiplier is a whole-kernel slowdown knob modelling measured
   // compiler effects (register spilling: hipcc +17%, missing -O3 up to 10x
   // in the paper) that the source-level simulation cannot derive.
-  t.total_us = profile.kernel_launch_us +
-               t.bottleneck_us * t.imbalance * lane_work_multiplier;
+  t.total_us = t.bottleneck_us * t.imbalance * lane_work_multiplier;
   return t;
+}
+
+TimingBreakdown kernel_time(const DeviceProfile& profile,
+                            const KernelCounters& c, double raw_imbalance,
+                            double lane_work_multiplier) {
+  TimingBreakdown t =
+      phase_time(profile, c, raw_imbalance, lane_work_multiplier);
+  t.total_us = profile.kernel_launch_us + t.total_us;
+  return t;
+}
+
+double grid_barrier_us(const DeviceProfile& profile,
+                       unsigned resident_blocks) {
+  return static_cast<double>(resident_blocks) / profile.atomics_per_us +
+         profile.l2_hit_latency_cycles / (profile.clock_ghz * 1000.0);
 }
 
 }  // namespace xbfs::sim

@@ -37,4 +37,15 @@ TimingBreakdown kernel_time(const DeviceProfile& profile,
                             const KernelCounters& c, double raw_imbalance,
                             double lane_work_multiplier = 1.0);
 
+/// kernel_time without the launch overhead: one phase of a cooperative
+/// launch (hipsim/grid.h), which pays the overhead once for all phases.
+TimingBreakdown phase_time(const DeviceProfile& profile,
+                           const KernelCounters& c, double raw_imbalance,
+                           double lane_work_multiplier = 1.0);
+
+/// One grid-wide barrier of a cooperative launch: every resident block
+/// arrives with one global atomic (serialized at the atomic throughput),
+/// and the release reaches the waiters in one L2 round trip.
+double grid_barrier_us(const DeviceProfile& profile, unsigned resident_blocks);
+
 }  // namespace xbfs::sim

@@ -1,0 +1,339 @@
+// Cooperative (grid-resident) launches, hipsim/grid.h: pricing (one launch
+// overhead, per-phase bottleneck x imbalance, barrier = one atomic per
+// resident block plus an L2 round trip), phases as SimSan ordering points,
+// uniform values, SchedCheck on a missing barrier, attribution, fault
+// injection at the launch, and the host operations a running cooperative
+// launch refuses.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "hipsim/device.h"
+#include "hipsim/fault.h"
+#include "hipsim/grid.h"
+#include "hipsim/sanitizer.h"
+#include "hipsim/schedcheck.h"
+
+namespace xbfs::sim {
+namespace {
+
+/// Every test leaves the fault injector and the sanitizer off, whatever
+/// the ambient XBFS_FAULTS / XBFS_SANITIZE asked for.
+class GridLaunch : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    FaultInjector::global().disable();
+    Sanitizer::global().reset();
+    Sanitizer::global().disable();
+  }
+  void TearDown() override {
+    FaultInjector::global().disable();
+    Sanitizer::global().reset();
+    Sanitizer::global().disable();
+  }
+};
+
+Device make_device() {
+  return Device(DeviceProfile::mi250x_gcd(), SimOptions{.num_workers = 1});
+}
+
+constexpr unsigned kThreads = 64;
+constexpr unsigned kResident = 16;
+
+LaunchConfig resident_grid() {
+  return LaunchConfig{.grid_blocks = kResident, .block_threads = kThreads};
+}
+
+/// A kernel with uneven blocks: block b streams (b + 1) * 4096 words, so
+/// the phase has a real imbalance factor to carry over.
+Device::KernelBody uneven_body(dspan<std::uint32_t> buf) {
+  return [=](BlockCtx& blk) {
+    auto& ctx = blk.ctx();
+    const std::uint64_t words = (std::uint64_t{blk.block_id()} + 1) * 4096;
+    const std::uint64_t base = std::uint64_t{blk.block_id()} * 65536;
+    blk.threads([&](unsigned t) {
+      for (std::uint64_t i = t; i < words; i += kThreads) {
+        ctx.store(buf, base + i, static_cast<std::uint32_t>(i));
+      }
+    });
+  };
+}
+
+TEST_F(GridLaunch, PricingIsOneLaunchPhasesAndBarriers) {
+  const DeviceProfile p = DeviceProfile::mi250x_gcd();
+  const LaunchConfig phase_a{.grid_blocks = 8, .block_threads = kThreads};
+  const LaunchConfig phase_b{.grid_blocks = 12, .block_threads = kThreads};
+
+  // The same two kernels as stand-alone launches on a twin device.
+  Device ref = make_device();
+  ref.warmup();
+  auto ref_buf = ref.alloc<std::uint32_t>(kResident * 65536);
+  const LaunchResult ra = ref.launch("a", phase_a, uneven_body(ref_buf.span()));
+  const LaunchResult rb = ref.launch("b", phase_b, uneven_body(ref_buf.span()));
+  EXPECT_GT(ra.timing.imbalance, 1.0);
+
+  Device dev = make_device();
+  dev.warmup();
+  auto buf = dev.alloc<std::uint32_t>(kResident * 65536);
+  LaunchResult pa, pb;
+  const LaunchResult r = dev.launch_grid(
+      dev.stream(0), "coop", resident_grid(), [&](GridCtx& grid) {
+        pa = grid.phase("a", phase_a, uneven_body(buf.span()));
+        EXPECT_EQ(grid.barriers(), 0u);
+        pb = grid.phase("b", phase_b, uneven_body(buf.span()));
+        EXPECT_EQ(grid.phases(), 2u);
+        EXPECT_EQ(grid.barriers(), 1u);
+      });
+
+  // Each phase is its stand-alone launch minus the launch overhead: same
+  // counters, same bottleneck x imbalance.
+  EXPECT_EQ(pa.counters.fetch_bytes, ra.counters.fetch_bytes);
+  EXPECT_EQ(pb.counters.lane_slots, rb.counters.lane_slots);
+  EXPECT_DOUBLE_EQ(pa.timing.imbalance, ra.timing.imbalance);
+  EXPECT_NEAR(pa.time_us, ra.time_us - p.kernel_launch_us, 1e-9);
+  EXPECT_NEAR(pb.time_us, rb.time_us - p.kernel_launch_us, 1e-9);
+
+  // Barrier: one global atomic per resident block plus one L2 round trip.
+  const double barrier = kResident / p.atomics_per_us +
+                         p.l2_hit_latency_cycles / (p.clock_ghz * 1000.0);
+  EXPECT_DOUBLE_EQ(grid_barrier_us(p, kResident), barrier);
+  EXPECT_NEAR(r.time_us, p.kernel_launch_us + pa.time_us + barrier + pb.time_us,
+              1e-9);
+  EXPECT_NEAR(dev.now_us(), r.time_us, 1e-9);
+
+  // Rows: one per phase under the kernel's name; the first carries the
+  // launch, and only it counts as one.
+  const auto& rows = dev.profiler().records();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_TRUE(rows[0].launched);
+  EXPECT_FALSE(rows[1].launched);
+  EXPECT_NEAR(rows[0].timing.total_us, p.kernel_launch_us + pa.time_us, 1e-9);
+  EXPECT_DOUBLE_EQ(rows[1].timing.total_us, pb.time_us);
+  std::uint64_t launches = 0;
+  for (const auto& t : dev.profiler().aggregate_by_kernel()) {
+    launches += t.launches;
+  }
+  EXPECT_EQ(launches, 1u);
+}
+
+TEST_F(GridLaunch, PhaseMustFitTheResidentGrid) {
+  Device dev = make_device();
+  const auto noop = [](BlockCtx&) {};
+  EXPECT_THROW(dev.launch_grid(dev.stream(0), "coop", resident_grid(),
+                               [&](GridCtx& grid) {
+                                 grid.phase("wide",
+                                            {.grid_blocks = kResident + 1,
+                                             .block_threads = kThreads},
+                                            noop);
+                               }),
+               std::invalid_argument);
+  EXPECT_THROW(dev.launch_grid(dev.stream(0), "coop", resident_grid(),
+                               [&](GridCtx& grid) {
+                                 grid.phase("fat",
+                                            {.grid_blocks = 1,
+                                             .block_threads = 2 * kThreads},
+                                            noop);
+                               }),
+               std::invalid_argument);
+}
+
+TEST_F(GridLaunch, UniformReturnsTheCommonValueAndRejectsDivergence) {
+  Device dev = make_device();
+  auto flag = dev.alloc<std::uint32_t>(1);
+  auto fs = flag.span();
+  unsigned agreed = 0;
+  dev.launch_grid(dev.stream(0), "coop", resident_grid(), [&](GridCtx& grid) {
+    grid.phase("set", {.grid_blocks = 1, .block_threads = kThreads},
+               [=](BlockCtx& blk) { blk.ctx().store(fs, 0, 7u); });
+    agreed = grid.uniform("read", [&](BlockCtx& blk) {
+      return blk.ctx().load(fs, 0);
+    });
+  });
+  EXPECT_EQ(agreed, 7u);
+
+  EXPECT_THROW(
+      dev.launch_grid(dev.stream(0), "coop", resident_grid(),
+                      [&](GridCtx& grid) {
+                        grid.uniform("diverge", [](BlockCtx& blk) {
+                          return blk.block_id();
+                        });
+                      }),
+      std::logic_error);
+  // The failed program left nothing running: host work is legal again.
+  EXPECT_NO_THROW(dev.synchronize());
+}
+
+TEST_F(GridLaunch, RunningLaunchRefusesHostRoundTrips) {
+  Device dev = make_device();
+  auto buf = dev.alloc<std::uint32_t>(4);
+  const auto try_in_program = [&](auto&& host_op) {
+    EXPECT_THROW(dev.launch_grid(dev.stream(0), "coop", resident_grid(),
+                                 [&](GridCtx&) { host_op(); }),
+                 std::logic_error);
+  };
+  try_in_program([&] { dev.memcpy_d2h(dev.stream(0), buf); });
+  try_in_program([&] { dev.memcpy_h2d(dev.stream(0), buf); });
+  try_in_program([&] { dev.stream(0).synchronize(); });
+  try_in_program([&] {
+    dev.launch("plain", {.grid_blocks = 1, .block_threads = kThreads},
+               [](BlockCtx&) {});
+  });
+}
+
+// Phases are SimSan ordering points: a write in one phase and a read of
+// the same word by another block in the next are ordered by the barrier;
+// the same pair inside one phase is a race.
+TEST_F(GridLaunch, PhaseBoundaryOrdersBlocksForSimSan) {
+  Sanitizer& san = Sanitizer::global();
+  san.configure(SanitizeConfig::all_on());
+  {
+    Device dev = make_device();
+    auto word = dev.alloc<std::uint32_t>(1, "grid.word");
+    auto out = dev.alloc<std::uint32_t>(kResident, "grid.out");
+    auto ws = word.span();
+    auto os = out.span();
+    const auto write0 = [=](BlockCtx& blk) {
+      if (blk.block_id() == 0) blk.ctx().store(ws, 0, 5u);
+    };
+    const auto read_other = [=](BlockCtx& blk) {
+      if (blk.block_id() == 1) {
+        blk.ctx().store(os, 1, blk.ctx().load(ws, 0));
+      }
+    };
+    const LaunchConfig two{.grid_blocks = 2, .block_threads = kThreads};
+
+    dev.launch_grid(dev.stream(0), "ordered", resident_grid(),
+                    [&](GridCtx& grid) {
+                      grid.phase("produce", two, write0);
+                      grid.phase("consume", two, read_other);
+                    });
+    EXPECT_EQ(san.finding_count(DefectKind::DataRace), 0u);
+
+    dev.launch_grid(dev.stream(0), "unordered", resident_grid(),
+                    [&](GridCtx& grid) {
+                      grid.phase("fused", two, [=](BlockCtx& blk) {
+                        write0(blk);
+                        read_other(blk);
+                      });
+                    });
+    EXPECT_GT(san.finding_count(DefectKind::DataRace), 0u);
+  }
+  san.reset();
+  san.disable();
+}
+
+/// A two-block handoff: block 0 publishes a value, block 1 copies it out.
+/// With the barrier the copy always sees the value; fused into one phase
+/// (the missing-barrier bug) some schedule reads it first.
+std::uint64_t handoff(bool barrier) {
+  Device dev = make_device();
+  auto word = dev.alloc<std::uint32_t>(1, "chk.word");
+  auto out = dev.alloc<std::uint32_t>(1, "chk.out");
+  word.h_fill(0);
+  out.h_fill(0);
+  dev.memcpy_h2d(dev.stream(0), word, out);
+  auto ws = word.span();
+  auto os = out.span();
+  const auto publish = [=](BlockCtx& blk) {
+    if (blk.block_id() == 0) blk.ctx().store(ws, 0, 42u);
+  };
+  const auto copy = [=](BlockCtx& blk) {
+    if (blk.block_id() == 1) blk.ctx().store(os, 0, blk.ctx().load(ws, 0));
+  };
+  const LaunchConfig two{.grid_blocks = 2, .block_threads = 1};
+  dev.launch_grid(dev.stream(0), "handoff",
+                  {.grid_blocks = 2, .block_threads = 1}, [&](GridCtx& grid) {
+                    if (barrier) {
+                      grid.phase("publish", two, publish);
+                      grid.phase("copy", two, copy);
+                    } else {
+                      grid.phase("publish_copy", two, [=](BlockCtx& blk) {
+                        copy(blk);
+                        publish(blk);
+                      });
+                    }
+                  });
+  dev.memcpy_d2h(dev.stream(0), out);
+  return 0x1000ull + out.h_read(0);
+}
+
+TEST_F(GridLaunch, SchedCheckFindsMissingBarrierAndPrintsReplaySeed) {
+  Sanitizer::global().configure(SanitizeConfig::all_on());
+  SchedCheckConfig cfg;
+  cfg.schedules = 12;
+  cfg.preemptions = 3;
+  cfg.seed = 0xB4551E5ull;
+  SchedCheck chk;
+
+  const ExploreResult bad = chk.explore_with(
+      cfg, "missing-barrier", [](Schedule&) { return handoff(false); });
+  ASSERT_FALSE(bad.ok()) << "a fused publish/copy must be caught";
+  std::ostringstream os;
+  bad.summary(os);
+  EXPECT_NE(os.str().find("replay="), std::string::npos) << os.str();
+
+  Sanitizer::global().reset();
+  const ExploreResult good = chk.explore_with(
+      cfg, "with-barrier", [](Schedule&) { return handoff(true); });
+  EXPECT_TRUE(good.ok()) << "the barrier orders the copy on every schedule";
+  EXPECT_EQ(good.baseline_hash, 0x1000ull + 42u);
+}
+
+TEST_F(GridLaunch, AttributionBillsOneLaunchAndTheWholeTime) {
+  Device dev = make_device();
+  auto buf = dev.alloc<std::uint32_t>(kResident * 65536);
+  AttributionSink sink;
+  LaunchResult r;
+  {
+    ScopedAttribution attr(dev, sink);
+    r = dev.launch_grid(dev.stream(0), "coop", resident_grid(),
+                        [&](GridCtx& grid) {
+                          grid.phase("a", resident_grid(),
+                                     uneven_body(buf.span()));
+                          grid.uniform("agree", [](BlockCtx&) { return 1; });
+                          grid.phase("b", resident_grid(),
+                                     uneven_body(buf.span()));
+                        });
+  }
+  EXPECT_EQ(sink.launches, 1u);
+  EXPECT_EQ(sink.memcpys, 0u);
+  EXPECT_DOUBLE_EQ(sink.modelled_us, r.time_us);
+  EXPECT_EQ(sink.counters.fetch_bytes, r.counters.fetch_bytes);
+  EXPECT_EQ(sink.counters.mem_writes, r.counters.mem_writes);
+  // One row per phase; the uniform phase records none.
+  EXPECT_EQ(dev.profiler().records().size(), 2u);
+}
+
+TEST_F(GridLaunch, KernelFaultFiresAtTheLaunch) {
+  FaultConfig fc;
+  fc.kernel_fault_rate = 1.0;
+  FaultInjector::global().configure(fc);
+  Device dev = make_device();
+  AttributionSink sink;
+  unsigned phases_run = 0;
+  {
+    ScopedAttribution attr(dev, sink);
+    EXPECT_THROW(dev.launch_grid(dev.stream(0), "coop", resident_grid(),
+                                 [&](GridCtx& grid) {
+                                   for (int i = 0; i < 5; ++i) {
+                                     grid.phase("p", resident_grid(),
+                                                [](BlockCtx&) {});
+                                     ++phases_run;
+                                   }
+                                 }),
+                 FaultInjected);
+  }
+  // One draw for the launch, however many phases it runs; the fault is
+  // reported when the resident kernel ends, and the attempt is billed.
+  EXPECT_EQ(FaultInjector::global().total_injected(), 1u);
+  EXPECT_EQ(phases_run, 5u);
+  EXPECT_EQ(sink.launches, 1u);
+  EXPECT_GT(sink.modelled_us, 0.0);
+}
+
+}  // namespace
+}  // namespace xbfs::sim

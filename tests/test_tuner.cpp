@@ -41,8 +41,30 @@ TEST(AlphaTuner, FindsBracketOnDenseRmat) {
 }
 
 TEST(AlphaTuner, ToySizeReportsNoBracketAndDisablesBottomUp) {
-  // At toy scale every kernel is launch-bound, so bottom-up (five kernels)
-  // never wins and the tuner must recommend keeping it off.
+  // With one launch per kernel (the TripleBinned host loop), every kernel
+  // is launch-bound at toy scale, so bottom-up (five kernels) never wins
+  // and the tuner must recommend keeping it off.
+  graph::RmatParams p;
+  p.scale = 10;
+  p.edge_factor = 16;
+  p.seed = 21;
+  const graph::Csr g = graph::rmat_csr(p);
+  const auto giant = graph::largest_component_vertices(g);
+  TunerOptions opt;
+  opt.probe_sources = {giant.front()};
+  opt.base_config.stream_mode = core::StreamMode::TripleBinned;
+  const TunerReport rep =
+      tune_alpha(sim::DeviceProfile::mi250x_gcd(), g, opt);
+  EXPECT_FALSE(rep.bracket_found);
+  EXPECT_GE(rep.recommended_alpha, opt.fallback_alpha);
+  EXPECT_LE(rep.recommended_alpha, 1.1);
+}
+
+TEST(AlphaTuner, ToySizeFindsBracketInTheCooperativeLaunch) {
+  // In the default stream mode a traversal is one cooperative launch: the
+  // five bottom-up kernels are grid phases that pay no launch of their own,
+  // so even at toy scale bottom-up wins the widest levels and the tuner
+  // brackets a crossover.
   graph::RmatParams p;
   p.scale = 10;
   p.edge_factor = 16;
@@ -53,9 +75,9 @@ TEST(AlphaTuner, ToySizeReportsNoBracketAndDisablesBottomUp) {
   opt.probe_sources = {giant.front()};
   const TunerReport rep =
       tune_alpha(sim::DeviceProfile::mi250x_gcd(), g, opt);
-  EXPECT_FALSE(rep.bracket_found);
-  EXPECT_GE(rep.recommended_alpha, opt.fallback_alpha);
-  EXPECT_LE(rep.recommended_alpha, 1.1);
+  ASSERT_TRUE(rep.bracket_found);
+  EXPECT_GT(rep.recommended_alpha, rep.bracket_low);
+  EXPECT_LT(rep.recommended_alpha, rep.bracket_high);
 }
 
 TEST(AlphaTuner, RecommendedAlphaYieldsCorrectAndCompetitiveRuns) {
