@@ -81,7 +81,7 @@ void IncrementalBfs::sync_device(const Snapshot& snap) {
     d_cols_.mark_device_synced();
     device_tombs_.clear();
     synced_base_version_ = g.base_version();
-    full_uploads_.fetch_add(1, std::memory_order_relaxed);
+    stat_.full_uploads.add();
   }
 
   if (synced_once_ && synced_epoch_ == snap.epoch) return;
@@ -137,7 +137,7 @@ void IncrementalBfs::sync_device(const Snapshot& snap) {
       });
     });
     s.synchronize();
-    patched_entries_.fetch_add(count, std::memory_order_relaxed);
+    stat_.patched_entries.add(count);
   }
   device_tombs_ = std::move(target);
 
@@ -179,7 +179,7 @@ void IncrementalBfs::sync_device(const Snapshot& snap) {
 
   synced_epoch_ = snap.epoch;
   synced_once_ = true;
-  device_syncs_.fetch_add(1, std::memory_order_relaxed);
+  stat_.device_syncs.add();
 }
 
 IncrementalBfs::RepairPlan IncrementalBfs::plan_repair(
@@ -590,7 +590,7 @@ bool IncrementalBfs::run_fixpoint(const Snapshot& snap,
 }
 
 core::BfsResult IncrementalBfs::run(vid_t src) {
-  runs_.fetch_add(1, std::memory_order_relaxed);
+  stat_.runs.add();
   sim::Stream& s = dev_.stream(0);
   const double t0_us = dev_.now_us();
   const std::size_t prof_start = dev_.profiler().records().size();
@@ -615,7 +615,7 @@ core::BfsResult IncrementalBfs::run(vid_t src) {
     const std::optional<EdgeBatch> ops =
         store_.ops_between(hit->second.epoch, snap.epoch, &truncated);
     if (!ops) {
-      fallbacks_log_.fetch_add(1, std::memory_order_relaxed);
+      stat_.fallbacks_log.add();
       // Distinguish discarded history (the bounded log wrapped) from a
       // stale/bogus remembered epoch — both recompute, but only the former
       // is capacity pressure an operator can size away.
@@ -628,7 +628,7 @@ core::BfsResult IncrementalBfs::run(vid_t src) {
         repair = true;
         lr.fallback = "";
       } else {
-        fallbacks_ratio_.fetch_add(1, std::memory_order_relaxed);
+        stat_.fallbacks_ratio.add();
         lr.fallback = "ratio";
       }
     }
@@ -671,8 +671,8 @@ core::BfsResult IncrementalBfs::run(vid_t src) {
     }
     seed_vec.insert(seed_vec.end(), plan.insert_seeds.begin(),
                     plan.insert_seeds.end());
-    dirty_vertices_.fetch_add(dirty_count, std::memory_order_relaxed);
-    repair_seeds_.fetch_add(plan.seed_count, std::memory_order_relaxed);
+    stat_.dirty_vertices.add(dirty_count);
+    stat_.repair_seeds.add(plan.seed_count);
 
     // One full status upload per run: repair starts from the prior labels
     // (4|V| bytes h2d), which is what it pays instead of re-traversing.
@@ -682,7 +682,7 @@ core::BfsResult IncrementalBfs::run(vid_t src) {
       // Repair queue overflowed its |V| capacity — the footprint estimate
       // was wrong in the same direction the ratio bound guards against.
       repair = false;
-      fallbacks_ratio_.fetch_add(1, std::memory_order_relaxed);
+      stat_.fallbacks_ratio.add();
       lr.fallback = "overflow";
       result.level_stats.clear();
     }
@@ -720,11 +720,11 @@ core::BfsResult IncrementalBfs::run(vid_t src) {
   const std::uint64_t spent_us =
       static_cast<std::uint64_t>(result.total_ms * 1000.0);
   if (repair) {
-    repairs_.fetch_add(1, std::memory_order_relaxed);
-    repair_us_.fetch_add(spent_us, std::memory_order_relaxed);
+    stat_.repairs.add();
+    stat_.repair_us.add(spent_us);
   } else {
-    recomputes_.fetch_add(1, std::memory_order_relaxed);
-    recompute_us_.fetch_add(spent_us, std::memory_order_relaxed);
+    stat_.recomputes.add();
+    stat_.recompute_us.add(spent_us);
   }
   lr.valid = true;
   lr.repair = repair;
@@ -759,20 +759,8 @@ void IncrementalBfs::clear_history() {
 
 DynEngineStats IncrementalBfs::stats() const {
   DynEngineStats s;
-  s.runs = runs_.load(std::memory_order_relaxed);
-  s.repairs = repairs_.load(std::memory_order_relaxed);
-  s.recomputes = recomputes_.load(std::memory_order_relaxed);
-  s.fallbacks_ratio = fallbacks_ratio_.load(std::memory_order_relaxed);
-  s.fallbacks_log = fallbacks_log_.load(std::memory_order_relaxed);
-  s.dirty_vertices = dirty_vertices_.load(std::memory_order_relaxed);
-  s.repair_seeds = repair_seeds_.load(std::memory_order_relaxed);
-  s.device_syncs = device_syncs_.load(std::memory_order_relaxed);
-  s.full_uploads = full_uploads_.load(std::memory_order_relaxed);
-  s.patched_entries = patched_entries_.load(std::memory_order_relaxed);
-  s.repair_ms = static_cast<double>(
-                    repair_us_.load(std::memory_order_relaxed)) / 1000.0;
-  s.recompute_ms = static_cast<double>(
-                       recompute_us_.load(std::memory_order_relaxed)) / 1000.0;
+  const Handles& c = stat_;
+  XBFS_STAT_LOAD(XBFS_DYN_ENGINE_STATS)
   return s;
 }
 

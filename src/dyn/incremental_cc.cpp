@@ -14,11 +14,11 @@ IncrementalCc::IncrementalCc(GraphStore& store) : store_(store) {}
 
 core::AlgoResult IncrementalCc::solve(const core::AlgoQuery&) {
   const auto t0 = std::chrono::steady_clock::now();
-  runs_.fetch_add(1, std::memory_order_relaxed);
+  stat_.runs.add();
   const Snapshot snap = store_.snapshot();
 
   if (valid_ && snap.epoch == epoch_) {
-    served_cached_.fetch_add(1, std::memory_order_relaxed);
+    stat_.served_cached.add();
   } else {
     bool repaired = false;
     if (valid_) {
@@ -28,7 +28,7 @@ core::AlgoResult IncrementalCc::solve(const core::AlgoQuery&) {
       if (!ops) {
         // Truncated or out-of-range both invalidate the remembered labels;
         // the flag keeps the wrap case from masquerading as "no ops".
-        fallbacks_log_.fetch_add(1, std::memory_order_relaxed);
+        stat_.fallbacks_log.add();
       } else {
         bool has_delete = false;
         for (const EdgeOp& op : ops->ops) {
@@ -40,7 +40,7 @@ core::AlgoResult IncrementalCc::solve(const core::AlgoQuery&) {
         if (has_delete) {
           // A delete can split a component; labels would have to increase,
           // which the decrease-only repair cannot express.
-          fallbacks_delete_.fetch_add(1, std::memory_order_relaxed);
+          stat_.fallbacks_delete.add();
         } else {
           // Insert-only gap: union-find over the prior labels.  Classes
           // are keyed by label value (a vertex id), merged toward the
@@ -75,8 +75,8 @@ core::AlgoResult IncrementalCc::solve(const core::AlgoQuery&) {
           }
           for (vid_t v = 0; v < n; ++v) label[v] = find(label[v]);
           labels_ = std::make_shared<const std::vector<vid_t>>(std::move(label));
-          ops_replayed_.fetch_add(ops->ops.size(), std::memory_order_relaxed);
-          repairs_.fetch_add(1, std::memory_order_relaxed);
+          stat_.ops_replayed.add(ops->ops.size());
+          stat_.repairs.add();
           repaired = true;
         }
       }
@@ -84,7 +84,7 @@ core::AlgoResult IncrementalCc::solve(const core::AlgoQuery&) {
     if (!repaired) {
       labels_ = std::make_shared<const std::vector<vid_t>>(
           graph::canonical_components(*snap.graph));
-      recomputes_.fetch_add(1, std::memory_order_relaxed);
+      stat_.recomputes.add();
     }
     epoch_ = snap.epoch;
     snap_ = snap;
@@ -103,13 +103,8 @@ core::AlgoResult IncrementalCc::solve(const core::AlgoQuery&) {
 
 IncCcStats IncrementalCc::stats() const {
   IncCcStats s;
-  s.runs = runs_.load(std::memory_order_relaxed);
-  s.served_cached = served_cached_.load(std::memory_order_relaxed);
-  s.repairs = repairs_.load(std::memory_order_relaxed);
-  s.recomputes = recomputes_.load(std::memory_order_relaxed);
-  s.fallbacks_delete = fallbacks_delete_.load(std::memory_order_relaxed);
-  s.fallbacks_log = fallbacks_log_.load(std::memory_order_relaxed);
-  s.ops_replayed = ops_replayed_.load(std::memory_order_relaxed);
+  const Handles& c = stat_;
+  XBFS_STAT_LOAD(XBFS_INC_CC_STATS)
   return s;
 }
 

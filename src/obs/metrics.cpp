@@ -53,6 +53,19 @@ void Histogram::observe(double v) {
   ++buckets_[bucket_of(v)];
 }
 
+void Histogram::merge(const Histogram& other) {
+  std::scoped_lock lock(mu_, other.mu_);
+  if (other.count_ == 0) return;
+  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
+  max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
+  count_ += other.count_;
+  sum_ += other.sum_;
+  if (buckets_.empty()) buckets_.assign(kNumBuckets, 0);
+  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
+    buckets_[i] += other.buckets_[i];
+  }
+}
+
 double Histogram::percentile(double q) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (count_ == 0) return 0.0;

@@ -25,7 +25,10 @@ namespace xbfs::obs {
 
 class Counter {
  public:
-  void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  /// Returns the new value.
+  std::uint64_t add(std::uint64_t n = 1) {
+    return v_.fetch_add(n, std::memory_order_relaxed) + n;
+  }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0, std::memory_order_relaxed); }
 
@@ -50,6 +53,8 @@ class Gauge {
 class Histogram {
  public:
   void observe(double v);
+  /// Add every observation `other` (a different histogram) holds.
+  void merge(const Histogram& other);
   std::uint64_t count() const;
   double sum() const;
   double min() const;

@@ -47,6 +47,16 @@ core::AlgoQuery normalize_query(core::AlgoQuery q) {
   return q;
 }
 
+/// Comma-separated kind names (the `algos` summary key).
+std::string algo_names(const std::vector<core::AlgoKind>& algos) {
+  std::string out;
+  for (const core::AlgoKind k : algos) {
+    if (!out.empty()) out += ",";
+    out += core::algo_kind_name(k);
+  }
+  return out;
+}
+
 /// Fold one attempt's AttributionSink into a per-query rung record.
 obs::RungAttribution make_rung(const sim::AttributionSink& sink,
                                std::string engine, const char* outcome,
@@ -298,7 +308,7 @@ Admission Server::submit(core::AlgoQuery q, QueryOptions opt) {
 UpdateAdmission Server::submit_update(const dyn::EdgeBatch& batch,
                                       UpdateOptions opt) {
   UpdateAdmission a;
-  updates_submitted_.fetch_add(1, std::memory_order_relaxed);
+  stat_.updates_submitted.add();
   if (!store_) {
     a.status = xbfs::Status::Invalid(
         "static server: graph updates need the GraphStore constructor");
@@ -321,9 +331,9 @@ UpdateAdmission Server::submit_update(const dyn::EdgeBatch& batch,
   if (deadline_us >= 0.0 && wall_us() > deadline_us) {
     // The lane was contended past the caller's budget; reject *before*
     // applying so the graph does not move under a caller that gave up.
-    updates_expired_.fetch_add(1, std::memory_order_relaxed);
+    stat_.updates_expired.add();
     a.status = xbfs::Status::DeadlineExceeded(
-        "update waited past its " + fmt_double(opt.timeout_ms) +
+        "update waited past its " + obs::fmt_double(opt.timeout_ms) +
         " ms budget on the write lane");
     obs::FlightRecorder::global().record("dyn", "update_expired", {}, 0, 0,
                                          batch.size());
@@ -338,13 +348,11 @@ UpdateAdmission Server::submit_update(const dyn::EdgeBatch& batch,
   // the batch with the fault status instead of throwing through the lane:
   // not-durable => not-visible, and the caller learns which it was.
   if (const xbfs::Status s = store_->try_apply(batch, &a.applied); !s.ok()) {
-    updates_rejected_durability_.fetch_add(1, std::memory_order_relaxed);
+    stat_.updates_rejected_durability.add();
     a.status = s;
     if (a.trace) a.trace->event(wall_us(), "update_rejected", s.to_string());
     obs::FlightRecorder::global().record("dyn", "update_rejected", s.detail(),
                                          0, 0, batch.size());
-    obs::MetricsRegistry& mxr = obs::MetricsRegistry::global();
-    if (mxr.enabled()) mxr.counter("serve.updates_rejected").add();
     return a;
   }
   const dyn::Snapshot snap = store_->snapshot();
@@ -366,17 +374,10 @@ UpdateAdmission Server::submit_update(const dyn::EdgeBatch& batch,
       "dyn", "update", {}, 0, a.epoch,
       a.applied.inserts_applied + a.applied.deletes_applied);
 
-  updates_applied_.fetch_add(1, std::memory_order_relaxed);
-  update_edges_applied_.fetch_add(
-      a.applied.inserts_applied + a.applied.deletes_applied,
-      std::memory_order_relaxed);
-  update_noops_.fetch_add(a.applied.noops, std::memory_order_relaxed);
-  obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
-  if (mx.enabled()) {
-    mx.counter("serve.updates").add();
-    mx.counter("serve.cache_purged")
-        .add(static_cast<std::uint64_t>(a.cache_purged));
-  }
+  stat_.updates_applied.add();
+  stat_.update_edges_applied.add(a.applied.inserts_applied +
+                                 a.applied.deletes_applied);
+  stat_.update_noops.add(a.applied.noops);
   obs::TraceSession& tr = obs::TraceSession::global();
   if (tr.enabled()) {
     tr.instant("serve.update", "serve", "serve", 0, wall_us(),
@@ -388,9 +389,7 @@ UpdateAdmission Server::submit_update(const dyn::EdgeBatch& batch,
 
 bool Server::result_still_valid(std::uint64_t fingerprint) const {
   if (fingerprint == graph_fp_.load(std::memory_order_acquire)) return true;
-  recovery_stale_rejected_.fetch_add(1, std::memory_order_relaxed);
-  obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
-  if (mx.enabled()) mx.counter("serve.stale_rejected").add();
+  stat_.recovery_stale_rejected.add();
   return false;
 }
 
@@ -456,10 +455,8 @@ bool Server::note_dispatch_time(unsigned gcd, double dispatch_us) {
   // Straggler: the work itself completed (the result is still used), but
   // the device blew its budget — report it unhealthy so the next dispatch
   // routes elsewhere while its breaker cools down.
-  dispatch_timeouts_.fetch_add(1, std::memory_order_relaxed);
+  stat_.dispatch_timeouts.add();
   health_.record_failure(gcd, wall_us());
-  obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
-  if (mx.enabled()) mx.counter("serve.dispatch_timeouts").add();
   return true;
 }
 
@@ -541,7 +538,7 @@ Server::Resolution Server::resolve_query(unsigned preferred,
   std::size_t start_rung = 0;
   if (slo_ != nullptr && rungs > 1 && slo_->prefer_cheap(obs::slo_now_ms())) {
     start_rung = 1;
-    slo_proactive_degrades_.fetch_add(1, std::memory_order_relaxed);
+    stat_.slo_proactive_degrades.add();
     if (log) log->event(wall_us(), "slo_degrade", "start_rung=1");
     obs::FlightRecorder::global().record("serve", "slo_degrade", {}, primary,
                                          preferred);
@@ -556,8 +553,8 @@ Server::Resolution Server::resolve_query(unsigned preferred,
         budget = 0;
         break;
       }
-      if (g != preferred) rerouted_.fetch_add(1, std::memory_order_relaxed);
-      if (out.attempts > 0) retries_.fetch_add(1, std::memory_order_relaxed);
+      if (g != preferred) fstat_.rerouted.add();
+      if (out.attempts > 0) fstat_.retries.add();
       ++out.attempts;
       --budget;
       Gcd& gcd = *gcds_[g];
@@ -648,7 +645,7 @@ Server::Resolution Server::resolve_query(unsigned preferred,
             backoff(out.attempts);
             continue;
           }
-          validated_results_.fetch_add(1, std::memory_order_relaxed);
+          fstat_.validated_results.add();
           if (log) log->event(wall_us(), "validated");
         }
         // A straggler keeps its result but eats a breaker failure instead
@@ -719,9 +716,7 @@ Server::Resolution Server::resolve_query(unsigned preferred,
     } else {
       payload = host->solve(q).payload;
     }
-    host_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
-    if (mx.enabled()) mx.counter("serve.host_fallbacks").add();
+    stat_.host_fallbacks.add();
     if (validate) {
       const std::string verr = validate_payload(q, payload, hsnap);
       if (!verr.empty()) {
@@ -732,7 +727,7 @@ Server::Resolution Server::resolve_query(unsigned preferred,
         if (log) log->event(wall_us(), "validation_failed", verr);
         return out;
       }
-      validated_results_.fetch_add(1, std::memory_order_relaxed);
+      fstat_.validated_results.add();
     }
     out.res = std::move(payload);
     out.engine = host->name();
@@ -775,7 +770,7 @@ void Server::deliver_unit(const DispatchKey& key, const Resolution& res,
 
   bool published = false;
   if (res.res) {
-    computed_sources_.fetch_add(1, std::memory_order_relaxed);
+    stat_.computed_sources.add();
     // Publish before resolving waiters so a submit racing with completion
     // can already hit.  When validation is active only validated results
     // are cacheable — a corrupted entry must never outlive its query.
@@ -827,8 +822,8 @@ void Server::run_batch(unsigned worker,
                        const std::vector<graph::vid_t>& batch,
                        QueryMap& by_key, double dispatch_us) {
   const bool singleton = batch.size() == 1;
-  sweeps_.fetch_add(1, std::memory_order_relaxed);
-  if (singleton) singleton_sweeps_.fetch_add(1, std::memory_order_relaxed);
+  stat_.sweeps.add();
+  if (singleton) stat_.singleton_sweeps.add();
 
   const bool validate = validation_active();
   std::vector<Resolution> outcomes(batch.size());
@@ -851,10 +846,8 @@ void Server::run_batch(unsigned worker,
     while (sweep_attempts < cfg_.max_attempts) {
       const unsigned g = health_.pick(worker, wall_us());
       if (g == HealthTracker::kNone) break;
-      if (g != worker) rerouted_.fetch_add(1, std::memory_order_relaxed);
-      if (sweep_attempts > 0) {
-        retries_.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (g != worker) fstat_.rerouted.add();
+      if (sweep_attempts > 0) fstat_.retries.add();
       ++sweep_attempts;
       Gcd& gcd = *gcds_[g];
       const double attempt_us = wall_us();
@@ -903,8 +896,7 @@ void Server::run_batch(unsigned worker,
             backoff(sweep_attempts);
             continue;
           }
-          validated_results_.fetch_add(batch.size(),
-                                       std::memory_order_relaxed);
+          fstat_.validated_results.add(batch.size());
           if (batch_log) batch_log->event(wall_us(), "validated");
         }
         // A straggler keeps its result but eats a breaker failure instead
@@ -988,23 +980,14 @@ void Server::run_batch(unsigned worker,
                  static_cast<unsigned>(batch.size()), batch_log.get());
   }
 
-  {
-    std::lock_guard<sim::RankedMutex> lk(agg_mu_);
-    occupancy_sum_ += static_cast<double>(batch.size()) / cfg_.max_batch;
-    sources_per_sweep_sum_ += static_cast<double>(batch.size());
-  }
+  stat_.occupancy.observe(static_cast<double>(batch.size()) / cfg_.max_batch);
+  stat_.sweep_sources.observe(static_cast<double>(batch.size()));
   observe_modelled(modelled_ms);
-  obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
-  if (mx.enabled()) {
-    mx.histogram("serve.batch_occupancy")
-        .observe(static_cast<double>(batch.size()) / cfg_.max_batch);
-    mx.counter("serve.sweeps").add();
-  }
 }
 
 void Server::run_algo(unsigned worker, const DispatchKey& key,
                       QueryMap& by_key, double dispatch_us) {
-  algo_dispatches_.fetch_add(1, std::memory_order_relaxed);
+  stat_.algo_dispatches.add();
   const auto w = by_key.find(key);
   if (w == by_key.end() || w->second.empty()) return;
   // The dedup representative: every waiter under this key agrees on
@@ -1014,100 +997,40 @@ void Server::run_algo(unsigned worker, const DispatchKey& key,
 
   Resolution res = resolve_query(worker, q, 0, dispatch_us, primary);
   observe_modelled(res.modelled_ms);
-  obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
-  if (mx.enabled()) mx.counter("serve.algo_dispatches").add();
   deliver_unit(key, res, by_key, dispatch_us, /*batch_size=*/1, nullptr);
 }
 
 ServerStats Server::stats() const {
   ServerStats s;
   static_cast<FrontEndStats&>(s) = front_stats();
-  s.sweeps = sweeps_.load(std::memory_order_relaxed);
-  s.singleton_sweeps = singleton_sweeps_.load(std::memory_order_relaxed);
-  s.algo_dispatches = algo_dispatches_.load(std::memory_order_relaxed);
-  s.computed_sources = computed_sources_.load(std::memory_order_relaxed);
   for (std::size_t k = 0; k < core::kNumAlgoKinds; ++k) {
     s.per_algo[k] =
         algo_stats(static_cast<core::AlgoKind>(k), s.wall_elapsed_ms);
   }
-
-  s.host_fallbacks = host_fallbacks_.load(std::memory_order_relaxed);
-  s.dispatch_timeouts = dispatch_timeouts_.load(std::memory_order_relaxed);
-  s.slo_proactive_degrades =
-      slo_proactive_degrades_.load(std::memory_order_relaxed);
-
-  s.updates_submitted = updates_submitted_.load(std::memory_order_relaxed);
-  s.updates_applied = updates_applied_.load(std::memory_order_relaxed);
-  s.updates_expired = updates_expired_.load(std::memory_order_relaxed);
-  s.update_edges_applied =
-      update_edges_applied_.load(std::memory_order_relaxed);
-  s.update_noops = update_noops_.load(std::memory_order_relaxed);
-  s.updates_rejected_durability =
-      updates_rejected_durability_.load(std::memory_order_relaxed);
-  s.recovery_stale_rejected =
-      recovery_stale_rejected_.load(std::memory_order_relaxed);
-  if (store_) {
-    s.graph_epoch = store_->epoch();
-    s.compactions = store_->stats().compactions;
-    if (const dyn::DurabilityHook* hook = store_->durability()) {
-      const dyn::DurabilityStats ds = hook->stats();
-      s.durable = true;
-      s.wal_appends = ds.wal_appends;
-      s.wal_append_failures = ds.wal_append_failures;
-      s.wal_fsync_failures = ds.fsync_failures;
-      s.wal_bytes = ds.wal_bytes;
-      s.snapshots_spilled = ds.snapshots_spilled;
-      s.wal_rotations = ds.wal_rotations;
-      s.last_durable_epoch = ds.last_durable_epoch;
-      s.recovered = ds.recovered;
-      s.recovery_torn_tail = ds.torn_tail_detected;
-      s.recovered_epoch = ds.recovered_epoch;
-      s.recovery_replayed = ds.wal_records_replayed;
-      s.recovery_truncated_bytes = ds.wal_bytes_truncated;
-    }
-    for (const auto& gp : gcds_) {
-      if (gp->inc) {
-        const dyn::DynEngineStats es = gp->inc->stats();
-        s.repairs += es.repairs;
-        s.recomputes += es.recomputes;
-        s.repair_fallbacks += es.fallbacks_ratio + es.fallbacks_log;
-      }
-      if (gp->inc_cc) {
-        const dyn::IncCcStats cs = gp->inc_cc->stats();
-        s.repairs += cs.repairs;
-        s.recomputes += cs.recomputes;
-        s.repair_fallbacks += cs.fallbacks_delete + cs.fallbacks_log;
-      }
-    }
-  }
-
+  const Handles& c = stat_;
   const ResultCache::Stats cs = cache_.stats();
-  s.cache_epoch_bumps = cs.epoch_bumps;
-  s.cache_purged_stale = cs.purged_stale;
-  s.cache_stale_hits_avoided = cs.stale_hits_avoided;
-
-  {
-    std::lock_guard<sim::RankedMutex> lk(agg_mu_);
-    s.mean_batch_occupancy = s.sweeps == 0 ? 0.0 : occupancy_sum_ / s.sweeps;
-    s.mean_sources_per_sweep =
-        s.sweeps == 0 ? 0.0 : sources_per_sweep_sum_ / s.sweeps;
+  const dyn::DurabilityHook* hook = store_ ? store_->durability() : nullptr;
+  const dyn::DurabilityStats ds = hook ? hook->stats() : dyn::DurabilityStats();
+  std::uint64_t repairs = 0, recomputes = 0, fallbacks = 0;
+  for (const auto& gp : gcds_) {
+    if (gp->inc) {
+      const dyn::DynEngineStats es = gp->inc->stats();
+      repairs += es.repairs;
+      recomputes += es.recomputes;
+      fallbacks += es.fallbacks_ratio + es.fallbacks_log;
+    }
+    if (gp->inc_cc) {
+      const dyn::IncCcStats es = gp->inc_cc->stats();
+      repairs += es.repairs;
+      recomputes += es.recomputes;
+      fallbacks += es.fallbacks_delete + es.fallbacks_log;
+    }
   }
-  s.modelled_busy_ms = modelled_sum_ms();
+  XBFS_STAT_LOAD(XBFS_SERVER_STATS)
   return s;
 }
 
 void Server::summarize(obs::RunRecord& r) const {
-  const ServerStats st = stats();
-  obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
-  if (mx.enabled()) {
-    mx.gauge("serve.batch_occupancy").set(st.mean_batch_occupancy);
-  }
-
-  std::string algo_list;
-  for (const core::AlgoKind k : cfg_.algos) {
-    if (!algo_list.empty()) algo_list += ",";
-    algo_list += core::algo_kind_name(k);
-  }
   r.tool = "serve";
   // The historical record name for BFS-only servers; mixed-family servers
   // say so (run-report consumers key off `tool` either way).
@@ -1123,65 +1046,20 @@ void Server::summarize(obs::RunRecord& r) const {
     r.n = host_g_->num_vertices();
     r.m = host_g_->num_edges();
   }
-  r.config = {
-      {"num_gcds", std::to_string(cfg_.num_gcds)},
-      {"max_batch", std::to_string(cfg_.max_batch)},
-      {"batching", cfg_.batching ? "1" : "0"},
-      {"algos", algo_list},
-      {"sweeps", std::to_string(st.sweeps)},
-      {"singleton_sweeps", std::to_string(st.singleton_sweeps)},
-      {"algo_dispatches", std::to_string(st.algo_dispatches)},
-      {"computed_sources", std::to_string(st.computed_sources)},
-      {"batch_occupancy", fmt_double(st.mean_batch_occupancy)},
-      {"sources_per_sweep", fmt_double(st.mean_sources_per_sweep)},
-      {"modelled_busy_ms", fmt_double(st.modelled_busy_ms)},
-      {"host_fallbacks", std::to_string(st.host_fallbacks)},
-      {"dispatch_timeouts", std::to_string(st.dispatch_timeouts)},
-      {"host_fallback", cfg_.host_fallback ? "1" : "0"},
-      {"dynamic", dynamic() ? "1" : "0"},
-      {"updates_applied", std::to_string(st.updates_applied)},
-      {"updates_expired", std::to_string(st.updates_expired)},
-      {"update_edges_applied", std::to_string(st.update_edges_applied)},
-      {"update_noops", std::to_string(st.update_noops)},
-      {"graph_epoch", std::to_string(st.graph_epoch)},
-      {"compactions", std::to_string(st.compactions)},
-      {"cache_epoch_bumps", std::to_string(st.cache_epoch_bumps)},
-      {"cache_purged_stale", std::to_string(st.cache_purged_stale)},
-      {"cache_stale_hits_avoided",
-       std::to_string(st.cache_stale_hits_avoided)},
-      {"repairs", std::to_string(st.repairs)},
-      {"recomputes", std::to_string(st.recomputes)},
-      {"repair_fallbacks", std::to_string(st.repair_fallbacks)},
-      {"durable", st.durable ? "1" : "0"},
-      {"wal_appends", std::to_string(st.wal_appends)},
-      {"wal_append_failures", std::to_string(st.wal_append_failures)},
-      {"wal_fsync_failures", std::to_string(st.wal_fsync_failures)},
-      {"snapshots_spilled", std::to_string(st.snapshots_spilled)},
-      {"wal_rotations", std::to_string(st.wal_rotations)},
-      {"last_durable_epoch", std::to_string(st.last_durable_epoch)},
-      {"updates_rejected_durability",
-       std::to_string(st.updates_rejected_durability)},
-      {"recovered", st.recovered ? "1" : "0"},
-      {"recovery_torn_tail", st.recovery_torn_tail ? "1" : "0"},
-      {"recovered_epoch", std::to_string(st.recovered_epoch)},
-      {"recovery_replayed", std::to_string(st.recovery_replayed)},
-      {"recovery_truncated_bytes",
-       std::to_string(st.recovery_truncated_bytes)},
-      {"recovery_stale_rejected",
-       std::to_string(st.recovery_stale_rejected)},
-      {"slo_proactive_degrades",
-       std::to_string(st.slo_proactive_degrades)},
-  };
+  const ServerStats st = stats();
+  {
+    const ServerStats& s = st;
+    const Handles& c = stat_;
+    const obs::StatExport f(r, "serve");
+    XBFS_STAT_VISIT(XBFS_SERVER_STATS)
+  }
   // Per-kind serving columns, one block per served algorithm.
   for (const core::AlgoKind k : cfg_.algos) {
-    const AlgoClassStats& a = st.per_algo[static_cast<std::size_t>(k)];
-    const std::string p = core::algo_kind_name(k);
-    r.config.emplace_back(p + "_submitted", std::to_string(a.submitted));
-    r.config.emplace_back(p + "_completed", std::to_string(a.completed));
-    r.config.emplace_back(p + "_cache_hits", std::to_string(a.cache_hits));
-    r.config.emplace_back(p + "_p50_ms", fmt_double(a.latency_p50_ms));
-    r.config.emplace_back(p + "_p99_ms", fmt_double(a.latency_p99_ms));
-    r.config.emplace_back(p + "_qps", fmt_double(a.qps));
+    const AlgoClassStats& s = st.per_algo[static_cast<std::size_t>(k)];
+    const AlgoHandles& c = algo_stat_[static_cast<std::size_t>(k)];
+    const obs::StatExport f(r, "serve",
+                            std::string(core::algo_kind_name(k)) + "_");
+    XBFS_STAT_VISIT(XBFS_ALGO_CLASS_STATS)
   }
 }
 

@@ -89,7 +89,7 @@ unsigned ShardRouter::build_plan(serve::QueryId id, unsigned attempt,
       continue;
     }
     if (got != pref) {
-      rerouted_.fetch_add(1, std::memory_order_relaxed);
+      fstat_.rerouted.add();
       if (log) {
         log->event(wall_us(), "rerouted",
                    "shard=" + std::to_string(s) + " slot=" +
@@ -117,20 +117,20 @@ void ShardRouter::process_query(serve::PendingQuery&& p,
       last = xbfs::Status::Unavailable(
           "source shard " + std::to_string(owner) +
           " has no healthy replica");
-      unavailable_failures_.fetch_add(1, std::memory_order_relaxed);
+      stat_.unavailable_failures.add();
       break;
     }
     if (lost > 0 && !cfg_.allow_partial) {
       last = xbfs::Status::Unavailable(
           std::to_string(lost) + " shard(s) have no healthy replica and "
           "partial results are disabled");
-      unavailable_failures_.fetch_add(1, std::memory_order_relaxed);
+      stat_.unavailable_failures.add();
       break;
     }
     const unsigned primary = store_.slot(owner,
                                          static_cast<unsigned>(plan[owner]));
-    if (attempt > 0) retries_.fetch_add(1, std::memory_order_relaxed);
-    sweeps_.fetch_add(1, std::memory_order_relaxed);
+    if (attempt > 0) fstat_.retries.add();
+    stat_.sweeps.add();
 
     // Chosen replicas locked in ascending slot order (plans are iterated
     // by shard, and slots grow with shard) — overlapping plans from
@@ -179,7 +179,7 @@ void ShardRouter::process_query(serve::PendingQuery&& p,
           backoff(attempt + 1);
           continue;
         }
-        validated_results_.fetch_add(1, std::memory_order_relaxed);
+        fstat_.validated_results.add();
         if (log) log->event(wall_us(), "validated");
       }
       for (unsigned s = 0; s < S; ++s) {
@@ -189,22 +189,15 @@ void ShardRouter::process_query(serve::PendingQuery&& p,
       }
 
       // --- exchange + timing accounting -----------------------------------
-      levels_swept_.fetch_add(sw.level_stats.size(),
-                              std::memory_order_relaxed);
+      stat_.levels_swept.add(sw.level_stats.size());
       std::uint64_t two = 0;
       for (const ShardLevelStats& st : sw.level_stats) two += st.two_phase;
-      two_phase_levels_.fetch_add(two, std::memory_order_relaxed);
-      exchange_raw_bytes_.fetch_add(sw.raw_bytes, std::memory_order_relaxed);
-      exchange_wire_bytes_.fetch_add(sw.wire_bytes,
-                                     std::memory_order_relaxed);
-      lost_shard_events_.fetch_add(sw.shards_lost,
-                                   std::memory_order_relaxed);
+      stat_.two_phase_levels.add(two);
+      stat_.exchange_raw_bytes.add(sw.raw_bytes);
+      stat_.exchange_wire_bytes.add(sw.wire_bytes);
+      stat_.lost_shard_events.add(sw.shards_lost);
+      stat_.sweep_comm_ms.observe(sw.comm_ms);
       observe_modelled(sw.total_ms);
-      obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
-      if (mx.enabled()) {
-        mx.histogram("shard.sweep_modelled_ms").observe(sw.total_ms);
-        mx.histogram("shard.sweep_comm_ms").observe(sw.comm_ms);
-      }
 
       const double complete_us = wall_us();
       serve::QueryResult r;
@@ -222,8 +215,7 @@ void ShardRouter::process_query(serve::PendingQuery&& p,
             std::to_string(sw.shards_lost) +
             " shard(s) had no healthy replica; their vertex ranges report "
             "-1");
-        partial_queries_.fetch_add(1, std::memory_order_relaxed);
-        if (mx.enabled()) mx.counter("shard.partial").add();
+        stat_.partial_queries.add();
         if (log) {
           log->event(complete_us, "partial",
                      "lost=" + std::to_string(sw.shards_lost));
@@ -283,61 +275,21 @@ void ShardRouter::process_query(serve::PendingQuery&& p,
 RouterStats ShardRouter::stats() const {
   RouterStats s;
   static_cast<serve::FrontEndStats&>(s) = front_stats();
-  s.sweeps = sweeps_.load(std::memory_order_relaxed);
-  s.partial_queries = partial_queries_.load(std::memory_order_relaxed);
-  s.lost_shard_events = lost_shard_events_.load(std::memory_order_relaxed);
-  s.unavailable_failures =
-      unavailable_failures_.load(std::memory_order_relaxed);
-  s.levels_swept = levels_swept_.load(std::memory_order_relaxed);
-  s.two_phase_levels = two_phase_levels_.load(std::memory_order_relaxed);
-  s.exchange_raw_bytes =
-      exchange_raw_bytes_.load(std::memory_order_relaxed);
-  s.exchange_wire_bytes =
-      exchange_wire_bytes_.load(std::memory_order_relaxed);
-  s.compression_ratio =
-      s.exchange_wire_bytes == 0
-          ? 0.0
-          : static_cast<double>(s.exchange_raw_bytes) /
-                static_cast<double>(s.exchange_wire_bytes);
-  s.modelled_total_ms = modelled_sum_ms();
+  const Handles& c = stat_;
+  XBFS_STAT_LOAD(XBFS_ROUTER_STATS)
   return s;
 }
 
 void ShardRouter::summarize(obs::RunRecord& r) const {
-  const RouterStats st = stats();
-  const ShardMemoryReport mem = store_.memory_report();
-  obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
-  if (mx.enabled()) {
-    mx.gauge("shard.compression_ratio").set(st.compression_ratio);
-  }
-
   r.tool = "shard_router";
   r.algorithm = "sharded-bfs-serving";
   r.n = store_.graph().num_vertices();
   r.m = store_.graph().num_edges();
-  r.config = {
-      {"shards", std::to_string(store_.shards())},
-      {"replicas", std::to_string(store_.replicas())},
-      {"grid_rows", std::to_string(store_.layout().grid_rows())},
-      {"grid_cols", std::to_string(store_.layout().grid_cols())},
-      {"budget_bytes", std::to_string(mem.budget_bytes)},
-      {"single_device_bytes", std::to_string(mem.single_device_bytes)},
-      {"max_shard_bytes", std::to_string(mem.max_shard_bytes)},
-      {"oversubscription", serve::fmt_double(mem.oversubscription)},
-      {"serving_fingerprint", std::to_string(serving_fingerprint())},
-      {"workers", std::to_string(cfg_.workers)},
-      {"allow_partial", cfg_.allow_partial ? "1" : "0"},
-      {"sweeps", std::to_string(st.sweeps)},
-      {"partial_queries", std::to_string(st.partial_queries)},
-      {"lost_shard_events", std::to_string(st.lost_shard_events)},
-      {"unavailable_failures", std::to_string(st.unavailable_failures)},
-      {"levels_swept", std::to_string(st.levels_swept)},
-      {"two_phase_levels", std::to_string(st.two_phase_levels)},
-      {"exchange_raw_bytes", std::to_string(st.exchange_raw_bytes)},
-      {"exchange_wire_bytes", std::to_string(st.exchange_wire_bytes)},
-      {"compression_ratio", serve::fmt_double(st.compression_ratio)},
-      {"modelled_total_ms", serve::fmt_double(st.modelled_total_ms)},
-  };
+  const RouterStats s = stats();
+  const Handles& c = stat_;
+  const ShardMemoryReport mem = store_.memory_report();
+  const obs::StatExport f(r, "shard");
+  XBFS_STAT_VISIT(XBFS_ROUTER_STATS)
 }
 
 }  // namespace xbfs::shard

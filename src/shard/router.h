@@ -28,7 +28,6 @@
 // there, the query fails Unavailable.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -54,26 +53,52 @@ struct RouterConfig : serve::FrontEndConfig {
   xbfs::Status validate() const;
 };
 
-/// Serving counters for the sharded tier: the shared serve::FrontEndStats
-/// (SLO lanes are shard-replica slots, labelled "s<shard>r<replica>") plus
-/// the sweep and exchange accounting.
-struct RouterStats : serve::FrontEndStats {
-  std::uint64_t sweeps = 0;        ///< distributed sweeps run (incl. retries)
-  std::uint64_t partial_queries = 0;       ///< served with >= 1 lost shard
-  std::uint64_t lost_shard_events = 0;     ///< lost shards summed over sweeps
-  std::uint64_t unavailable_failures = 0;  ///< source shard had no replica
+/// Sharded-tier stats on top of the shared serve::FrontEndStats (SLO lanes
+/// are shard-replica slots, labelled "s<shard>r<replica>"): sweep and
+/// exchange accounting.  VALUE expressions run in ShardRouter::stats;
+/// REPORT expressions in ShardRouter::summarize (`mem` =
+/// store_.memory_report()).
+#define XBFS_ROUTER_STATS(COUNTER, HISTOGRAM, VALUE, REPORT)                   \
+  REPORT(std::uint64_t, "shards", Gauge, "shards", Config, "shard groups",     \
+         store_.shards())                                                      \
+  REPORT(std::uint64_t, "replicas", Gauge, "replicas", Config,                 \
+         "replicas per shard", store_.replicas())                              \
+  REPORT(std::uint64_t, "grid_rows", Gauge, "rows", Config, "2D layout rows",  \
+         store_.layout().grid_rows())                                          \
+  REPORT(std::uint64_t, "grid_cols", Gauge, "cols", Config,                    \
+         "2D layout columns", store_.layout().grid_cols())                     \
+  REPORT(std::uint64_t, "budget_bytes", Gauge, "bytes", Config,                \
+         "memory budget per replica", mem.budget_bytes)                        \
+  REPORT(std::uint64_t, "single_device_bytes", Gauge, "bytes", Config,         \
+         "footprint on one device", mem.single_device_bytes)                   \
+  REPORT(std::uint64_t, "max_shard_bytes", Gauge, "bytes", Config,             \
+         "largest shard footprint", mem.max_shard_bytes)                       \
+  REPORT(double, "oversubscription", Derived, "ratio", Config,                 \
+         "single_device_bytes / budget_bytes", mem.oversubscription)           \
+  REPORT(std::uint64_t, "serving_fingerprint", Gauge, "hash", Config,          \
+         "CSR fingerprint x layout hash", serving_fingerprint())               \
+  REPORT(std::uint64_t, "workers", Gauge, "threads", Config,                   \
+         "router worker threads", cfg_.workers)                                \
+  REPORT(bool, "allow_partial", Gauge, "flag", Config,                         \
+         "lost shards serve -1 ranges", cfg_.allow_partial)                    \
+  COUNTER(sweeps, "sweeps", None, "sweeps run (retries too)")                  \
+  COUNTER(partial_queries, "queries", None, "served with a lost shard")        \
+  COUNTER(lost_shard_events, "shards", None, "lost shards, summed")            \
+  COUNTER(unavailable_failures, "queries", None,                               \
+          "a needed shard had no replica")                                     \
+  COUNTER(levels_swept, "levels", None, "levels over all sweeps")              \
+  COUNTER(two_phase_levels, "levels", None, "2D-promoted levels")              \
+  COUNTER(exchange_raw_bytes, "bytes", None, "exchange before compression")    \
+  COUNTER(exchange_wire_bytes, "bytes", None, "exchange on the wire")          \
+  HISTOGRAM(sweep_comm_ms, "ms", Modelled, "fabric time per sweep")            \
+  VALUE(double, compression_ratio, "compression_ratio", Derived, "ratio",      \
+        None, "raw / wire bytes: >= 1, 0 before any exchange",                 \
+        obs::ratio(s.exchange_raw_bytes, s.exchange_wire_bytes))               \
+  VALUE(double, modelled_total_ms, "modelled_total_ms", Derived, "ms",         \
+        Modelled, "sum of modelled_ms", modelled_sum_ms())
 
-  // --- exchange accounting --------------------------------------------------
-  std::uint64_t levels_swept = 0;      ///< BFS levels run across all sweeps
-  std::uint64_t two_phase_levels = 0;  ///< levels where 2D promotion won
-  std::uint64_t exchange_raw_bytes = 0;
-  std::uint64_t exchange_wire_bytes = 0;
-  /// raw/wire across all exchanges (>= 1; 1.0 = no compression win).
-  double compression_ratio = 0.0;
-  /// Summed modelled device+fabric time of the sweeps behind
-  /// modelled_p50_ms/modelled_p99_ms (bench_dist_scaling's sublinearity
-  /// record reads the p99).
-  double modelled_total_ms = 0.0;
+struct RouterStats : serve::FrontEndStats {
+  XBFS_STAT_FIELDS(XBFS_ROUTER_STATS)
 };
 
 class ShardRouter : public serve::FrontEnd {
@@ -113,14 +138,10 @@ class ShardRouter : public serve::FrontEnd {
   /// mutable buffer a run touches lives in the replicas its plan locked.
   ShardSweep sweep_;
 
-  std::atomic<std::uint64_t> sweeps_{0};
-  std::atomic<std::uint64_t> partial_queries_{0};
-  std::atomic<std::uint64_t> lost_shard_events_{0};
-  std::atomic<std::uint64_t> unavailable_failures_{0};
-  std::atomic<std::uint64_t> levels_swept_{0};
-  std::atomic<std::uint64_t> two_phase_levels_{0};
-  std::atomic<std::uint64_t> exchange_raw_bytes_{0};
-  std::atomic<std::uint64_t> exchange_wire_bytes_{0};
+  struct Handles {
+    XBFS_STAT_HANDLES(XBFS_ROUTER_STATS)
+  };
+  Handles stat_;
 };
 
 }  // namespace xbfs::shard
