@@ -16,7 +16,7 @@
 // tests switch to throwing LockOrderViolation via LockRank::set_abort(false).
 //
 // Rank table (docs/modelcheck.md): serve.cycle=10, serve.update=12,
-// serve.gcd=40, dyn.store.writer=50, dyn.store.publish=52, serve.agg=60,
+// serve.gcd=40, dyn.store.writer=50, dyn.store.publish=52,
 // serve.inflight=64, serve.drain=68, sim.pool=90.  Gaps are deliberate —
 // new locks slot in without renumbering.
 #pragma once
