@@ -1,28 +1,24 @@
-// Dynamic-graph load harness: quantifies the two claims of the dyn
-// subsystem (docs/dynamic.md).
+// Dynamic-graph load harness (docs/dynamic.md).
 //
-//  1. Repair vs recompute: a stream of small edge batches (default 0.5% of
-//     the undirected edge count, the acceptance bound is <= 1%) is applied
-//     to a GraphStore; after each batch the same source is re-queried twice
-//     through dyn::IncrementalBfs — once with warm per-source history
-//     (incremental repair) and once after clear_history() (full recompute
-//     on the identical snapshot).  The modelled-time ratio is the
-//     repair-vs-recompute speedup; each repaired leg is verified against a
-//     fresh host reference BFS.
+//  1. Churn sweep: a stream of small edge batches (default 0.5% of the
+//     undirected edge count) is applied to a GraphStore; after each batch
+//     the same source is queried through dyn::IncrementalBfs — a device
+//     mirror sync plus one Xbfs traversal.  Every run is checked against a
+//     fresh host reference BFS, and the modelled time of the first run
+//     after each epoch change (the one that pays the mirror sync) is
+//     recorded.
 //
 //  2. Epoch-churn serving: Zipf-skewed read traffic against a dynamic
 //     serve::Server while a writer lane interleaves update batches.  Every
 //     update bumps the epoch and purges the result cache, so the steady
-//     hit rate under churn — plus the epoch-bump / purge / repair counters
-//     from ServerStats — lands in the run record next to the speedup.
+//     hit rate under churn — plus the epoch-bump / purge / recompute
+//     counters from ServerStats — lands in the run record.
 //
 //   bench_dynamic [--scale=14] [--edge-factor=16] [--rounds=12]
 //                 [--batch-edges=0]   (0 = 0.5% of undirected |E|)
 //                 [--queries=256] [--zipf=1.0] [--candidates=32]
 //                 [--updates=16] [--gcds=1] [--seed=1]
-//                 [--check=MIN_SPEEDUP]
 //
-// --check exits non-zero unless the repair speedup reaches the bound.
 // Under XBFS_SANITIZE the whole run doubles as a SimSan gate: the bench
 // prints the sanitizer summary and fails on any unannotated finding.
 #include <algorithm>
@@ -62,7 +58,6 @@ struct Options {
   unsigned updates = 16;  ///< update batches interleaved with the reads
   unsigned gcds = 1;
   std::uint64_t seed = 1;
-  double check = 0.0;  ///< required repair/recompute speedup; 0 = report only
 };
 
 Options parse(int argc, char** argv) {
@@ -86,7 +81,6 @@ Options parse(int argc, char** argv) {
     else if ((v = num("--updates"))) o.updates = std::atoi(v);
     else if ((v = num("--gcds"))) o.gcds = std::atoi(v);
     else if ((v = num("--seed"))) o.seed = std::atoll(v);
-    else if ((v = num("--check"))) o.check = std::atof(v);
     else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       std::exit(2);
@@ -161,61 +155,30 @@ int main(int argc, char** argv) {
     obs::SloEngine::global().configure("availability=0.99");
   }
 
-  // --- phase 1: repair vs recompute on identical snapshots ------------------
+  // --- phase 1: churn sweep, every run checked against the reference -----
   dyn::GraphStore store(g);
   sim::Device dev(sim::DeviceProfile::mi250x_gcd(),
                   sim::SimOptions{.num_workers = 2});
   core::XbfsConfig xcfg;
   xcfg.report_runs = false;
   dyn::IncrementalBfs eng(dev, store, xcfg);
-  (void)eng.run(src);  // warm the per-source history (counts as a recompute)
+  (void)eng.run(src);  // uploads the base
 
-  double repair_ms_sum = 0.0, recompute_ms_sum = 0.0;
-  std::uint64_t repaired_rounds = 0, fallback_rounds = 0;
+  double first_run_ms_sum = 0.0;
   for (unsigned r = 0; r < opt.rounds; ++r) {
     (void)store.apply(random_batch(store, batch_edges, rng));
-
-    const dyn::DynEngineStats before = eng.stats();
-    const core::BfsResult rep = eng.run(src);
-    const dyn::DynEngineStats mid = eng.stats();
-
-    const dyn::Snapshot snap = store.snapshot();
-    if (rep.levels != dyn::reference_bfs(*snap.graph, src)) {
-      std::fprintf(stderr, "round %u: repaired levels diverge from reference\n",
-                   r);
+    const core::BfsResult res = eng.run(src);
+    if (res.levels != dyn::reference_bfs(*store.snapshot().graph, src)) {
+      std::fprintf(stderr, "round %u: levels diverge from reference\n", r);
       return 1;
     }
-    if (mid.repairs == before.repairs) {
-      ++fallback_rounds;  // ratio/log fallback: recompute served the query
-      continue;
-    }
-
-    eng.clear_history();  // force the recompute leg on the same snapshot
-    (void)eng.run(src);
-    const dyn::DynEngineStats after = eng.stats();
-    repair_ms_sum += mid.repair_ms - before.repair_ms;
-    recompute_ms_sum += after.recompute_ms - mid.recompute_ms;
-    ++repaired_rounds;
+    first_run_ms_sum += res.total_ms;
   }
-
-  const dyn::DynEngineStats es = eng.stats();
-  const double speedup =
-      repair_ms_sum > 0.0 && repaired_rounds > 0
-          ? recompute_ms_sum / repair_ms_sum
-          : 0.0;
-  std::printf("repair: %llu repaired rounds (%llu fell back), mean dirty "
-              "%.1f, mean seeds %.1f\n",
-              static_cast<unsigned long long>(repaired_rounds),
-              static_cast<unsigned long long>(fallback_rounds),
-              es.repairs ? static_cast<double>(es.dirty_vertices) / es.repairs
-                         : 0.0,
-              es.repairs ? static_cast<double>(es.repair_seeds) / es.repairs
-                         : 0.0);
-  std::printf("        modelled ms: repair %.3f vs recompute %.3f -> %.2fx "
-              "speedup\n",
-              repaired_rounds ? repair_ms_sum / repaired_rounds : 0.0,
-              repaired_rounds ? recompute_ms_sum / repaired_rounds : 0.0,
-              speedup);
+  const double first_run_ms =
+      opt.rounds > 0 ? first_run_ms_sum / opt.rounds : 0.0;
+  std::printf("churn:  %u rounds, every run equals the reference; first run "
+              "after an epoch change %.3f modelled ms (mirror sync incl.)\n",
+              opt.rounds, first_run_ms);
 
   // --- phase 2: Zipf reads against a serving lane under epoch churn ---------
   dyn::GraphStore serve_store(g);
@@ -260,17 +223,15 @@ int main(int argc, char** argv) {
   server.drain();
   std::size_t completed = 0;
   // Exemplar under churn: the first completed query whose trace crossed an
-  // epoch bump on the read lane (repair or recompute event with the write
-  // lane's epoch/dirty footprint) goes into the run record verbatim.
-  std::string repair_trace;
+  // epoch bump on the read lane (a recompute event carrying the write
+  // lane's epoch) goes into the run record verbatim.
+  std::string churn_trace;
   for (auto& f : futs) {
     const serve::QueryResult r = f.get();
     if (r.status == serve::QueryStatus::Completed) ++completed;
-    if (repair_trace.empty() && r.status == serve::QueryStatus::Completed &&
-        r.trace != nullptr &&
-        (r.trace->find_event("repair") >= 0 ||
-         r.trace->find_event("recompute") >= 0)) {
-      repair_trace = r.trace->to_json("completed");
+    if (churn_trace.empty() && r.status == serve::QueryStatus::Completed &&
+        r.trace != nullptr && r.trace->find_event("recompute") >= 0) {
+      churn_trace = r.trace->to_json("completed");
     }
   }
   server.shutdown();  // emits the serving summary into XBFS_RUN_REPORT
@@ -295,10 +256,10 @@ int main(int argc, char** argv) {
   if (report.enabled()) {
     obs::RunRecord rec;
     rec.tool = "bench_dynamic";
-    rec.algorithm = "bfs-dynamic-repair";
+    rec.algorithm = "bfs-dynamic";
     rec.n = g.num_vertices();
     rec.m = g.num_edges();
-    rec.total_ms = repair_ms_sum + recompute_ms_sum;
+    rec.total_ms = first_run_ms_sum;
     char buf[32];
     auto f = [&](double v) {
       std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -308,11 +269,8 @@ int main(int argc, char** argv) {
         {"rounds", std::to_string(opt.rounds)},
         {"batch_edges", std::to_string(batch_edges)},
         {"batch_edge_pct", f(100.0 * batch_edges / und_edges)},
-        {"repaired_rounds", std::to_string(repaired_rounds)},
-        {"fallback_rounds", std::to_string(fallback_rounds)},
-        {"repair_ms", f(repair_ms_sum)},
-        {"recompute_ms", f(recompute_ms_sum)},
-        {"repair_speedup", f(speedup)},
+        {"churn_rounds", std::to_string(opt.rounds)},
+        {"first_run_ms", f(first_run_ms)},
         {"queries", std::to_string(sources.size())},
         {"completed", std::to_string(completed)},
         {"updates_applied", std::to_string(st.updates_applied)},
@@ -327,7 +285,7 @@ int main(int argc, char** argv) {
         // One churn-crossing query's trace ("xbfs-query-trace" JSON, the
         // read lane observing the write lane's epoch); escaped, so it
         // round-trips through json.loads.
-        {"repair_trace", repair_trace},
+        {"churn_trace", churn_trace},
     };
     if (st.slo.active) {
       rec.config.emplace_back("slo_bad", std::to_string(st.slo.total_bad));
@@ -343,17 +301,6 @@ int main(int argc, char** argv) {
                  "!= %zu submitted\n",
                  completed, rejected, sources.size());
     return 1;
-  }
-  if (opt.check > 0.0) {
-    if (repaired_rounds == 0) {
-      std::fprintf(stderr, "no round was served by incremental repair\n");
-      return 1;
-    }
-    if (speedup < opt.check) {
-      std::fprintf(stderr, "repair speedup %.2fx below required %.2fx\n",
-                   speedup, opt.check);
-      return 1;
-    }
   }
 
   // Under XBFS_SANITIZE the bench doubles as a SimSan gate for the dynamic

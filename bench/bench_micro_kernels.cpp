@@ -187,8 +187,7 @@ void BM_BottomUpPrefixPipeline(benchmark::State& state) {
     b.status.host_data()[v] = (rng() & 1) ? core::kUnvisited : 1u;
   }
   core::BottomUpArgs a;
-  a.offsets = dg.offsets_span();
-  a.cols = dg.cols_span();
+  a.adj = dg.adjacency();
   a.status = b.status.span();
   a.bu_queue = b.bu_queue.span();
   a.next_queue = b.queue_a.span();

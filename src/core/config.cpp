@@ -34,13 +34,6 @@ Status XbfsConfig::validate() const {
                            "finite, got " +
                            std::to_string(dyn_compact_threshold));
   }
-  if (!(dyn_repair_ratio > 0.0) || dyn_repair_ratio > 1.0) {
-    return Status::Invalid("dyn_repair_ratio must be in (0, 1], got " +
-                           std::to_string(dyn_repair_ratio));
-  }
-  if (dyn_history_sources < 1) {
-    return Status::Invalid("dyn_history_sources must be >= 1");
-  }
   return Status::Ok();
 }
 

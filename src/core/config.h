@@ -88,27 +88,22 @@ struct XbfsConfig {
   /// traversals per process) turn this off and report their own summary.
   bool report_runs = true;
 
-  // --- dynamic-graph knobs (src/dyn, docs/dynamic.md) ----------------------
+  // --- dynamic graphs (src/dyn, docs/dynamic.md) ---------------------------
+  // dyn::IncrementalBfs runs Xbfs, with every knob above, over its device
+  // mirror of the DeltaCsr; this is the only dynamic-only knob.
   /// Overlay density ((insert overlay + tombstone entries) / base |E|)
   /// above which dyn::GraphStore::apply compacts the DeltaCsr into a fresh
   /// flat base.
   double dyn_compact_threshold = 0.25;
-  /// Repair-vs-recompute bound, the dynamic analogue of the paper's
-  /// r-vs-alpha policy: IncrementalBfs falls back to a full recompute when
-  /// (invalidated + repair-seed vertices) / |V| exceeds it.
-  double dyn_repair_ratio = 0.15;
-  /// Prior level arrays IncrementalBfs keeps (one per source, FIFO
-  /// evicted) to seed repairs from.
-  unsigned dyn_history_sources = 64;
 
   /// Reject nonsense configurations with a diagnostic instead of letting
   /// them silently misbehave.  Checked: alpha > 0 and finite (the adaptive
   /// range is (0,1); values above 1 are the documented "disable bottom-up"
   /// idiom and stay valid), growth_threshold > 0 and finite,
   /// block_threads >= 1, TripleBinned bin edges ordered, positive finite
-  /// dyn_compact_threshold, dyn_repair_ratio in (0, 1], and
-  /// dyn_history_sources >= 1.  Called by the Xbfs constructor and
-  /// serve::Server startup.
+  /// bottomup_spill_factor and dyn_compact_threshold.  Called by the Xbfs
+  /// constructor (so also by dyn::IncrementalBfs) and serve::Server
+  /// startup.
   Status validate() const;
 };
 

@@ -10,7 +10,6 @@ namespace xbfs::core {
 
 namespace {
 
-using graph::eid_t;
 using graph::vid_t;
 using sim::mask_rank;
 using sim::popcll;
@@ -191,16 +190,16 @@ BuChunkResult bu_scan_thread_centric(sim::ExecCtx& ctx, const BottomUpArgs& a,
   std::uint64_t max_steps = 0, total_steps = 0;
   for (unsigned l = 0; l < W; ++l) {
     if (!(valid & (std::uint64_t{1} << l))) continue;
-    const eid_t begin = ctx.load(a.offsets, u[l]);
-    const eid_t end = ctx.load(a.offsets, u[l] + 1);
+    const graph::DeviceAdjacency::Row row = a.adj.row(ctx, u[l]);
     std::uint64_t steps = 0;
     bool found_next = false;
     vid_t next_parent = 0;
-    for (eid_t e = begin; e < end; ++e) {
-      const vid_t w = ctx.load(a.cols, e);
+    for (std::uint32_t j = 0; j < row.len(); ++j) {
+      const vid_t w = a.adj.at(ctx, row, j);
+      ++steps;
+      if (w == graph::kTombstone) continue;
       const NeighborProbe p =
           probe_neighbor(ctx, a, w, lookahead && !found_next);
-      ++steps;
       if (p.in_cur) {
         // Early termination: one visited parent suffices.
         r.won |= std::uint64_t{1} << l;
@@ -238,15 +237,15 @@ BuChunkResult bu_scan_wavefront_centric(sim::ExecCtx& ctx,
   BuChunkResult r;
   for (unsigned owner = 0; owner < W; ++owner) {
     if (!(valid & (std::uint64_t{1} << owner))) continue;
-    const eid_t begin = ctx.load(a.offsets, u[owner]);
-    const eid_t end = ctx.load(a.offsets, u[owner] + 1);
+    const graph::DeviceAdjacency::Row row = a.adj.row(ctx, u[owner]);
     bool found_cur = false, found_next = false;
     vid_t cur_parent = 0, next_parent = 0;
-    for (eid_t chunk = begin; chunk < end && !found_cur; chunk += W) {
-      const unsigned width =
-          static_cast<unsigned>(std::min<eid_t>(W, end - chunk));
+    for (std::uint32_t chunk = 0; chunk < row.len() && !found_cur;
+         chunk += W) {
+      const unsigned width = std::min(W, row.len() - chunk);
       for (unsigned l = 0; l < width; ++l) {
-        const vid_t w = ctx.load(a.cols, chunk + l);
+        const vid_t w = a.adj.at(ctx, row, chunk + l);
+        if (w == graph::kTombstone) continue;
         const NeighborProbe p =
             probe_neighbor(ctx, a, w, lookahead && !found_next);
         if (p.in_cur && !found_cur) {
@@ -347,9 +346,7 @@ sim::LaunchResult launch_bu_expand(sim::Device& dev, sim::LaunchTarget on,
             if (!a.parent.empty()) {
               ctx.store(a.parent, u[l], r.match_parent[l]);
             }
-            const eid_t b0 = ctx.load(a.offsets, u[l]);
-            const eid_t e0 = ctx.load(a.offsets, u[l] + 1);
-            degree_sum += e0 - b0;
+            degree_sum += a.adj.base_len(ctx, u[l]);
           }
           ctx.slots(W, std::uint64_t{3} * popcll(mask));
           const std::uint32_t qbase = ctx.atomic_add(

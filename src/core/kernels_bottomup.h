@@ -22,8 +22,8 @@
 namespace xbfs::core {
 
 struct BottomUpArgs {
-  sim::dspan<const graph::eid_t> offsets;
-  sim::dspan<const graph::vid_t> cols;
+  /// The graph: base rows skip kTombstone entries, then the overlay row.
+  graph::DeviceAdjacency adj;
   sim::dspan<std::uint32_t> status;
   sim::dspan<graph::vid_t> parent;  ///< empty when parents are not built
   sim::dspan<graph::vid_t> bu_queue;

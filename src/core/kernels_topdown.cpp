@@ -10,7 +10,6 @@ namespace xbfs::core {
 
 namespace {
 
-using graph::eid_t;
 using graph::vid_t;
 using sim::lane_mask_lt;
 using sim::mask_rank;
@@ -20,14 +19,14 @@ constexpr unsigned kMaxWave = 64;
 
 /// Per-chunk lane state for the gather helpers.
 struct LaneChunk {
-  std::array<vid_t, kMaxWave> v{};     ///< frontier vertex per lane
-  std::array<eid_t, kMaxWave> off{};   ///< adjacency begin per lane
-  std::array<std::uint32_t, kMaxWave> deg{};
+  std::array<vid_t, kMaxWave> v{};  ///< frontier vertex per lane
+  std::array<graph::DeviceAdjacency::Row, kMaxWave> row{};
   std::uint64_t valid = 0;
 };
 
 /// Load a wavefront-wide chunk of the frontier queue plus each vertex's
-/// adjacency extent.  Three loads per active lane.
+/// adjacency extent.  Three loads per active lane (plus the overlay lookup
+/// of a dynamic mirror).
 LaneChunk load_chunk(sim::ExecCtx& ctx, const TopDownArgs& a,
                      sim::dspan<const vid_t> queue, std::uint32_t queue_size,
                      std::uint64_t base, unsigned W) {
@@ -37,9 +36,7 @@ LaneChunk load_chunk(sim::ExecCtx& ctx, const TopDownArgs& a,
     const std::uint64_t i = base + l;
     if (i >= queue_size) continue;
     c.v[l] = ctx.load(queue, i);
-    c.off[l] = ctx.load(a.offsets, c.v[l]);
-    const eid_t end = ctx.load(a.offsets, c.v[l] + 1);
-    c.deg[l] = static_cast<std::uint32_t>(end - c.off[l]);
+    c.row[l] = a.adj.row(ctx, c.v[l]);
     c.valid |= std::uint64_t{1} << l;
     ++active;
   }
@@ -99,9 +96,7 @@ void visit_targets(sim::ExecCtx& ctx, const TopDownArgs& a,
   std::uint64_t degree_sum = 0;
   for (unsigned l = 0; l < W; ++l) {
     if (!(won & (std::uint64_t{1} << l))) continue;
-    const eid_t b = ctx.load(a.offsets, targets[l]);
-    const eid_t e = ctx.load(a.offsets, targets[l] + 1);
-    degree_sum += e - b;
+    degree_sum += a.adj.base_len(ctx, targets[l]);
   }
   ctx.slots(W, std::uint64_t{2} * popcll(won));
 
@@ -130,19 +125,24 @@ void gather_thread_centric(sim::ExecCtx& ctx, const TopDownArgs& a,
   if (mask == 0) return;
   std::uint32_t max_deg = 0;
   for (unsigned l = 0; l < W; ++l) {
-    if (mask & (std::uint64_t{1} << l)) max_deg = std::max(max_deg, c.deg[l]);
+    if (mask & (std::uint64_t{1} << l)) {
+      max_deg = std::max(max_deg, c.row[l].len());
+    }
   }
   for (std::uint32_t j = 0; j < max_deg; ++j) {
     std::array<vid_t, kMaxWave> targets{};
     std::array<vid_t, kMaxWave> par{};
     std::uint64_t act = 0;
+    unsigned loaded = 0;
     for (unsigned l = 0; l < W; ++l) {
-      if (!(mask & (std::uint64_t{1} << l)) || j >= c.deg[l]) continue;
-      targets[l] = ctx.load(a.cols, c.off[l] + j);
+      if (!(mask & (std::uint64_t{1} << l)) || j >= c.row[l].len()) continue;
+      targets[l] = a.adj.at(ctx, c.row[l], j);
+      ++loaded;
+      if (targets[l] == graph::kTombstone) continue;
       par[l] = c.v[l];
       act |= std::uint64_t{1} << l;
     }
-    ctx.slots(W, popcll(act));
+    ctx.slots(W, loaded);
     visit_targets<kCas, kEnqueue>(ctx, a, targets, par, act, W);
   }
 }
@@ -156,15 +156,16 @@ void gather_wavefront_centric(sim::ExecCtx& ctx, const TopDownArgs& a,
   for (unsigned owner = 0; owner < W; ++owner) {
     if (!(mask & (std::uint64_t{1} << owner))) continue;
     const vid_t src = c.v[owner];
-    for (std::uint32_t chunk = 0; chunk < c.deg[owner]; chunk += W) {
+    for (std::uint32_t chunk = 0; chunk < c.row[owner].len(); chunk += W) {
       std::array<vid_t, kMaxWave> targets{};
       std::array<vid_t, kMaxWave> par{};
       std::uint64_t act = 0;
-      const std::uint32_t left = c.deg[owner] - chunk;
+      const std::uint32_t left = c.row[owner].len() - chunk;
       const unsigned width = static_cast<unsigned>(
           std::min<std::uint32_t>(left, W));
       for (unsigned l = 0; l < width; ++l) {
-        targets[l] = ctx.load(a.cols, c.off[owner] + chunk + l);
+        targets[l] = a.adj.at(ctx, c.row[owner], chunk + l);
+        if (targets[l] == graph::kTombstone) continue;
         par[l] = src;
         act |= std::uint64_t{1} << l;
       }
@@ -201,7 +202,7 @@ void expand_kernel_body(sim::BlockCtx& blk, const TopDownArgs& a,
           for (unsigned l = 0; l < W; ++l) {
             const std::uint64_t bit = std::uint64_t{1} << l;
             if (!(c.valid & bit)) continue;
-            (c.deg[l] <= small_threshold ? small : coop) |= bit;
+            (c.row[l].len() <= small_threshold ? small : coop) |= bit;
           }
           break;
       }
@@ -324,9 +325,9 @@ sim::LaunchResult launch_classify_bins(sim::Device& dev, sim::LaunchTarget on,
         for (unsigned l = 0; l < W; ++l) {
           const std::uint64_t bit = std::uint64_t{1} << l;
           if (!(c.valid & bit)) continue;
-          if (c.deg[l] < med_min) {
+          if (c.row[l].len() < med_min) {
             sm |= bit;
-          } else if (c.deg[l] < large_min) {
+          } else if (c.row[l].len() < large_min) {
             md |= bit;
           } else {
             lg |= bit;

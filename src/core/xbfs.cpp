@@ -281,8 +281,7 @@ Xbfs::Xbfs(sim::Device& dev, const graph::DeviceCsr& g, XbfsConfig cfg)
 void Xbfs::run_scanfree(sim::LaunchTarget on, const FrontierState& fs,
                         std::uint32_t level) {
   TopDownArgs a;
-  a.offsets = g_.offsets_span();
-  a.cols = g_.cols_span();
+  a.adj = g_.adjacency();
   a.status = buffers_.status.span();
   if (!buffers_.parent.empty()) a.parent = buffers_.parent.span();
   a.queue = fs.cur_queue;
@@ -344,8 +343,7 @@ void Xbfs::run_scanfree(sim::LaunchTarget on, const FrontierState& fs,
 void Xbfs::run_singlescan(sim::LaunchTarget on, const FrontierState& fs,
                           std::uint32_t level, bool skip_generation) {
   TopDownArgs a;
-  a.offsets = g_.offsets_span();
-  a.cols = g_.cols_span();
+  a.adj = g_.adjacency();
   a.status = buffers_.status.span();
   if (!buffers_.parent.empty()) a.parent = buffers_.parent.span();
   a.queue = fs.cur_queue;
@@ -371,8 +369,7 @@ void Xbfs::run_singlescan(sim::LaunchTarget on, const FrontierState& fs,
 void Xbfs::run_bottomup(sim::LaunchTarget on, const FrontierState& fs,
                         std::uint32_t level) {
   BottomUpArgs a;
-  a.offsets = g_.offsets_span();
-  a.cols = g_.cols_span();
+  a.adj = g_.adjacency();
   a.status = buffers_.status.span();
   if (!buffers_.parent.empty()) a.parent = buffers_.parent.span();
   a.bu_queue = buffers_.bu_queue.span();

@@ -167,7 +167,7 @@ Server::Server(const graph::Csr* g, dyn::GraphStore* store, ServeConfig cfg)
       if (k != core::AlgoKind::Bfs && k != core::AlgoKind::Cc) {
         throw std::invalid_argument(
             std::string("ServeConfig: dynamic serving supports bfs "
-                        "(incremental repair) and cc (incremental "
+                        "(Xbfs over the delta mirror) and cc (incremental "
                         "union-find) only, got ") +
             core::algo_kind_name(k));
       }
@@ -216,8 +216,8 @@ Server::Server(const graph::Csr* g, dyn::GraphStore* store, ServeConfig cfg)
     gcd->dev->set_trace_label("GCD " + std::to_string(i));
     gcd->dev->warmup();
     if (store_) {
-      // Dynamic ladders: one rung per kind, the incremental-repair engines
-      // (they own their own delta-aware mirrors; no static CSR upload).
+      // Dynamic ladders: one rung per kind, the incremental engines (they
+      // own their own delta-aware mirrors; no static CSR upload).
       if (serves(core::AlgoKind::Bfs)) {
         auto inc = std::make_unique<dyn::IncrementalBfs>(*gcd->dev, *store_,
                                                          cfg_.xbfs);
@@ -574,7 +574,6 @@ Server::Resolution Server::resolve_query(unsigned preferred,
         core::AlgoResult ar;
         bool corrupted = false;
         dyn::Snapshot dsnap;
-        dyn::IncrementalBfs::LastRun dlr;
         {
           std::lock_guard<sim::RankedMutex> lk(gcd.mu);
           sim::ScopedAttribution attr(*gcd.dev, sink);
@@ -586,19 +585,13 @@ Server::Resolution Server::resolve_query(unsigned preferred,
           // not whatever epoch the store is on by now.
           if (gcd.inc && q.algo == core::AlgoKind::Bfs) {
             dsnap = gcd.inc->served();
-            dlr = gcd.inc->last_run();
           } else if (gcd.inc_cc && q.algo == core::AlgoKind::Cc) {
             dsnap = gcd.inc_cc->served();
           }
         }
-        if (log && dlr.valid) {
-          log->event(wall_us(), dlr.repair ? "repair" : "recompute",
-                     "epoch=" + std::to_string(dlr.epoch) + " dirty=" +
-                         std::to_string(dlr.dirty) + " seeds=" +
-                         std::to_string(dlr.seeds) +
-                         (dlr.fallback[0] != '\0'
-                              ? std::string(" fallback=") + dlr.fallback
-                              : std::string()));
+        if (log && gcd.inc && q.algo == core::AlgoKind::Bfs) {
+          log->event(wall_us(), "recompute",
+                     "epoch=" + std::to_string(dsnap.epoch));
         }
         if (corrupted) {
           if (q.algo == core::AlgoKind::Bfs && ar.payload.levels) {
@@ -1014,10 +1007,7 @@ ServerStats Server::stats() const {
   std::uint64_t repairs = 0, recomputes = 0, fallbacks = 0;
   for (const auto& gp : gcds_) {
     if (gp->inc) {
-      const dyn::DynEngineStats es = gp->inc->stats();
-      repairs += es.repairs;
-      recomputes += es.recomputes;
-      fallbacks += es.fallbacks_ratio + es.fallbacks_log;
+      recomputes += gp->inc->stats().runs;
     }
     if (gp->inc_cc) {
       const dyn::IncCcStats es = gp->inc_cc->stats();

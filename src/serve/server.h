@@ -99,9 +99,10 @@ struct ServeConfig : FrontEndConfig {
   // --- algorithm family ----------------------------------------------------
   /// Kinds this server builds engine ladders for; queries of any other
   /// kind are rejected Invalid at submit.  Static servers may list any
-  /// registered kind; dynamic servers support Bfs (incremental repair) and
-  /// Cc (incremental union-find) — the constructor throws on others.  Each
-  /// served kind also records SLO outcomes into "<slo_scope>:<kind>".
+  /// registered kind; dynamic servers support Bfs (Xbfs over a delta
+  /// mirror) and Cc (incremental union-find) — the constructor throws on
+  /// others.  Each served kind also records SLO outcomes into
+  /// "<slo_scope>:<kind>".
   std::vector<core::AlgoKind> algos = {core::AlgoKind::Bfs};
   /// QoS drain weights, indexed by AlgoKind: class k is offered up to
   /// qos_weights[k] queue slots per turn of the scheduler's round-robin
@@ -138,7 +139,8 @@ struct ServeConfig : FrontEndConfig {
 /// server).  VALUE expressions run in Server::stats (`cs` = cache_.stats();
 /// `hook` = the store's durability hook, `ds` its stats or zero;
 /// `repairs` / `recomputes` / `fallbacks` summed over the GCDs' incremental
-/// engines); REPORT expressions in Server::summarize.
+/// engines: CC repairs and fallbacks, CC recomputes plus one recompute per
+/// dynamic BFS run); REPORT expressions in Server::summarize.
 #define XBFS_SERVER_STATS(COUNTER, HISTOGRAM, VALUE, REPORT)                   \
   REPORT(std::uint64_t, "num_gcds", Gauge, "GCDs", Config,                     \
          "GCDs served concurrently", cfg_.num_gcds)                            \
@@ -183,11 +185,11 @@ struct ServeConfig : FrontEndConfig {
         Counter, "probes", None, "stale-epoch probes refused",                 \
         cs.stale_hits_avoided)                                                 \
   VALUE(std::uint64_t, repairs, "repairs", Counter, "runs", None,              \
-        "incremental repairs", repairs)                                        \
+        "incremental CC repairs", repairs)                                     \
   VALUE(std::uint64_t, recomputes, "recomputes", Counter, "runs", None,        \
-        "full recomputes (fallbacks too)", recomputes)                         \
+        "CC recomputes plus dynamic BFS runs", recomputes)                     \
   VALUE(std::uint64_t, repair_fallbacks, "repair_fallbacks", Counter, "runs",  \
-        None, "repairs abandoned", fallbacks)                                  \
+        None, "CC repairs abandoned", fallbacks)                               \
   VALUE(bool, durable, "durable", Gauge, "flag", None, "WAL-backed store",     \
         hook != nullptr)                                                       \
   VALUE(std::uint64_t, wal_appends, "wal_appends", Counter, "records", None,   \

@@ -48,8 +48,7 @@ struct KernelFixture : ::testing::Test {
   TopDownArgs topdown_args(sim::dspan<const vid_t> queue,
                            std::uint32_t queue_size, std::uint32_t level) {
     TopDownArgs a;
-    a.offsets = dg.offsets_span();
-    a.cols = dg.cols_span();
+    a.adj = dg.adjacency();
     a.status = buffers.status.span();
     a.queue = queue;
     a.queue_size = queue_size;
@@ -62,8 +61,7 @@ struct KernelFixture : ::testing::Test {
 
   BottomUpArgs bottomup_args(std::uint32_t level) {
     BottomUpArgs a;
-    a.offsets = dg.offsets_span();
-    a.cols = dg.cols_span();
+    a.adj = dg.adjacency();
     a.status = buffers.status.span();
     a.bu_queue = buffers.bu_queue.span();
     a.next_queue = buffers.queue_b.span();

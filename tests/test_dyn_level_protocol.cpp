@@ -1,19 +1,16 @@
-// The device protocol of dyn::IncrementalBfs over a churned DeltaCsr
-// mirror (live tombstones and insert overlay).  DynFixedCost pins the
-// per-round budget: one strategy launch per recompute level, at most two
-// per fixpoint round, one counter readback per round and no reset or
-// append launches.  DynLevelTotals checks that recomputes, top-down and
-// bottom-up repairs and the fallbacks between them give reference levels,
-// that recompute level totals match the reference census, and, at one
-// worker, hashes the whole run sequence.
+// The device protocol of dyn::IncrementalBfs: a mirror sync plus one
+// core::Xbfs traversal of the churned DeltaCsr mirror (live tombstones and
+// insert overlay).  DynFixedCost pins the budget: a same-epoch run costs
+// what a static Xbfs run costs (one launch, one sync, two copies), and an
+// epoch change adds only the mirror sync.  DynLevelTotals runs every
+// forced strategy, balancing mode and bottom-up variant plus the
+// TripleBinned stream mode over the mirror and checks reference levels and
+// per-level totals; at one worker it hashes the whole run sequence.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <random>
-#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -90,29 +87,49 @@ EdgeBatch churn(const DeltaCsr& g, std::mt19937_64& rng, unsigned ops) {
   return b;
 }
 
-/// Vertices per level of a reference labelling.
-std::vector<std::uint64_t> level_census(const std::vector<std::int32_t>& ref) {
-  std::vector<std::uint64_t> census;
-  for (const std::int32_t l : ref) {
-    if (l < 0) continue;
-    if (census.size() <= static_cast<std::size_t>(l)) census.resize(l + 1);
-    ++census[l];
+/// Per-level totals of `r` against the reference labelling: the vertex
+/// census, and the base row lengths (tombstones included, overlay
+/// excluded) summed per level.  With several workers, single-scan's plain
+/// claims may count a vertex twice, so the totals a single-scan level
+/// leaves for the next one are lower bounds there (a generated level
+/// recounts its frontier exactly).
+void expect_totals(const core::BfsResult& r,
+                   const std::vector<std::int32_t>& ref, const DeltaCsr& g,
+                   bool exact) {
+  std::vector<std::uint64_t> count, edges;
+  const std::vector<graph::eid_t>& off = g.base().offsets();
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    if (ref[v] < 0) continue;
+    if (count.size() <= static_cast<std::size_t>(ref[v])) {
+      count.resize(ref[v] + 1);
+      edges.resize(ref[v] + 1);
+    }
+    ++count[ref[v]];
+    edges[ref[v]] += off[v + 1] - off[v];
   }
-  return census;
+  ASSERT_EQ(r.level_stats.size(), count.size());
+  for (std::size_t l = 0; l < count.size(); ++l) {
+    const core::LevelStats& st = r.level_stats[l];
+    const bool bound =
+        !exact && l > 0 &&
+        r.level_stats[l - 1].strategy == core::Strategy::SingleScan;
+    const bool generated = st.strategy == core::Strategy::SingleScan &&
+                           !st.skipped_generation;
+    if (bound && !generated) {
+      EXPECT_GE(st.frontier_count, count[l]) << "level " << l;
+    } else {
+      EXPECT_EQ(st.frontier_count, count[l]) << "level " << l;
+    }
+    if (bound) {
+      EXPECT_GE(st.frontier_edges, edges[l]) << "level " << l;
+    } else {
+      EXPECT_EQ(st.frontier_edges, edges[l]) << "level " << l;
+    }
+  }
 }
 
-/// Per-level frontier counts of `r` equal the reference census.
-void expect_census(const core::BfsResult& r,
-                   const std::vector<std::int32_t>& ref) {
-  const std::vector<std::uint64_t> census = level_census(ref);
-  ASSERT_EQ(r.level_stats.size(), census.size());
-  for (std::size_t l = 0; l < census.size(); ++l) {
-    EXPECT_EQ(r.level_stats[l].frontier_count, census[l]) << "level " << l;
-  }
-}
-
-/// FNV-1a over everything a run's protocol decides: levels, the
-/// repair/recompute choice and, per level, strategy and frontier totals.
+/// FNV-1a over everything a run's protocol decides: levels and, per level,
+/// strategy, NFG and frontier totals.
 struct RunHash {
   std::uint64_t h = 0xcbf29ce484222325ull;
 
@@ -122,8 +139,7 @@ struct RunHash {
       x >>= 8;
     }
   }
-  void mix(const core::BfsResult& r, const IncrementalBfs::LastRun& lr) {
-    mix(lr.repair);
+  void mix(const core::BfsResult& r) {
     for (const std::int32_t l : r.levels) {
       mix(static_cast<std::uint32_t>(l));
     }
@@ -131,6 +147,7 @@ struct RunHash {
     for (const core::LevelStats& st : r.level_stats) {
       mix(st.level);
       mix(static_cast<std::uint64_t>(st.strategy));
+      mix(st.skipped_generation);
       mix(st.frontier_count);
       mix(st.frontier_edges);
     }
@@ -138,7 +155,7 @@ struct RunHash {
 };
 
 // ---------------------------------------------------------------------------
-// Launch and copy budget per round.
+// Launch, sync and copy budget per run.
 
 /// A store over `base` with compaction off and `batches` seeded churn
 /// batches applied, so the device mirror has tombstones and overlay.
@@ -163,128 +180,96 @@ sim::Device make_device(unsigned workers) {
                      sim::SimOptions{.num_workers = workers});
 }
 
-/// Launches per profiler level, apart from the mirror's patch kernel.
-std::map<int, std::vector<std::string>> round_launches(sim::Device& dev) {
-  std::map<int, std::vector<std::string>> out;
+/// A run's host protocol, as the attribution sink saw it.
+struct RunBudget {
+  std::uint64_t launches = 0;
+  std::uint64_t syncs = 0;
+  std::uint64_t memcpys = 0;
+
+  bool operator==(const RunBudget&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const RunBudget& b) {
+  return os << "{launches=" << b.launches << " syncs=" << b.syncs
+            << " memcpys=" << b.memcpys << "}";
+}
+
+RunBudget run_budget(sim::Device& dev, IncrementalBfs& eng, vid_t src,
+                     core::BfsResult* out) {
+  sim::AttributionSink sink;
+  {
+    sim::ScopedAttribution attr(dev, sink);
+    *out = eng.run(src);
+  }
+  return {sink.launches, sink.syncs, sink.memcpys};
+}
+
+/// Launched kernels of the profiled run(s): only Xbfs's, apart from the
+/// mirror's patch kernel; returns how many patch launches there were.
+unsigned patch_launches(sim::Device& dev) {
+  unsigned patches = 0;
   for (const sim::LaunchRecord& rec : dev.profiler().records()) {
-    if (rec.kernel == "dyn_apply_patch") continue;
-    EXPECT_EQ(rec.kernel.find("reset"), std::string::npos) << rec.kernel;
-    EXPECT_EQ(rec.kernel.find("append"), std::string::npos) << rec.kernel;
-    out[rec.level].push_back(rec.kernel);
-  }
-  return out;
-}
-
-TEST(DynFixedCost, RecomputeLaunchesOneStrategyKernelPerLevel) {
-  bool saw_push = false, saw_pull = false;
-  for (const GraphCase& gc : kGraphs) {
-    for (const double alpha : {0.1, 1e-9}) {
-      SCOPED_TRACE(std::string(gc.name) + " alpha=" + std::to_string(alpha));
-      ChurnedStore cs(gc.make(), 3);
-      sim::Device dev = make_device(1);
-      core::XbfsConfig cfg = cs.cfg;
-      cfg.alpha = alpha;
-      IncrementalBfs eng(dev, *cs.store, cfg);
-      eng.run(0);  // syncs the mirror
-      eng.clear_history();
-      dev.profiler().clear();
-      const core::BfsResult r = eng.run(0);
-      const auto launches = round_launches(dev);
-      ASSERT_EQ(launches.size(), r.level_stats.size());
-      for (const core::LevelStats& st : r.level_stats) {
-        const auto it = launches.find(static_cast<int>(st.level));
-        ASSERT_NE(it, launches.end()) << "level " << st.level;
-        ASSERT_EQ(it->second.size(), 1u) << "level " << st.level;
-        EXPECT_EQ(st.kernels, 1u);
-        const bool pull = st.strategy == core::Strategy::BottomUp;
-        EXPECT_EQ(it->second[0], pull ? "dyn_repair_pull" : "dyn_fix_push");
-        (pull ? saw_pull : saw_push) = true;
-      }
+    if (rec.kernel == "dyn_apply_patch") {
+      ++patches;
+      continue;
     }
+    EXPECT_EQ(rec.kernel.rfind("xbfs_", 0), 0u) << rec.kernel;
   }
-  EXPECT_TRUE(saw_push);
-  EXPECT_TRUE(saw_pull);
+  return patches;
 }
 
-TEST(DynFixedCost, FixpointRoundLaunchesAtMostTwoKernels) {
-  unsigned repairs = 0, two_kernel_rounds = 0;
-  for (const GraphCase& gc : kGraphs) {
-    for (const double alpha : {1e9, 1e-9}) {
-      SCOPED_TRACE(std::string(gc.name) + " alpha=" + std::to_string(alpha));
-      ChurnedStore cs(gc.make(), 3);
-      sim::Device dev = make_device(1);
-      core::XbfsConfig cfg = cs.cfg;
-      cfg.alpha = alpha;
-      cfg.dyn_repair_ratio = 1.0;
-      IncrementalBfs eng(dev, *cs.store, cfg);
-      eng.run(0);
-      for (int round = 0; round < 3; ++round) {
-        cs.step(4);
-        dev.profiler().clear();
-        const core::BfsResult r = eng.run(0);
-        if (!eng.last_run().repair) continue;
-        ++repairs;
-        const auto launches = round_launches(dev);
-        ASSERT_EQ(launches.size(), r.level_stats.size());
-        for (const core::LevelStats& st : r.level_stats) {
-          const auto it = launches.find(static_cast<int>(st.level));
-          ASSERT_NE(it, launches.end()) << "round " << st.level;
-          const std::vector<std::string>& ks = it->second;
-          ASSERT_GE(ks.size(), 1u);
-          ASSERT_LE(ks.size(), 2u) << "round " << st.level;
-          EXPECT_EQ(st.kernels, ks.size());
-          for (const std::string& k : ks) {
-            EXPECT_TRUE(k == "dyn_fix_push" || k == "dyn_fix_pull") << k;
-          }
-          if (ks.size() == 2) {
-            EXPECT_EQ(ks[0], "dyn_fix_push");
-            EXPECT_EQ(ks[1], "dyn_fix_pull");
-            ++two_kernel_rounds;
-          }
-        }
-      }
-    }
-  }
-  EXPECT_GT(repairs, 0u);
-  EXPECT_GT(two_kernel_rounds, 0u);
-}
-
-TEST(DynFixedCost, RecomputeCopiesGrowByOnePerLevel) {
+TEST(DynFixedCost, SameEpochRunCostsOneLaunchOneSyncTwoCopies) {
   for (const GraphCase& gc : kGraphs) {
     SCOPED_TRACE(gc.name);
     ChurnedStore cs(gc.make(), 3);
     sim::Device dev = make_device(1);
     IncrementalBfs eng(dev, *cs.store, cs.cfg);
     const vid_t n = cs.store->snapshot().graph->num_vertices();
-    eng.run(0);  // syncs the mirror
+    core::BfsResult r = eng.run(0);  // syncs the mirror
     for (const vid_t src : {vid_t{0}, n / 2, n - 1}) {
-      eng.clear_history();
-      sim::AttributionSink sink;
-      core::BfsResult r;
-      {
-        sim::ScopedAttribution attr(dev, sink);
-        r = eng.run(src);
-      }
-      // Status and source h2d, one counter readback per level, the
-      // status d2h; one strategy launch per level.
-      EXPECT_EQ(sink.memcpys, r.level_stats.size() + 3) << "src " << src;
-      EXPECT_EQ(sink.launches, r.level_stats.size()) << "src " << src;
+      dev.profiler().clear();
+      // Xbfs's budget: the cooperative launch, the host wait, then the
+      // log's level count and the status array with the log's rows.
+      EXPECT_EQ(run_budget(dev, eng, src, &r), (RunBudget{1, 1, 2}))
+          << "src " << src;
+      EXPECT_EQ(patch_launches(dev), 0u);
+      EXPECT_EQ(r.levels, reference_bfs(*cs.store->snapshot().graph, src));
     }
   }
 }
 
-/// A kernel fault can abort a pull-mode fixpoint round between its two
-/// kernels, leaving that round's counter set half-filled.  The next run
-/// re-zeroes both sets, so its level totals stay exact.  On the chain
-/// every deletion dirties a tail and every useful insert seeds a push,
-/// so faulted repairs often stop between dyn_fix_push and dyn_fix_pull.
+TEST(DynFixedCost, EpochChangeAddsOnlyTheMirrorSync) {
+  unsigned patched = 0;
+  for (const GraphCase& gc : kGraphs) {
+    SCOPED_TRACE(gc.name);
+    ChurnedStore cs(gc.make(), 3);
+    sim::Device dev = make_device(1);
+    IncrementalBfs eng(dev, *cs.store, cs.cfg);
+    eng.run(0);
+    for (int round = 0; round < 3; ++round) {
+      cs.step(4);
+      dev.profiler().clear();
+      core::BfsResult r;
+      const RunBudget b = run_budget(dev, eng, 0, &r);
+      // At most one dyn_apply_patch launch (with its sync and its h2d of
+      // the patch list), then the overlay h2d, then Xbfs's budget.
+      const unsigned p = patch_launches(dev);
+      ASSERT_LE(p, 1u);
+      EXPECT_EQ(b, (RunBudget{1 + p, 1 + p, 3 + p})) << "round " << round;
+      EXPECT_EQ(r.levels, reference_bfs(*cs.store->snapshot().graph, 0));
+      patched += p;
+    }
+  }
+  EXPECT_GT(patched, 0u);
+}
+
+/// A kernel fault can abort a run in the mirror's patch launch or in the
+/// cooperative traversal.  The next run still syncs the mirror and starts
+/// the traversal from xbfs_init, so its levels and level totals stay exact.
 TEST(DynFixedCost, RunAfterAFaultedRoundKeepsExactTotals) {
   ChurnedStore cs(chain_graph(), 3);
   sim::Device dev = make_device(1);
-  core::XbfsConfig cfg = cs.cfg;
-  cfg.alpha = 1e-9;  // repairs with a dirty region pull every round
-  cfg.dyn_repair_ratio = 1.0;
-  IncrementalBfs eng(dev, *cs.store, cfg);
+  IncrementalBfs eng(dev, *cs.store, cs.cfg);
   sim::FaultInjector& faults = sim::FaultInjector::global();
   unsigned faulted = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
@@ -302,45 +287,91 @@ TEST(DynFixedCost, RunAfterAFaultedRoundKeepsExactTotals) {
       ++faulted;
     }
     faults.disable();
-    eng.clear_history();
     const core::BfsResult r = eng.run(0);
-    const std::vector<std::int32_t> ref =
-        reference_bfs(*cs.store->snapshot().graph, 0);
+    const Snapshot snap = cs.store->snapshot();
+    const std::vector<std::int32_t> ref = reference_bfs(*snap.graph, 0);
     ASSERT_EQ(r.levels, ref);
-    expect_census(r, ref);
+    expect_totals(r, ref, *snap.graph, /*exact=*/true);
   }
   EXPECT_GT(faulted, 0u);
 }
 
-/// Every race the three kernels and the in-kernel counter zeroing run
-/// into is one a live racy_ok annotation documents.
+/// Xbfs over the mirror, every strategy and both stream modes, under SimSan
+/// all-on: every race is one a live racy_ok annotation documents, and no
+/// access leaves its buffer — a tombstone never indexes status.
 TEST(DynFixedCost, KernelRacesAreAllAnnotated) {
   sim::Sanitizer& san = sim::Sanitizer::global();
   san.configure(sim::SanitizeConfig::all_on());
-  for (const double alpha : {0.1, 1e-9, 1e9}) {
+  std::vector<core::XbfsConfig> cfgs(5);
+  cfgs[1].forced_strategy = static_cast<int>(core::Strategy::SingleScan);
+  cfgs[2].forced_strategy = static_cast<int>(core::Strategy::BottomUp);
+  cfgs[2].bottomup_bitmap = true;
+  cfgs[3].forced_strategy = static_cast<int>(core::Strategy::BottomUp);
+  cfgs[3].bottomup_warp_centric = true;
+  cfgs[4].stream_mode = core::StreamMode::TripleBinned;
+  for (const core::XbfsConfig& base : cfgs) {
     ChurnedStore cs(rmat_graph(), 3);
     sim::Device dev = make_device(4);
-    core::XbfsConfig cfg = cs.cfg;
-    cfg.alpha = alpha;
-    cfg.dyn_repair_ratio = 1.0;
+    core::XbfsConfig cfg = base;
+    cfg.report_runs = false;
+    cfg.dyn_compact_threshold = cs.cfg.dyn_compact_threshold;
     IncrementalBfs eng(dev, *cs.store, cfg);
     for (int round = 0; round < 3; ++round) {
-      eng.run(0);
+      EXPECT_EQ(eng.run(0).levels,
+                reference_bfs(*cs.store->snapshot().graph, 0));
       cs.step(6);
     }
   }
   const std::uint64_t unannotated = san.unannotated_count();
-  const std::vector<std::string> stale = san.stale_annotations();
+  const std::uint64_t out_of_bounds =
+      san.finding_count(sim::DefectKind::OutOfBounds);
   san.reset();
   san.disable();
   EXPECT_EQ(unannotated, 0u);
-  for (const std::string& why : stale) {
-    EXPECT_NE(why.rfind("dyn-", 0), 0u) << "stale annotation: " << why;
-  }
+  EXPECT_EQ(out_of_bounds, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Differential guard: levels and totals over a churned mirror.
+// Differential guard: every strategy kernel over a churned mirror.
+
+struct ConfigCase {
+  std::string name;
+  core::XbfsConfig cfg;
+};
+
+/// Each forced strategy x top-down balancing x bottom-up warp-centric x
+/// bottom-up bitmap, plus the adaptive policy in both stream modes.
+std::vector<ConfigCase> config_cases() {
+  std::vector<ConfigCase> out;
+  out.push_back({"adaptive", {}});
+  core::XbfsConfig tb;
+  tb.stream_mode = core::StreamMode::TripleBinned;
+  out.push_back({"triple_binned", tb});
+  const std::pair<core::Balancing, const char*> balancings[] = {
+      {core::Balancing::ThreadCentric, "thread"},
+      {core::Balancing::WavefrontCentric, "wavefront"},
+      {core::Balancing::DegreeBinned, "binned"}};
+  for (const core::Strategy s :
+       {core::Strategy::ScanFree, core::Strategy::SingleScan,
+        core::Strategy::BottomUp}) {
+    for (const auto& [bal, bal_name] : balancings) {
+      for (const bool warp : {false, true}) {
+        for (const bool bitmap : {false, true}) {
+          core::XbfsConfig c;
+          c.forced_strategy = static_cast<int>(s);
+          c.topdown_balancing = bal;
+          c.bottomup_warp_centric = warp;
+          c.bottomup_bitmap = bitmap;
+          out.push_back({std::string(core::strategy_name(s)) + "_" +
+                             bal_name + (warp ? "_warp" : "") +
+                             (bitmap ? "_bitmap" : ""),
+                         c});
+        }
+      }
+    }
+  }
+  return out;
+}
 
 using TotalsParam = std::tuple<std::size_t /*graph*/, unsigned /*workers*/>;
 
@@ -374,81 +405,39 @@ TEST_P(DynLevelTotals, RecomputeRepairAndFallbackMatchReference) {
   sim::Device dev = make_device(workers);
   const vid_t sources[3] = {0, n / 2, n - 1};
   RunHash hash;
-  std::set<std::string> outcomes;  // "repair" or the fallback reason
-
   const auto run_checked = [&](IncrementalBfs& eng, vid_t src,
-                               const char* phase) {
-    SCOPED_TRACE(std::string(phase) + " src=" + std::to_string(src));
+                               const std::string& what) {
+    SCOPED_TRACE(what + " src=" + std::to_string(src));
     const Snapshot snap = store.snapshot();
     const core::BfsResult r = eng.run(src);
-    const IncrementalBfs::LastRun lr = eng.last_run();
-    EXPECT_EQ(r.levels, reference_bfs(*snap.graph, src));
-    EXPECT_EQ(lr.epoch, snap.epoch);
-    outcomes.insert(lr.repair ? "repair" : lr.fallback);
-    hash.mix(r, lr);
-    return r;
+    const std::vector<std::int32_t> ref = reference_bfs(*snap.graph, src);
+    ASSERT_EQ(r.levels, ref);
+    expect_totals(r, ref, *snap.graph, workers == 1);
+    hash.mix(r);
   };
 
-  // Recompute: per-level frontier counts equal the reference census.
-  {
-    IncrementalBfs eng(dev, store, cfg);
+  for (const ConfigCase& cc : config_cases()) {
+    core::XbfsConfig c = cc.cfg;
+    c.report_runs = false;
+    c.dyn_compact_threshold = cfg.dyn_compact_threshold;
+    IncrementalBfs eng(dev, store, c);
+    for (const vid_t src : sources) run_checked(eng, src, cc.name);
+  }
+
+  // One engine across epochs: in-place tombstone patches, revived base
+  // edges written back, and the overlay re-uploaded.
+  IncrementalBfs eng(dev, store, cfg);
+  for (int round = 0; round < 3; ++round) {
+    EdgeBatch b = churn(*store.snapshot().graph, rng, 2 + n / 50);
+    const DeltaCsr::Overlay& tombs = store.snapshot().graph->tombstones();
+    if (!tombs.empty()) {
+      b.insert(tombs.begin()->first, tombs.begin()->second.front());
+    }
+    store.apply(b);
     for (const vid_t src : sources) {
-      eng.clear_history();
-      const core::BfsResult r = run_checked(eng, src, "recompute");
-      EXPECT_FALSE(eng.last_run().repair);
-      expect_census(r, reference_bfs(*store.snapshot().graph, src));
+      run_checked(eng, src, "churn round " + std::to_string(round));
     }
   }
-
-  // Repair, forced top-down (alpha huge) and bottom-up (alpha tiny).
-  for (const double alpha : {1e9, 1e-9}) {
-    const bool pull = alpha < 1.0;
-    SCOPED_TRACE(pull ? "bottom-up repair" : "top-down repair");
-    core::XbfsConfig rcfg = cfg;
-    rcfg.alpha = alpha;
-    rcfg.dyn_repair_ratio = 1.0;
-    IncrementalBfs eng(dev, store, rcfg);
-    for (const vid_t src : sources) run_checked(eng, src, "cold");
-    unsigned repairs = 0, pulled = 0;
-    for (int round = 0; round < 3; ++round) {
-      store.apply(churn(*store.snapshot().graph, rng, 2 + n / 50));
-      for (const vid_t src : sources) {
-        const core::BfsResult r = run_checked(eng, src, "repair");
-        if (!eng.last_run().repair) continue;
-        ++repairs;
-        for (const core::LevelStats& st : r.level_stats) {
-          if (st.strategy == core::Strategy::BottomUp) {
-            ++pulled;
-            break;
-          }
-        }
-      }
-    }
-    EXPECT_GT(repairs, 0u);
-    if (pull) {
-      EXPECT_GT(pulled, 0u) << "no repair took the bottom-up path";
-    } else {
-      EXPECT_EQ(pulled, 0u) << "a top-down repair pulled";
-    }
-  }
-
-  // Back to back on one engine: small batches repair, a large one falls
-  // back on the repair ratio, cleared history recomputes.
-  {
-    core::XbfsConfig mcfg = cfg;
-    mcfg.dyn_repair_ratio = 0.05;
-    IncrementalBfs eng(dev, store, mcfg);
-    for (const unsigned ops : {0u, 2u, n, 2u, 0u}) {
-      if (ops == 0) eng.clear_history();
-      if (ops != 0) {
-        store.apply(churn(*store.snapshot().graph, rng, ops));
-      }
-      for (const vid_t src : sources) run_checked(eng, src, "mixed");
-    }
-  }
-  EXPECT_TRUE(outcomes.count("repair"));
-  EXPECT_TRUE(outcomes.count("ratio"));
-  EXPECT_TRUE(outcomes.count("no-history"));
 
   if (workers == 1) {
     char line[96];

@@ -111,8 +111,8 @@ struct DynamicFront {
   static constexpr const char* kTool = "serve";
   static constexpr const char* kLabel = "dynamic";
   static constexpr const char* kGuardKeys = "d97c2066002c6dcf";
-  static constexpr const char* kGuardValues = "c6a0d97baf83b536";
-  static constexpr const char* kGuardStats = "1cf0a7c8bf6798f9";
+  static constexpr const char* kGuardValues = "cd9a4728cee420b3";
+  static constexpr const char* kGuardStats = "13b4f0e81c1d261d";
 
   DynamicFront(const graph::Csr& g, std::size_t capacity, std::string scope)
       : base(&g),

@@ -362,8 +362,8 @@ TEST(SanitizerTest, BottomUpLookAheadRaceIsAnnotatedNotSuppressed) {
                  d_edge_counters);
 
   core::BottomUpArgs a;
-  a.offsets = d_offsets.cspan();
-  a.cols = d_cols.cspan();
+  a.adj.offsets = d_offsets.cspan();
+  a.adj.cols = d_cols.cspan();
   a.status = d_status.span();
   a.bu_queue = d_bu_queue.span();
   a.next_queue = d_next_queue.span();
