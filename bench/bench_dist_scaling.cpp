@@ -183,7 +183,9 @@ int run_serving_study(const ServeOptions& opt, std::uint64_t seed) {
   if (opt.chaos) {
     print_header("chaos: killed replica + fault injection (4 shards x 2)");
     sim::FaultConfig fc;
-    fc.kernel_fault_rate = 0.002;
+    // A sweep draws kernel faults once per live replica (one cooperative
+    // launch each) and corruption once per status-gather copy.
+    fc.kernel_fault_rate = 0.05;
     fc.memcpy_corruption_rate = 0.002;
     fc.seed = seed * 31 + 7;
     sim::FaultInjector::global().configure(fc);

@@ -50,6 +50,16 @@ struct LaunchResult {
 };
 
 class GridCtx;
+class MultiGridCtx;
+class Device;
+
+/// One device's share of a multi-device cooperative launch: the stream it
+/// launches on and its resident grid.
+struct GridMember {
+  Device* device = nullptr;
+  Stream* stream = nullptr;
+  LaunchConfig cfg;
+};
 
 /// Where a kernel body is issued: as its own launch on a stream, or as one
 /// phase of a running cooperative launch (hipsim/grid.h).  Kernel helpers
@@ -154,6 +164,7 @@ class Device {
   // --- execution ----------------------------------------------------------
   using KernelBody = std::function<void(BlockCtx&)>;
   using GridProgram = std::function<void(GridCtx&)>;
+  using MultiGridProgram = std::function<void(MultiGridCtx&)>;
 
   /// On a stream: one launch.  On a cooperative launch: one of its phases
   /// (GridCtx::phase).
@@ -170,6 +181,16 @@ class Device {
   LaunchResult launch_grid(Stream& s, std::string_view name,
                            const LaunchConfig& cfg,
                            const GridProgram& program);
+  /// Multi-device cooperative launch (hipLaunchCooperativeKernelMultiDevice):
+  /// one resident grid per member, all starting once every member's stream
+  /// is free.  `program` stands for every device's lockstep control flow
+  /// and crosses devices only through MultiGridCtx::exchange (grid.h).
+  /// Each device pays its launch overhead and draws faults once; an
+  /// injected fault surfaces when the launch ends, as MultiGridFault naming
+  /// the member.  Returns each member's launch result, in member order.
+  static std::vector<LaunchResult> launch_grid(
+      const std::vector<GridMember>& members, std::string_view name,
+      const MultiGridProgram& program);
 
   // --- streams and the modelled clock ---------------------------------------
   /// Stream 0 always exists; create_stream() adds more.
@@ -232,6 +253,8 @@ class Device {
   double inject_launch_faults(Stream& s, std::string_view name);
   /// Attribution sink and metrics for one finished launch.
   void bill_launch(const LaunchResult& r);
+  /// Close a cooperative launch: advance its stream, bill it, trace it.
+  LaunchResult end_grid(const GridCtx& grid);
   /// Run cfg.grid_blocks blocks of `body` (worker pool, or controlled tasks
   /// under SchedCheck) with SimSan's per-launch analysis.
   BlockRun run_blocks(std::string_view name, const LaunchConfig& cfg,

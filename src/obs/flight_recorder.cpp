@@ -29,7 +29,8 @@ std::size_t round_up_pow2(std::size_t n) {
 
 void copy_trunc(char* dst, std::size_t cap, std::string_view src) {
   const std::size_t n = std::min(src.size(), cap - 1);
-  std::memcpy(dst, src.data(), n);
+  // An empty view may carry a null data(), which memcpy must not be given.
+  if (n > 0) std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
 }
 

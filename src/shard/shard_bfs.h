@@ -14,7 +14,15 @@
 // The direction choice reuses the XBFS alpha policy on the global
 // frontier-edge count, which each owner's cleaned slice carries with it
 // (the slice header's set count plus an 8-byte claimed-degree sum), so no
-// separate collective is needed for it.  On top of that phase structure:
+// separate collective is needed for it.
+//
+// A run is one multi-device cooperative launch over the live replicas
+// (sim::Device::launch_grid, hipsim/grid.h): the kernels above are grid
+// phases, each exchange is an in-kernel cross-device step between them
+// (MultiGridCtx::exchange), and every replica reads the direction and
+// termination from the claim totals the cleaned broadcast writes into its
+// memory.  Per replica a run costs one launch, one status-gather copy and
+// one host wait at any depth.  On top of that phase structure:
 //
 //   * plan-driven execution — the router hands run() one replica index per
 //     shard; kLost marks a shard with no healthy replica, whose vertex
@@ -32,11 +40,11 @@
 //     Buluc/Beamer 2D pattern with sqrt(p)-sized groups) and the cheaper
 //     form is charged; ShardLevelStats::two_phase records the choice.
 //
-// A kernel fault on any replica surfaces as ShardSweepFault naming the
-// (shard, replica) slot so the router can penalize exactly that breaker
-// and reroute.  Under XBFS_TRACE each run emits modelled-clock phase and
-// level spans on the coordinator lane (pid 0); each replica's kernels land
-// in its own device lane.
+// A kernel fault on any replica surfaces, when the launch ends, as
+// ShardSweepFault naming the (shard, replica) slot so the router can
+// penalize exactly that breaker and reroute.  Under XBFS_TRACE each run
+// emits modelled-clock level spans on the coordinator lane (pid 0); each
+// replica's phases and exchanges land in its own device lane.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +69,8 @@ struct ShardLevelStats {
   std::uint64_t frontier_count = 0;
   std::uint64_t frontier_edges = 0;
   double ratio = 0.0;
-  double local_ms = 0.0;  ///< slowest live replica's kernel time
+  double local_ms = 0.0;  ///< level time outside the collectives: the
+                          ///< slowest replica's phases and grid barriers
   double comm_ms = 0.0;   ///< modelled collective time
   std::uint64_t raw_bytes = 0;   ///< uncompressed exchange payload
   std::uint64_t wire_bytes = 0;  ///< encoded payload the fabric was charged
@@ -70,7 +79,7 @@ struct ShardLevelStats {
 struct ShardSweepResult {
   std::vector<std::int32_t> levels;  ///< global; -1 unreached or lost range
   std::vector<ShardLevelStats> level_stats;
-  double total_ms = 0.0;
+  double total_ms = 0.0;  ///< the launch through the gather and its wait
   double comm_ms = 0.0;
   std::uint64_t edges_traversed = 0;
   double gteps = 0.0;

@@ -70,7 +70,9 @@ class ShardedStore {
  public:
   /// One shard replica: a full simulated device plus the sweep's working
   /// set, as ShardSweep uses it (status is local-row indexed, bitmaps
-  /// are global, claimed_degree sums the degrees of this level's claims).
+  /// are global; claims[0] sums the degrees of this replica's claims in a
+  /// level, and the cleaned broadcast overwrites claims[0] and claims[1]
+  /// with the level's global claimed degree and count).
   struct Replica {
     std::unique_ptr<sim::Device> device;
     std::shared_ptr<const dist::LocalRows> rows;  ///< shared across replicas
@@ -79,7 +81,7 @@ class ShardedStore {
     sim::DeviceBuffer<std::uint32_t> status;
     sim::DeviceBuffer<std::uint64_t> cur_bm;
     sim::DeviceBuffer<std::uint64_t> next_bm;
-    sim::DeviceBuffer<std::uint64_t> claimed_degree;
+    sim::DeviceBuffer<std::uint64_t> claims;
     /// Sweeps serialize per replica (the device's modelled clocks are not
     /// thread-safe); the router locks each query's chosen replicas in slot
     /// order before running the distributed sweep.

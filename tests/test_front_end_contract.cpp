@@ -82,8 +82,8 @@ struct RouterFront {
   static constexpr const char* kTool = "shard_router";
   static constexpr const char* kLabel = "router";
   static constexpr const char* kGuardKeys = "e492640a325685d2";
-  static constexpr const char* kGuardValues = "d8d9d5a87ad66a2e";
-  static constexpr const char* kGuardStats = "a1d1f4424f86c349";
+  static constexpr const char* kGuardValues = "9232d1fd8bb9ed01";
+  static constexpr const char* kGuardStats = "597a200268f5eea5";
 
   RouterFront(const graph::Csr& g, std::size_t capacity, std::string scope) {
     shard::ShardStoreConfig scfg;

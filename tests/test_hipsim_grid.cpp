@@ -3,13 +3,17 @@
 // resident block plus an L2 round trip), phases as SimSan ordering points,
 // uniform values, SchedCheck on a missing barrier, attribution, fault
 // injection at the launch, and the host operations a running cooperative
-// launch refuses.
+// launch refuses; then the multi-device form: one launch fee per device,
+// exchanges that align the grids, cross-device uniform values, faults at
+// the end of the launch, and exchanges as SimSan ordering points.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hipsim/device.h"
@@ -333,6 +337,207 @@ TEST_F(GridLaunch, KernelFaultFiresAtTheLaunch) {
   EXPECT_EQ(phases_run, 5u);
   EXPECT_EQ(sink.launches, 1u);
   EXPECT_GT(sink.modelled_us, 0.0);
+}
+
+// --- multi-device cooperative launches ----------------------------------------
+
+using MultiGridLaunch = GridLaunch;
+
+/// Two devices with identical resident grids; device 0's phase is the
+/// heavier one.
+struct Pair {
+  Device a = make_device();
+  Device b = make_device();
+  DeviceBuffer<std::uint32_t> buf_a = a.alloc<std::uint32_t>(kResident * 65536);
+  DeviceBuffer<std::uint32_t> buf_b = b.alloc<std::uint32_t>(kResident * 65536);
+
+  std::vector<GridMember> members() {
+    return {{&a, &a.stream(0), resident_grid()},
+            {&b, &b.stream(0), resident_grid()}};
+  }
+};
+
+TEST_F(MultiGridLaunch, EachDevicePaysOneLaunchFee) {
+  const DeviceProfile p = DeviceProfile::mi250x_gcd();
+  Pair d;
+  d.a.warmup();
+  d.b.warmup();
+  AttributionSink sink_a, sink_b;
+  std::vector<LaunchResult> r;
+  LaunchResult pa;
+  {
+    ScopedAttribution at_a(d.a, sink_a);
+    ScopedAttribution at_b(d.b, sink_b);
+    r = Device::launch_grid(d.members(), "multi", [&](MultiGridCtx& mg) {
+      ASSERT_EQ(mg.size(), 2u);
+      pa = mg.grid(0).phase("a", resident_grid(), uneven_body(d.buf_a.span()));
+      for (int i = 0; i < 3; ++i) {
+        mg.grid(1).phase("b", {.grid_blocks = 1, .block_threads = kThreads},
+                         [](BlockCtx&) {});
+      }
+    });
+  }
+  ASSERT_EQ(r.size(), 2u);
+  EXPECT_NEAR(r[0].time_us, p.kernel_launch_us + pa.time_us, 1e-9);
+  EXPECT_EQ(sink_a.launches, 1u);
+  EXPECT_EQ(sink_b.launches, 1u);
+  EXPECT_DOUBLE_EQ(sink_a.modelled_us, r[0].time_us);
+  EXPECT_DOUBLE_EQ(sink_b.modelled_us, r[1].time_us);
+  for (Device* dev : {&d.a, &d.b}) {
+    std::uint64_t launches = 0;
+    for (const auto& t : dev->profiler().aggregate_by_kernel()) {
+      launches += t.launches;
+    }
+    EXPECT_EQ(launches, 1u);
+  }
+  EXPECT_THROW(Device::launch_grid({{&d.a, &d.a.stream(0), resident_grid()},
+                                    {&d.a, &d.a.stream(0), resident_grid()}},
+                                   "twice", [](MultiGridCtx&) {}),
+               std::invalid_argument);
+}
+
+TEST_F(MultiGridLaunch, ExchangeAlignsToTheSlowestGridPlusFabricAndABarrier) {
+  const DeviceProfile p = DeviceProfile::mi250x_gcd();
+  const double barrier = grid_barrier_us(p, kResident);
+  constexpr double kFabricUs = 5.0;
+  Pair d;
+  // Device b starts later on the modelled clock: the launch waits for it.
+  d.b.host_work(30.0);
+  const double start = std::max(d.a.now_us(), d.b.now_us());
+  bool ran = false;
+  const std::vector<LaunchResult> r =
+      Device::launch_grid(d.members(), "multi", [&](MultiGridCtx& mg) {
+        mg.grid(0).phase("heavy", resident_grid(), uneven_body(d.buf_a.span()));
+        mg.grid(1).phase("light", {.grid_blocks = 1, .block_threads = kThreads},
+                         [](BlockCtx&) {});
+        const double slowest = std::max(mg.grid(0).now_us() + barrier,
+                                        mg.grid(1).now_us() + barrier);
+        EXPECT_GT(mg.grid(0).now_us(), mg.grid(1).now_us());
+        EXPECT_DOUBLE_EQ(mg.exchange("swap", [&] {
+          ran = true;
+          return kFabricUs;
+        }), kFabricUs);
+        for (std::size_t i = 0; i < mg.size(); ++i) {
+          EXPECT_DOUBLE_EQ(mg.grid(i).now_us(), slowest + kFabricUs);
+          EXPECT_EQ(mg.grid(i).barriers(), 1u);
+        }
+        EXPECT_DOUBLE_EQ(mg.now_us(), slowest + kFabricUs);
+      });
+  EXPECT_TRUE(ran);
+  EXPECT_DOUBLE_EQ(r[0].time_us, r[1].time_us);
+  EXPECT_NEAR(d.a.now_us(), start + r[0].time_us, 1e-9);
+  EXPECT_NEAR(d.b.now_us(), start + r[1].time_us, 1e-9);
+}
+
+TEST_F(MultiGridLaunch, UniformMustAgreeAcrossDevices) {
+  Pair d;
+  auto fa = d.buf_a.span();
+  auto fb = d.buf_b.span();
+  unsigned agreed = 0;
+  Device::launch_grid(d.members(), "multi", [&](MultiGridCtx& mg) {
+    mg.grid(0).phase("set", {.grid_blocks = 1, .block_threads = kThreads},
+                     [=](BlockCtx& blk) { blk.ctx().store(fa, 0, 7u); });
+    mg.grid(1).phase("set", {.grid_blocks = 1, .block_threads = kThreads},
+                     [=](BlockCtx& blk) { blk.ctx().store(fb, 0, 7u); });
+    agreed = mg.uniform("read", [&](std::size_t i, BlockCtx& blk) {
+      return blk.ctx().load(i == 0 ? fa : fb, 0);
+    });
+  });
+  EXPECT_EQ(agreed, 7u);
+
+  EXPECT_THROW(Device::launch_grid(d.members(), "multi",
+                                   [&](MultiGridCtx& mg) {
+                                     mg.uniform("diverge",
+                                                [](std::size_t i, BlockCtx&) {
+                                                  return i;
+                                                });
+                                   }),
+               std::logic_error);
+  // The failed program left nothing running on either device.
+  EXPECT_NO_THROW(d.a.synchronize());
+  EXPECT_NO_THROW(d.b.synchronize());
+}
+
+TEST_F(MultiGridLaunch, FaultSurfacesWhenTheLaunchEnds) {
+  FaultConfig fc;
+  fc.kernel_fault_rate = 1.0;
+  FaultInjector::global().reset_counters();
+  FaultInjector::global().configure(fc);
+  Pair d;
+  AttributionSink sink_a, sink_b;
+  unsigned phases_run = 0;
+  {
+    ScopedAttribution at_a(d.a, sink_a);
+    ScopedAttribution at_b(d.b, sink_b);
+    try {
+      Device::launch_grid(d.members(), "multi", [&](MultiGridCtx& mg) {
+        for (int i = 0; i < 3; ++i) {
+          for (std::size_t g = 0; g < mg.size(); ++g) {
+            mg.grid(g).phase("p", resident_grid(), [](BlockCtx&) {});
+            ++phases_run;
+          }
+          mg.exchange("x", [] { return 1.0; });
+        }
+      });
+      FAIL() << "expected a MultiGridFault";
+    } catch (const MultiGridFault& f) {
+      EXPECT_EQ(f.member(), 0u);
+      EXPECT_EQ(f.kind(), FaultKind::KernelFault);
+    }
+  }
+  // One draw per device at the launch; every phase still ran, and both
+  // devices billed the attempt.
+  EXPECT_EQ(FaultInjector::global().total_injected(), 2u);
+  EXPECT_EQ(phases_run, 6u);
+  EXPECT_EQ(sink_a.launches, 1u);
+  EXPECT_EQ(sink_b.launches, 1u);
+  EXPECT_GT(sink_b.modelled_us, 0.0);
+}
+
+// An exchange orders every write before it against every access after it:
+// block 0 of device a publishes a word, the exchange carries it to device
+// b, and then other blocks read it on both devices, with no finding.
+TEST_F(MultiGridLaunch, ExchangeOrdersAccessesForSimSan) {
+  Sanitizer& san = Sanitizer::global();
+  san.configure(SanitizeConfig::all_on());
+  {
+    Device a = make_device();
+    Device b = make_device();
+    auto word_a = a.alloc<std::uint32_t>(1, "multi.word_a");
+    auto word_b = b.alloc<std::uint32_t>(1, "multi.word_b");
+    auto out_a = a.alloc<std::uint32_t>(1, "multi.out_a");
+    auto out_b = b.alloc<std::uint32_t>(1, "multi.out_b");
+    const LaunchConfig two{.grid_blocks = 2, .block_threads = kThreads};
+    Device::launch_grid(
+        {{&a, &a.stream(0), two}, {&b, &b.stream(0), two}}, "multi",
+        [&](MultiGridCtx& mg) {
+          auto wa = word_a.span();
+          mg.grid(0).phase("publish", two, [=](BlockCtx& blk) {
+            if (blk.block_id() == 0) blk.ctx().store(wa, 0, 9u);
+          });
+          mg.exchange("carry", [&] {
+            word_a.mark_host_synced();
+            word_b.h_copy_from(std::as_const(word_a).host_data(), 1);
+            word_b.mark_device_synced();
+            return 2.0;
+          });
+          const auto read = [](dspan<const std::uint32_t> w,
+                               dspan<std::uint32_t> o) {
+            return [=](BlockCtx& blk) {
+              if (blk.block_id() == 1) blk.ctx().store(o, 0, blk.ctx().load(w, 0));
+            };
+          };
+          mg.grid(0).phase("read", two, read(word_a.cspan(), out_a.span()));
+          mg.grid(1).phase("read", two, read(word_b.cspan(), out_b.span()));
+        });
+    a.memcpy_d2h(a.stream(0), out_a);
+    b.memcpy_d2h(b.stream(0), out_b);
+    EXPECT_EQ(out_a.h_read(0), 9u);
+    EXPECT_EQ(out_b.h_read(0), 9u);
+    EXPECT_EQ(san.unannotated_count(), 0u);
+  }
+  san.reset();
+  san.disable();
 }
 
 }  // namespace

@@ -316,11 +316,11 @@ TEST_F(ShardChaos, KernelFaultsRerouteToSiblingReplicasAndValidate) {
   const auto giant = graph::largest_component_vertices(g);
   ShardedStore store(g, store_cfg(2, 2));
   RouterConfig cfg = manual_cfg();
-  // A sweep makes O(levels * shards) launches, so the per-launch rate must
-  // stay low for "most attempts succeed" to hold; 1% still faults roughly
-  // every other sweep here.
+  // A sweep is one cooperative launch per live replica, so it draws two
+  // faults here whatever its depth; 10% faults about one sweep in five,
+  // while six attempts keep "every query completes" safe.
   cfg.max_attempts = 6;
-  inject(/*kernel=*/0.01, /*memcpy=*/0.0, /*seed=*/51);
+  inject(/*kernel=*/0.1, /*memcpy=*/0.0, /*seed=*/51);
   ShardRouter router(store, cfg);
 
   std::vector<serve::Admission> pending;
