@@ -5,6 +5,8 @@
 // host CPU as needed — plus the circuit-breaker state machine itself.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -246,6 +248,172 @@ TEST_F(ServingChaos, RecoveryAfterFaultsStopServesOnTheDeviceAgain) {
   const ServerStats st = server.stats();
   EXPECT_GT(st.breaker_closes, 0u);
   server.shutdown();
+}
+
+// --- the 64-way sweep's failure paths -----------------------------------------
+
+/// FNV-1a 64 over `text`, printed as hex.
+std::string fnv_hex(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
+  return buf;
+}
+
+std::string exact(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+/// Everything about one served query that does not depend on the wall
+/// clock: its annotations, whether its levels are exact, and its trace's
+/// rung attribution and event kinds.
+std::string query_line(const graph::Csr& g, const QueryResult& r) {
+  std::string s = "src=" + std::to_string(r.source) + " engine=" + r.engine +
+                  " attempts=" + std::to_string(r.attempts) +
+                  " degraded=" + std::to_string(r.degraded) +
+                  " validated=" + std::to_string(r.validated) +
+                  " gcd=" + std::to_string(r.gcd) +
+                  " batch=" + std::to_string(r.batch_size) +
+                  " status=" + std::to_string(static_cast<int>(r.status)) +
+                  " exact=" +
+                  std::to_string(r.levels != nullptr &&
+                                 *r.levels == graph::reference_bfs(g, r.source));
+  if (r.trace != nullptr) {
+    s += " rungs=";
+    for (const obs::RungAttribution& a : r.trace->rungs()) {
+      s += a.engine + "/" + a.outcome + "/" +
+           std::to_string(a.shared_members) + "/" + exact(a.modelled_us) + ";";
+    }
+    s += " events=";
+    for (const obs::QueryTraceEvent& e : r.trace->events()) s += e.kind + ";";
+  }
+  return s + "\n";
+}
+
+/// Non-wall ServerStats fields, one "name=value" line each.
+std::string stats_lines(const ServerStats& s) {
+  std::string out;
+  const auto put = [&](const char* name, const std::string& v) {
+    out += std::string(name) + "=" + v + "\n";
+  };
+  const auto u = [&](const char* name, std::uint64_t v) {
+    put(name, std::to_string(v));
+  };
+  u("submitted", s.submitted);
+  u("accepted", s.accepted);
+  u("completed", s.completed);
+  u("expired", s.expired);
+  u("failed", s.failed);
+  u("cache_hits", s.cache_hits);
+  u("cache_entries", s.cache_entries);
+  u("dispatch_cycles", s.dispatch_cycles);
+  u("retries", s.retries);
+  u("faults_seen", s.faults_seen);
+  u("rerouted", s.rerouted);
+  u("validated_results", s.validated_results);
+  u("validation_failures", s.validation_failures);
+  u("degraded_queries", s.degraded_queries);
+  u("breaker_opens", s.breaker_opens);
+  u("breaker_half_opens", s.breaker_half_opens);
+  u("breaker_closes", s.breaker_closes);
+  u("traced_queries", s.traced_queries);
+  u("modelled_units", s.modelled_units);
+  put("modelled_p50_ms", exact(s.modelled_p50_ms));
+  put("modelled_p99_ms", exact(s.modelled_p99_ms));
+  u("sweeps", s.sweeps);
+  u("singleton_sweeps", s.singleton_sweeps);
+  u("algo_dispatches", s.algo_dispatches);
+  u("computed_sources", s.computed_sources);
+  put("mean_batch_occupancy", exact(s.mean_batch_occupancy));
+  put("mean_sources_per_sweep", exact(s.mean_sources_per_sweep));
+  put("modelled_busy_ms", exact(s.modelled_busy_ms));
+  u("host_fallbacks", s.host_fallbacks);
+  u("dispatch_timeouts", s.dispatch_timeouts);
+  u("slo_proactive_degrades", s.slo_proactive_degrades);
+  return out;
+}
+
+/// Differential guard on the sweep's device attempts: a static server on
+/// one GCD lane (serial fault draws) sweeps four distinct sources per cycle
+/// under seeded kernel faults and transfer corruption, with a breaker that
+/// never opens (so no wall-clock cooldown decides a pick).  The cycles
+/// cover a clean sweep, a faulted-then-retried sweep, a corrupted sweep
+/// caught by validation, and a sweep that exhausts its attempts and
+/// degrades to per-source runs.  Every member's annotations, exactness,
+/// rung attribution and event kinds, plus the non-wall stats, hash to one
+/// pinned value.
+TEST_F(ServingChaos, SweepFailurePathsMatchPinnedHash) {
+  constexpr std::uint64_t kSeed = 22;
+  constexpr std::size_t kCycles = 12;
+  constexpr std::size_t kWidth = 4;
+  const graph::Csr g = toy_graph(9, 46);
+  const auto giant = graph::largest_component_vertices(g);
+  ASSERT_GE(giant.size(), kWidth * kCycles);
+
+  ServeConfig cfg = chaos_config();
+  cfg.num_gcds = 1;
+  cfg.max_batch = kWidth;
+  cfg.min_sweep_sources = 2;
+  cfg.breaker_failure_threshold = 1u << 30;
+  cfg.validate_results = ValidateResults::Auto;
+  inject(/*kernel=*/0.05, /*memcpy=*/0.05, kSeed);
+  // Draw sequence numbers outlive configure(); start them from zero so the
+  // hash does not depend on which tests ran earlier in this process.
+  sim::FaultInjector::global().reset_counters();
+  Server server(g, cfg);
+
+  std::string text;
+  unsigned clean = 0, faulted = 0, corrupted = 0, exhausted = 0;
+  for (std::size_t c = 0; c < kCycles; ++c) {
+    std::vector<Admission> pending;
+    for (std::size_t i = 0; i < kWidth; ++i) {
+      QueryOptions qo;
+      qo.bypass_cache = true;
+      pending.push_back(server.submit(giant[c * kWidth + i], qo));
+      ASSERT_TRUE(pending.back().accepted) << "replay=" << kSeed;
+    }
+    server.dispatch_once();
+    for (std::size_t i = 0; i < kWidth; ++i) {
+      const QueryResult r = pending[i].result.get();
+      EXPECT_EQ(r.status, QueryStatus::Completed)
+          << r.error.to_string() << " replay=" << kSeed;
+      text += query_line(g, r);
+      if (i != 0 || r.trace == nullptr) continue;
+      // Every member absorbs the same sweep rungs; classify the cycle once.
+      unsigned sweep_rungs = 0;
+      bool sweep_ok = false, fault = false, corrupt = false;
+      for (const obs::RungAttribution& a : r.trace->rungs()) {
+        if (a.engine != "sweep") continue;
+        ++sweep_rungs;
+        sweep_ok |= a.outcome == "ok";
+        fault |= a.outcome == "fault";
+        corrupt |= a.outcome == "corrupt";
+      }
+      clean += sweep_ok && sweep_rungs == 1;
+      faulted += sweep_ok && fault;
+      corrupted += corrupt;
+      exhausted += !sweep_ok && sweep_rungs == cfg.max_attempts;
+    }
+  }
+  server.shutdown();
+  text += stats_lines(server.stats());
+
+  const std::string hash = fnv_hex(text);
+  std::printf("sweep guard hash=%s clean=%u faulted=%u corrupted=%u "
+              "exhausted=%u replay=%" PRIu64 "\n",
+              hash.c_str(), clean, faulted, corrupted, exhausted, kSeed);
+  EXPECT_GE(clean, 1u) << "replay=" << kSeed;
+  EXPECT_GE(faulted, 1u) << "replay=" << kSeed;
+  EXPECT_GE(corrupted, 1u) << "replay=" << kSeed;
+  EXPECT_GE(exhausted, 1u) << "replay=" << kSeed;
+  EXPECT_EQ(hash, "a7ce79b010142de8") << "replay=" << kSeed;
+  if (::testing::Test::HasFailure()) std::printf("%s", text.c_str());
 }
 
 // --- circuit breaker state machine ------------------------------------------
