@@ -57,8 +57,8 @@ graph::Csr toy_graph() {
 struct ServerFront {
   static constexpr const char* kTool = "serve";
   static constexpr const char* kLabel = "server";
-  static constexpr const char* kGuardKeys = "d97c2066002c6dcf";
-  static constexpr const char* kGuardValues = "a1d230267bca2db4";
+  static constexpr const char* kGuardKeys = "1c16cb2758b21d64";
+  static constexpr const char* kGuardValues = "d9790da1ea58530c";
   static constexpr const char* kGuardStats = "da34bef252a556ca";
 
   ServerFront(const graph::Csr& g, std::size_t capacity, std::string scope) {
@@ -110,8 +110,8 @@ struct RouterFront {
 struct DynamicFront {
   static constexpr const char* kTool = "serve";
   static constexpr const char* kLabel = "dynamic";
-  static constexpr const char* kGuardKeys = "d97c2066002c6dcf";
-  static constexpr const char* kGuardValues = "cd9a4728cee420b3";
+  static constexpr const char* kGuardKeys = "1c16cb2758b21d64";
+  static constexpr const char* kGuardValues = "95289130261749fb";
   static constexpr const char* kGuardStats = "13b4f0e81c1d261d";
 
   DynamicFront(const graph::Csr& g, std::size_t capacity, std::string scope)
