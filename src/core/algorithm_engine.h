@@ -154,9 +154,6 @@ struct EngineCapabilities {
   bool adaptive = false;
   /// BFS only: run() fills BfsResult::parent.
   bool builds_parents = false;
-  /// Repairs a prior answer over dyn::DeltaCsr churn instead of
-  /// recomputing (IncrementalBfs, IncrementalCc).
-  bool incremental = false;
 };
 
 /// Engine-side result: the shared payload plus run telemetry that does not

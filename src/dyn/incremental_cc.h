@@ -52,9 +52,7 @@ class IncrementalCc final : public core::AlgorithmEngine {
   /// engine, as the serving ladder does.
   core::AlgoResult solve(const core::AlgoQuery& q) override;
   const char* name() const override { return "inc-cc"; }
-  core::EngineCapabilities capabilities() const override {
-    return {.incremental = true};
-  }
+  core::EngineCapabilities capabilities() const override { return {}; }
 
   IncCcStats stats() const;
   /// The snapshot the last solve() labeled (valid under the same
