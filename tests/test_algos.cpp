@@ -3,11 +3,15 @@
 // serial host reference.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <random>
 
 #include "algos/bc.h"
+#include "algos/cc_engine.h"
 #include "algos/multi_bfs.h"
 #include "algos/scc.h"
+#include "graph/builder.h"
 #include "graph/device_csr.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
@@ -27,6 +31,73 @@ graph::Csr undirected_rmat(unsigned scale, std::uint64_t seed) {
   p.edge_factor = 8;
   p.seed = seed;
   return graph::rmat_csr(p);
+}
+
+// --- lp-cc launch protocol ---------------------------------------------------
+
+/// FNV-1a over lp-cc's whole device protocol on a flat graph: per launch
+/// its kernel name, loads, stores, bytes, fetches, atomics, issued and
+/// active slots and modelled microseconds; then the rounds, depth, hook
+/// count and labels.  One worker makes every modelled time bit-exact, so
+/// a change to how the hook loop reads adjacency moves the hash.
+std::uint64_t lp_cc_protocol_hash(const graph::Csr& g) {
+  sim::Device dev(sim::DeviceProfile::mi250x_gcd(),
+                  sim::SimOptions{.num_workers = 1});
+  const graph::DeviceCsr dg = graph::DeviceCsr::upload(dev, g);
+  LpCcEngine eng(dev, dg);
+  dev.profiler().clear();
+  const core::AlgoResult r = eng.solve({});
+  EXPECT_EQ(*r.payload.components, graph::canonical_components(g));
+
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ (x & 0xff)) * 0x100000001b3ull;
+      x >>= 8;
+    }
+  };
+  const auto mix_double = [&mix](double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    mix(bits);
+  };
+  for (const sim::LaunchRecord& rec : dev.profiler().records()) {
+    for (const char c : rec.kernel) mix(static_cast<unsigned char>(c));
+    const sim::KernelCounters& k = rec.counters;
+    for (const std::uint64_t x :
+         {k.mem_reads, k.mem_writes, k.bytes_read, k.bytes_written,
+          k.fetch_bytes, k.atomics, k.lane_slots, k.active_lanes}) {
+      mix(x);
+    }
+    mix_double(rec.timing.total_us);
+  }
+  mix(r.level_stats.size());
+  mix(r.payload.depth);
+  mix(r.work_items);
+  for (const graph::vid_t l : *r.payload.components) mix(l);
+  return h;
+}
+
+TEST(LpCcProtocol, FlatGraphLaunchRowsMatchPinnedHash) {
+  std::vector<graph::Edge> chain, star;
+  for (graph::vid_t v = 0; v + 1 < 150; ++v) chain.push_back({v, v + 1});
+  for (graph::vid_t v = 1; v < 500; ++v) star.push_back({0, v});
+  const struct {
+    const char* name;
+    graph::Csr g;
+    std::uint64_t pinned;
+  } cases[] = {
+      {"rmat", undirected_rmat(9, 7), 0x915013103663a8d7ull},
+      {"chain", graph::build_csr(150, std::move(chain)),
+       0xcf058e23f2c9b18eull},
+      {"star", graph::build_csr(500, std::move(star)), 0x55e93376a4d0eec1ull},
+  };
+  for (const auto& c : cases) {
+    const std::uint64_t h = lp_cc_protocol_hash(c.g);
+    std::printf("[ LpCcProtocol ] %s protocol_hash=%016llx\n", c.name,
+                static_cast<unsigned long long>(h));
+    EXPECT_EQ(h, c.pinned) << c.name;
+  }
 }
 
 // --- multi-source BFS -------------------------------------------------------
