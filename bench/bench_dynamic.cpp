@@ -161,7 +161,8 @@ int main(int argc, char** argv) {
                   sim::SimOptions{.num_workers = 2});
   core::XbfsConfig xcfg;
   xcfg.report_runs = false;
-  dyn::IncrementalBfs eng(dev, store, xcfg);
+  dyn::DeviceMirror mirror(dev, store, xcfg.block_threads);
+  dyn::IncrementalBfs eng(mirror, xcfg);
   (void)eng.run(src);  // uploads the base
 
   double first_run_ms_sum = 0.0;

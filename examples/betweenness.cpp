@@ -52,8 +52,7 @@ int main(int argc, char** argv) {
   algos::register_builtin_engines();
   auto& registry = core::EngineRegistry::global();
   const core::EngineContext ctx{
-      .dev = &dev, .dg = &dg, .host_g = &g, .store = nullptr,
-      .config = nullptr};
+      .dev = &dev, .dg = &dg, .host_g = &g, .config = nullptr};
   auto engine = registry.build(core::AlgoKind::Bc, "brandes-bc", ctx);
   if (!engine) {
     std::cerr << "registry has no buildable 'brandes-bc' engine\n";

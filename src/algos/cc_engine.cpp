@@ -9,7 +9,6 @@
 namespace xbfs::algos {
 
 using core::auto_grid_blocks;
-using graph::eid_t;
 using graph::vid_t;
 
 LpCcEngine::LpCcEngine(sim::Device& dev, const graph::DeviceCsr& g,
@@ -27,8 +26,7 @@ core::AlgoResult LpCcEngine::solve(const core::AlgoQuery&) {
 
   auto label = label_.span();
   auto counters = counters_.span();
-  auto offsets = g_.offsets_span();
-  auto cols = g_.cols_span();
+  const graph::DeviceAdjacency adj = g_.adjacency();
   const std::uint64_t n = g_.n;
   const std::uint64_t m = std::max<std::uint64_t>(1, g_.m);
 
@@ -57,8 +55,9 @@ core::AlgoResult LpCcEngine::solve(const core::AlgoQuery&) {
     });
 
     // Hook: every edge pulls both endpoints toward the smaller label.  The
-    // CSR is symmetric, so scattering from each vertex covers each
-    // undirected edge in both directions.
+    // adjacency is symmetric, so scattering from each vertex covers each
+    // undirected edge in both directions.  A dynamic mirror's deleted base
+    // entries hold kTombstone and are skipped before any label access.
     dev_.launch(s, "cc_hook", lc, [=](sim::BlockCtx& blk) {
       auto& ctx = blk.ctx();
       // Neighbor labels are read while other lanes atomicMin them; labels
@@ -70,15 +69,17 @@ core::AlgoResult LpCcEngine::solve(const core::AlgoQuery&) {
                          "improvement counter");
       blk.grid_stride(n, [&](std::uint64_t v) {
         const vid_t lv = ctx.atomic_load(label, v);
-        const eid_t b = ctx.load(offsets, v);
-        const eid_t e = ctx.load(offsets, v + 1);
+        const graph::DeviceAdjacency::Row row =
+            adj.row(ctx, static_cast<vid_t>(v));
+        const std::uint64_t len = row.len();
         std::uint32_t improved = 0;
-        for (eid_t j = b; j < e; ++j) {
-          const vid_t w = ctx.load(cols, j);
+        for (std::uint32_t j = 0; j < row.len(); ++j) {
+          const vid_t w = adj.at(ctx, row, j);
+          if (w == graph::kTombstone) continue;
           const vid_t old = ctx.atomic_min(label, w, lv);
           if (lv < old) ++improved;
         }
-        ctx.slots(2 * (e - b) + 1, 2 * (e - b) + 1);
+        ctx.slots(2 * len + 1, 2 * len + 1);
         if (improved > 0) ctx.atomic_add(counters, 0, improved);
       });
     });

@@ -9,6 +9,11 @@
 // levels and SSSP distances — and the fixpoint labels every vertex with
 // the smallest vertex id of its component, which is exactly
 // graph::canonical_components: conformance is exact equality.
+//
+// The hook reads adjacency through graph::DeviceAdjacency, so the engine
+// runs over a flat DeviceCsr and over a dynamic graph's device mirror
+// (dyn::DeviceMirror) alike; on a flat graph it issues the flat CSR's
+// loads.
 #pragma once
 
 #include <cstdint>

@@ -89,7 +89,7 @@ struct XbfsConfig {
   bool report_runs = true;
 
   // --- dynamic graphs (src/dyn, docs/dynamic.md) ---------------------------
-  // dyn::IncrementalBfs runs Xbfs, with every knob above, over its device
+  // dyn::IncrementalBfs runs Xbfs, with every knob above, over the device
   // mirror of the DeltaCsr; this is the only dynamic-only knob.
   /// Overlay density ((insert overlay + tombstone entries) / base |E|)
   /// above which dyn::GraphStore::apply compacts the DeltaCsr into a fresh

@@ -9,9 +9,9 @@
 // shown in `--list-engines` style tooling with zero call-site edits.
 //
 // Factories receive an EngineContext describing what the process has
-// (device, uploaded CSR, host topology, dynamic store, tuning config) and
-// return null when the context is insufficient — e.g. a device engine
-// without a device — so one registration works for host-only tools too.
+// (device, uploaded CSR, host topology, tuning config) and return null
+// when the context is insufficient — e.g. a device engine without a
+// device — so one registration works for host-only tools too.
 //
 // Registration happens at startup through explicit calls (the builtin set
 // lives in algos::register_builtin_engines()); there is deliberately no
@@ -35,9 +35,6 @@ namespace xbfs::graph {
 struct DeviceCsr;
 class Csr;
 }
-namespace xbfs::dyn {
-class GraphStore;
-}
 
 namespace xbfs::core {
 
@@ -47,7 +44,6 @@ struct EngineContext {
   sim::Device* dev = nullptr;             ///< simulated GPU
   const graph::DeviceCsr* dg = nullptr;   ///< CSR resident on `dev`
   const graph::Csr* host_g = nullptr;     ///< host topology (oracles, transposes)
-  dyn::GraphStore* store = nullptr;       ///< dynamic-graph store (incremental engines)
   const XbfsConfig* config = nullptr;     ///< tuning knobs; null = defaults
 };
 

@@ -7,8 +7,8 @@
 // the CUDA design's host loop, one round trip per level.
 //
 // The kernels read the graph through graph::DeviceAdjacency, so the same
-// engine traverses a flat DeviceCsr and dyn::IncrementalBfs's device mirror
-// of a dynamic graph (tombstoned base rows plus an insert overlay).
+// engine traverses a flat DeviceCsr and the dyn::DeviceMirror of a dynamic
+// graph (tombstoned base rows plus an insert overlay).
 //
 // Usage:
 //   sim::Device dev(sim::DeviceProfile::mi250x_gcd());

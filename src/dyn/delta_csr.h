@@ -96,7 +96,7 @@ class DeltaCsr {
   /// epoch mixed in last — same contract as Csr::fingerprint(epoch).
   std::uint64_t fingerprint() const;
 
-  // --- device-sync accessors (dyn::IncrementalBfs) --------------------------
+  // --- device-sync accessors (dyn::DeviceMirror) ----------------------------
   const Overlay& extras() const { return extras_; }
   const Overlay& tombstones() const { return tombstones_; }
   std::uint64_t extra_entries() const { return extra_entries_; }

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <utility>
+
+#include "graph/reference.h"
 
 namespace xbfs::dyn {
 
@@ -11,23 +15,25 @@ std::vector<std::int32_t> reference_bfs(const DeltaCsr& g, vid_t src) {
   return graph::reference_bfs(g, src);
 }
 
-core::BfsResult HostDeltaBfs::run_on(const Snapshot& snap, vid_t src) const {
+core::AlgoResult HostDeltaEngine::solve_on(const Snapshot& snap,
+                                           const core::AlgoQuery& q) const {
   const auto t0 = std::chrono::steady_clock::now();
-  core::BfsResult r;
-  r.levels = reference_bfs(*snap.graph, src);
-  std::int32_t max_level = 0;
-  std::uint64_t reached_degree = 0;
-  for (vid_t v = 0; v < snap.graph->num_vertices(); ++v) {
-    if (r.levels[v] < 0) continue;
-    max_level = std::max(max_level, r.levels[v]);
-    reached_degree += snap.graph->degree(v);
+  core::AlgoResult r;
+  r.payload.kind = kind_;
+  if (kind_ == core::AlgoKind::Cc) {
+    r.payload.components = std::make_shared<const std::vector<vid_t>>(
+        graph::canonical_components(*snap.graph));
+  } else {
+    std::vector<std::int32_t> levels = reference_bfs(*snap.graph, q.source);
+    std::int32_t max_level = 0;
+    for (const std::int32_t l : levels) max_level = std::max(max_level, l);
+    r.payload.depth = static_cast<std::uint32_t>(max_level) + 1;
+    r.payload.levels =
+        std::make_shared<const std::vector<std::int32_t>>(std::move(levels));
   }
-  r.depth = static_cast<std::uint32_t>(max_level) + 1;
-  r.edges_traversed = reached_degree / 2;
   r.total_ms = std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - t0)
                    .count();
-  r.gteps = core::safe_gteps(r.edges_traversed, r.total_ms);
   return r;
 }
 

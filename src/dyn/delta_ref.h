@@ -1,8 +1,9 @@
 // Host-side ground truth for dynamic graphs: serial BFS over a DeltaCsr
-// and the fault-immune host TraversalEngine that terminates the dynamic
-// degradation ladder (the DeltaCsr analogue of baseline::CpuBfsEngine).
-// Levels over a DeltaCsr are validated by the same templated
-// graph::validate_levels_graph500 the static path uses.
+// and the fault-immune host engine that terminates the dynamic degradation
+// ladder (the DeltaCsr analogue of the registry's host oracles).  Levels
+// and labels over a DeltaCsr are validated by the same templated
+// graph::validate_levels_graph500 and graph::validate_components the
+// static path uses.
 #pragma once
 
 #include <cstdint>
@@ -20,25 +21,32 @@ namespace xbfs::dyn {
 /// -1 unreached.
 std::vector<std::int32_t> reference_bfs(const DeltaCsr& g, graph::vid_t src);
 
-/// Host CPU BFS over the store's *current* snapshot: the terminal rung of
-/// the dynamic serving ladder.  Stateless across runs (safe to call from
-/// multiple worker lanes) and immune to injected device faults.
-class HostDeltaBfs final : public core::TraversalEngine {
+/// Host oracle over the store's *current* snapshot: the terminal rung of
+/// the dynamic serving ladder for `kind` Bfs (reference_bfs) or Cc
+/// (graph::canonical_components).  Stateless across runs (safe to call
+/// from multiple worker lanes) and immune to injected device faults.
+class HostDeltaEngine final : public core::AlgorithmEngine {
  public:
-  explicit HostDeltaBfs(GraphStore& store) : store_(store) {}
+  HostDeltaEngine(GraphStore& store, core::AlgoKind kind)
+      : store_(store), kind_(kind) {}
 
-  core::BfsResult run(graph::vid_t src) override {
-    return run_on(store_.snapshot(), src);
+  core::AlgoKind kind() const override { return kind_; }
+  core::AlgoResult solve(const core::AlgoQuery& q) override {
+    return solve_on(store_.snapshot(), q);
   }
-  /// Same traversal pinned to one snapshot (the serving path validates and
+  /// Same oracle pinned to one snapshot (the serving path validates and
   /// caches against the exact graph it served).
-  core::BfsResult run_on(const Snapshot& snap, graph::vid_t src) const;
+  core::AlgoResult solve_on(const Snapshot& snap,
+                            const core::AlgoQuery& q) const;
 
-  const char* name() const override { return "cpu-delta"; }
+  const char* name() const override {
+    return kind_ == core::AlgoKind::Bfs ? "cpu-delta" : "cpu-delta-cc";
+  }
   core::EngineCapabilities capabilities() const override { return {}; }
 
  private:
   GraphStore& store_;
+  core::AlgoKind kind_;
 };
 
 }  // namespace xbfs::dyn

@@ -1,14 +1,13 @@
 #include "dyn/graph_store.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "hipsim/chk_point.h"
 
 namespace xbfs::dyn {
 
-GraphStore::GraphStore(graph::Csr base, core::XbfsConfig cfg,
-                       std::size_t log_capacity)
-    : cfg_(cfg), log_capacity_(log_capacity) {
+GraphStore::GraphStore(graph::Csr base, core::XbfsConfig cfg) : cfg_(cfg) {
   if (const xbfs::Status s = cfg_.validate(); !s.ok()) {
     throw std::invalid_argument("GraphStore: " + s.to_string());
   }
@@ -16,8 +15,8 @@ GraphStore::GraphStore(graph::Csr base, core::XbfsConfig cfg,
 }
 
 GraphStore::GraphStore(std::shared_ptr<const DeltaCsr> restored,
-                       core::XbfsConfig cfg, std::size_t log_capacity)
-    : cfg_(cfg), log_capacity_(log_capacity) {
+                       core::XbfsConfig cfg)
+    : cfg_(cfg) {
   if (const xbfs::Status s = cfg_.validate(); !s.ok()) {
     throw std::invalid_argument("GraphStore: " + s.to_string());
   }
@@ -98,8 +97,6 @@ xbfs::Status GraphStore::try_apply(const EdgeBatch& batch, ApplyStats* out) {
   {
     std::lock_guard<sim::RankedMutex> lk(mu_);
     current_ = std::move(next);
-    log_.emplace_back(current_->epoch(), batch);
-    while (log_.size() > log_capacity_) log_.pop_front();
     stats_.batches_applied += 1;
     stats_.inserts_applied += st.inserts_applied;
     stats_.deletes_applied += st.deletes_applied;
@@ -120,8 +117,6 @@ ApplyStats GraphStore::apply_replayed(const EdgeBatch& batch, bool compacted) {
   {
     std::lock_guard<sim::RankedMutex> lk(mu_);
     current_ = std::move(next);
-    log_.emplace_back(current_->epoch(), batch);
-    while (log_.size() > log_capacity_) log_.pop_front();
     stats_.batches_applied += 1;
     stats_.inserts_applied += st.inserts_applied;
     stats_.deletes_applied += st.deletes_applied;
@@ -129,33 +124,6 @@ ApplyStats GraphStore::apply_replayed(const EdgeBatch& batch, bool compacted) {
     if (compacted) stats_.compactions += 1;
   }
   return st;
-}
-
-std::optional<EdgeBatch> GraphStore::ops_between(std::uint64_t from_epoch,
-                                                 std::uint64_t to_epoch,
-                                                 bool* truncated) const {
-  if (truncated != nullptr) *truncated = false;
-  std::lock_guard<sim::RankedMutex> lk(mu_);
-  // Range validity first (even for empty spans): a to_epoch the store has
-  // never reached is a caller error, not "no ops".
-  if (from_epoch > to_epoch || to_epoch > current_->epoch()) {
-    return std::nullopt;
-  }
-  EdgeBatch out;
-  if (from_epoch == to_epoch) return out;
-  // Epochs in the log are contiguous and end at the current epoch; the gap
-  // is covered iff the oldest retained entry is at or before from_epoch+1.
-  // Anything else means the bounded log wrapped past the request — report
-  // truncation explicitly so callers can't mistake discarded history for
-  // an empty delta (recovery and IncrementalBfs both depend on this).
-  if (log_.empty() || log_.front().first > from_epoch + 1) {
-    if (truncated != nullptr) *truncated = true;
-    return std::nullopt;
-  }
-  for (const auto& [epoch, batch] : log_) {
-    if (epoch > from_epoch && epoch <= to_epoch) out.append(batch);
-  }
-  return out;
 }
 
 StoreStats GraphStore::stats() const {

@@ -11,11 +11,6 @@
 // never blocked (snapshot() only takes the publish mutex for a pointer
 // copy).
 //
-// The store also keeps a bounded log of applied batches so IncrementalBfs
-// can replay "what changed between my prior epoch and now" and seed a
-// repair; when the gap has fallen off the log, ops_between returns nullopt
-// with *truncated set and the engine recomputes from scratch.
-//
 // An optional DurabilityHook (src/store) rides the serialized writer lane:
 // append() must fsync a WAL record before publish (a failure aborts the
 // apply — durable-then-visible), published() spills content-addressed
@@ -23,11 +18,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <utility>
 
 #include "core/config.h"
 #include "core/status_code.h"
@@ -58,16 +50,12 @@ struct StoreStats {
 class GraphStore {
  public:
   /// The base must satisfy DeltaCsr's sorted+deduped precondition.  Only
-  /// the dyn_* knobs of `cfg` are read.  `log_capacity` bounds the replay
-  /// log (batches); older gaps force engines into full recompute.
-  explicit GraphStore(graph::Csr base, core::XbfsConfig cfg = {},
-                      std::size_t log_capacity = 256);
+  /// the dyn_* knobs of `cfg` are read.
+  explicit GraphStore(graph::Csr base, core::XbfsConfig cfg = {});
   /// Recovery constructor (src/store/recovery): resume from a restored
-  /// DeltaCsr (spilled snapshot base at its recorded epoch).  The replay
-  /// log starts empty, so pre-recovery epochs report as truncated.
+  /// DeltaCsr (spilled snapshot base at its recorded epoch).
   explicit GraphStore(std::shared_ptr<const DeltaCsr> restored,
-                      core::XbfsConfig cfg = {},
-                      std::size_t log_capacity = 256);
+                      core::XbfsConfig cfg = {});
 
   GraphStore(const GraphStore&) = delete;
   GraphStore& operator=(const GraphStore&) = delete;
@@ -96,32 +84,19 @@ class GraphStore {
   /// identical to the one the WAL recorded.  Never consults the hook.
   ApplyStats apply_replayed(const EdgeBatch& batch, bool compacted);
 
-  /// Concatenated ops of the batches that moved the graph from
-  /// `from_epoch` to `to_epoch` (exclusive/inclusive).  nullopt when the
-  /// request is unanswerable, with the reason split by `truncated` (when
-  /// non-null): true = the bounded log wrapped past `from_epoch` (history
-  /// discarded; engines must recompute), false = invalid range
-  /// (from > to, or to beyond the current epoch).
-  std::optional<EdgeBatch> ops_between(std::uint64_t from_epoch,
-                                       std::uint64_t to_epoch,
-                                       bool* truncated = nullptr) const;
-
   StoreStats stats() const;
 
  private:
   const core::XbfsConfig cfg_;
-  const std::size_t log_capacity_;
   DurabilityHook* hook_ = nullptr;  ///< set once before traffic; non-owning
 
   /// Ranked (writer=50 before publish=52): leaf-ward of the serving
   /// cycle/update/GCD locks — the dispatch path snapshots the store while
   /// holding a GCD lock — and below the pool lock (docs/modelcheck.md).
   sim::RankedMutex writer_mu_{50, "dyn.store.writer"};  ///< serializes apply()
-  /// Guards current_, log_, stats_ (pointer swap).
+  /// Guards current_, stats_ (pointer swap).
   mutable sim::RankedMutex mu_{52, "dyn.store.publish"};
   std::shared_ptr<const DeltaCsr> current_;
-  /// (epoch the batch produced, the batch); epochs are contiguous.
-  std::deque<std::pair<std::uint64_t, EdgeBatch>> log_;
   StoreStats stats_;
 };
 

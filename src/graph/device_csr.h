@@ -3,7 +3,7 @@
 // which dominates on small graphs like Dblp), and the adjacency view every
 // traversal kernel reads it through.
 //
-// The view also serves a dynamic graph's device mirror (dyn::IncrementalBfs):
+// The view also serves a dynamic graph's device mirror (dyn::DeviceMirror):
 // deleted base entries hold the kTombstone sentinel in place, and inserted
 // edges live in a small sorted insert overlay.  A flat graph has no
 // overlay; its view issues exactly the flat CSR's loads.

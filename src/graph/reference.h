@@ -118,8 +118,8 @@ std::vector<std::uint32_t> reference_sssp(const Csr& g, vid_t src,
                                           std::uint32_t max_weight);
 
 /// Canonical connected-component labels: comp[v] = smallest vertex id in
-/// v's component.  Engines that emit min-id labels (label propagation,
-/// incremental union-find) must match exactly; arbitrary-id labelings
+/// v's component.  Engines that emit min-id labels (label propagation)
+/// must match exactly; arbitrary-id labelings
 /// compare via validate_components.  `G` is Csr or dyn::DeltaCsr.
 template <typename G>
 std::vector<vid_t> canonical_components(const G& g) {

@@ -112,6 +112,12 @@ void FaultInjector::configure(const FaultConfig& cfg) {
     std::lock_guard<std::mutex> lk(mu_);
     cfg_ = cfg;
   }
+  // Restart both decision streams: a seeded run replays the same draws
+  // whatever this process drew before it.
+  for (std::atomic<std::uint64_t>& seq : seq_) {
+    seq.store(0, std::memory_order_relaxed);
+  }
+  corrupt_seq_.store(0, std::memory_order_relaxed);
   enabled_.store(cfg.any(), std::memory_order_release);
 }
 

@@ -87,6 +87,9 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
+  /// Install `cfg` and restart the per-kind and corruption decision
+  /// streams, so a seed draws the same sequence in any process state.
+  /// injected() counts are kept (reset_counters() clears them).
   void configure(const FaultConfig& cfg);
   void disable();
 

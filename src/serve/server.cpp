@@ -4,12 +4,12 @@
 #include <stdexcept>
 #include <utility>
 
+#include "algos/cc_engine.h"
 #include "algos/engines.h"
 #include "algos/multi_bfs.h"
 #include "baseline/cpu_bfs.h"
 #include "dyn/delta_ref.h"
 #include "dyn/incremental_bfs.h"
-#include "dyn/incremental_cc.h"
 #include "graph/g500_validate.h"
 #include "graph/reference.h"
 #include "hipsim/device.h"
@@ -56,6 +56,32 @@ std::string algo_names(const std::vector<core::AlgoKind>& algos) {
   }
   return out;
 }
+
+/// Dynamic CC's device rung: lp-cc over the GCD's device mirror, with the
+/// sync charged to the run as IncrementalBfs::run charges it.
+class MirrorCc final : public core::AlgorithmEngine {
+ public:
+  explicit MirrorCc(dyn::DeviceMirror& mirror)
+      : mirror_(mirror), lp_(mirror.device(), mirror.csr()) {}
+
+  core::AlgoKind kind() const override { return core::AlgoKind::Cc; }
+  core::AlgoResult solve(const core::AlgoQuery& q) override {
+    const double t0_us = mirror_.device().now_us();
+    mirror_.sync();
+    core::AlgoResult r = lp_.solve(q);
+    r.total_ms = (mirror_.device().now_us() - t0_us) / 1000.0;
+    mirror_.charge(r.total_ms);
+    return r;
+  }
+  const char* name() const override { return lp_.name(); }
+  core::EngineCapabilities capabilities() const override {
+    return lp_.capabilities();
+  }
+
+ private:
+  dyn::DeviceMirror& mirror_;
+  algos::LpCcEngine lp_;
+};
 
 /// Fold one attempt's AttributionSink into a per-query rung record.
 obs::RungAttribution make_rung(const sim::AttributionSink& sink,
@@ -166,9 +192,8 @@ Server::Server(const graph::Csr* g, dyn::GraphStore* store, ServeConfig cfg)
     for (const core::AlgoKind k : cfg_.algos) {
       if (k != core::AlgoKind::Bfs && k != core::AlgoKind::Cc) {
         throw std::invalid_argument(
-            std::string("ServeConfig: dynamic serving supports bfs "
-                        "(Xbfs over the delta mirror) and cc (incremental "
-                        "union-find) only, got ") +
+            std::string("ServeConfig: dynamic serving supports bfs (Xbfs) "
+                        "and cc (lp-cc) over the delta mirror only, got ") +
             core::algo_kind_name(k));
       }
     }
@@ -216,20 +241,19 @@ Server::Server(const graph::Csr* g, dyn::GraphStore* store, ServeConfig cfg)
     gcd->dev->set_trace_label("GCD " + std::to_string(i));
     gcd->dev->warmup();
     if (store_) {
-      // Dynamic ladders: one rung per kind, the incremental engines (they
-      // own their own delta-aware mirrors; no static CSR upload).
-      if (serves(core::AlgoKind::Bfs)) {
-        auto inc = std::make_unique<dyn::IncrementalBfs>(*gcd->dev, *store_,
-                                                         cfg_.xbfs);
-        gcd->inc = inc.get();
-        gcd->ladders[static_cast<std::size_t>(core::AlgoKind::Bfs)].push_back(
-            std::move(inc));
-      }
-      if (serves(core::AlgoKind::Cc)) {
-        auto inc_cc = std::make_unique<dyn::IncrementalCc>(*store_);
-        gcd->inc_cc = inc_cc.get();
-        gcd->ladders[static_cast<std::size_t>(core::AlgoKind::Cc)].push_back(
-            std::move(inc_cc));
+      // Dynamic ladders: one device rung per kind, all over the GCD's one
+      // mirror of the store (no static CSR upload).
+      gcd->mirror = std::make_unique<dyn::DeviceMirror>(
+          *gcd->dev, *store_, cfg_.xbfs.block_threads);
+      for (const core::AlgoKind k : cfg_.algos) {
+        std::unique_ptr<core::AlgorithmEngine> rung;
+        if (k == core::AlgoKind::Bfs) {
+          rung = std::make_unique<dyn::IncrementalBfs>(*gcd->mirror,
+                                                       cfg_.xbfs);
+        } else {
+          rung = std::make_unique<MirrorCc>(*gcd->mirror);
+        }
+        gcd->ladders[static_cast<std::size_t>(k)].push_back(std::move(rung));
       }
     } else {
       gcd->dg = graph::DeviceCsr::upload(*gcd->dev, *host_g_);
@@ -240,7 +264,6 @@ Server::Server(const graph::Csr* g, dyn::GraphStore* store, ServeConfig cfg)
       const core::EngineContext ctx{.dev = gcd->dev.get(),
                                     .dg = &gcd->dg,
                                     .host_g = host_g_,
-                                    .store = nullptr,
                                     .config = &cfg_.xbfs};
       for (const core::AlgoKind k : cfg_.algos) {
         gcd->ladders[static_cast<std::size_t>(k)] = reg.build_ladder(k, ctx);
@@ -251,14 +274,10 @@ Server::Server(const graph::Csr* g, dyn::GraphStore* store, ServeConfig cfg)
 
   // Terminal rungs: one fault-immune host engine per kind.
   if (store_) {
-    if (serves(core::AlgoKind::Bfs)) {
-      auto host = std::make_unique<dyn::HostDeltaBfs>(*store_);
-      host_dyn_ = host.get();
-      host_engines_[static_cast<std::size_t>(core::AlgoKind::Bfs)] =
-          std::move(host);
+    for (const core::AlgoKind k : cfg_.algos) {
+      host_engines_[static_cast<std::size_t>(k)] =
+          std::make_unique<dyn::HostDeltaEngine>(*store_, k);
     }
-    // Dynamic CC's only rung (IncrementalCc) is already host-side and
-    // fault-immune; no separate terminal rung needed.
   } else {
     const core::EngineContext hctx{.host_g = host_g_};
     for (const core::AlgoKind k : cfg_.algos) {
@@ -649,14 +668,12 @@ Server::Resolution Server::resolve_query(unsigned preferred,
       // the cache key match the graph that was served, not whatever epoch
       // the store is on by now.
       dsnap = {};
-      if (gcd.inc && bfs) {
-        dsnap = gcd.inc->served();
+      if (gcd.mirror) {
+        dsnap = gcd.mirror->served();
         if (log) {
           log->event(wall_us(), "recompute",
                      "epoch=" + std::to_string(dsnap.epoch));
         }
-      } else if (gcd.inc_cc && q.algo == core::AlgoKind::Cc) {
-        dsnap = gcd.inc_cc->served();
       }
     };
     for (; budget > 0; --budget) {
@@ -696,13 +713,11 @@ Server::Resolution Server::resolve_query(unsigned preferred,
     }
     dyn::Snapshot hsnap;
     core::ResultPayload payload;
-    if (host_dyn_ != nullptr && q.algo == core::AlgoKind::Bfs) {
+    if (store_) {
       hsnap = store_->snapshot();
-      core::BfsResult br = host_dyn_->run_on(hsnap, q.source);
-      payload.kind = core::AlgoKind::Bfs;
-      payload.levels = std::make_shared<const std::vector<std::int32_t>>(
-          std::move(br.levels));
-      payload.depth = br.depth;
+      payload = static_cast<const dyn::HostDeltaEngine*>(host)
+                    ->solve_on(hsnap, q)
+                    .payload;
     } else {
       payload = host->solve(q).payload;
     }
@@ -930,20 +945,17 @@ ServerStats Server::stats() const {
   const ResultCache::Stats cs = cache_.stats();
   const dyn::DurabilityHook* hook = store_ ? store_->durability() : nullptr;
   const dyn::DurabilityStats ds = hook ? hook->stats() : dyn::DurabilityStats();
-  std::uint64_t repairs = 0, recomputes = 0, fallbacks = 0;
+  std::uint64_t recomputes = 0;
   for (const auto& gp : gcds_) {
-    if (gp->inc) {
-      recomputes += gp->inc->stats().runs;
-    }
-    if (gp->inc_cc) {
-      const dyn::IncCcStats es = gp->inc_cc->stats();
-      repairs += es.repairs;
-      recomputes += es.recomputes;
-      fallbacks += es.fallbacks_delete + es.fallbacks_log;
-    }
+    if (gp->mirror) recomputes += gp->mirror->stats().runs;
   }
   XBFS_STAT_LOAD(XBFS_SERVER_STATS)
   return s;
+}
+
+dyn::DynEngineStats Server::mirror_stats(unsigned gcd) const {
+  const dyn::DeviceMirror* m = gcds_.at(gcd)->mirror.get();
+  return m ? m->stats() : dyn::DynEngineStats{};
 }
 
 void Server::summarize(obs::RunRecord& r) const {

@@ -49,17 +49,13 @@
 #include "core/algorithm_engine.h"
 #include "core/engine_registry.h"
 #include "core/xbfs.h"
+#include "dyn/device_mirror.h"
 #include "dyn/graph_store.h"
 #include "graph/device_csr.h"
 #include "hipsim/lock_rank.h"
 #include "hipsim/thread_pool.h"
 #include "serve/front_end.h"
 
-namespace xbfs::dyn {
-class HostDeltaBfs;
-class IncrementalBfs;
-class IncrementalCc;
-}  // namespace xbfs::dyn
 
 namespace xbfs::serve {
 
@@ -95,9 +91,8 @@ struct ServeConfig : FrontEndConfig {
   // --- algorithm family ----------------------------------------------------
   /// Kinds this server builds engine ladders for; queries of any other
   /// kind are rejected Invalid at submit.  Static servers may list any
-  /// registered kind; dynamic servers support Bfs (Xbfs over a delta
-  /// mirror) and Cc (incremental union-find) — the constructor throws on
-  /// others.  Each served kind also records SLO outcomes into
+  /// registered kind; dynamic servers support Bfs (Xbfs) and Cc (lp-cc),
+  /// both over the GCD's delta mirror — the constructor throws on others.  Each served kind also records SLO outcomes into
   /// "<slo_scope>:<kind>".
   std::vector<core::AlgoKind> algos = {core::AlgoKind::Bfs};
   /// QoS drain weights, indexed by AlgoKind: class k is offered up to
@@ -130,13 +125,13 @@ struct ServeConfig : FrontEndConfig {
 };
 
 /// Server stats on top of the shared FrontEndStats: batching, the
-/// degradation ladder, the update lane, the incremental engines and
+/// degradation ladder, the update lane, the dynamic device mirrors and
 /// durability (the dynamic and durability rows read zero on a static
 /// server).  VALUE expressions run in Server::stats (`cs` = cache_.stats();
 /// `hook` = the store's durability hook, `ds` its stats or zero;
-/// `repairs` / `recomputes` / `fallbacks` summed over the GCDs' incremental
-/// engines: CC repairs and fallbacks, CC recomputes plus one recompute per
-/// dynamic BFS run); REPORT expressions in Server::summarize.
+/// `recomputes` = device runs summed over the GCDs' mirrors); REPORT
+/// expressions in Server::summarize.  `repairs` and `repair_fallbacks` are
+/// retired and read 0.
 #define XBFS_SERVER_STATS(COUNTER, HISTOGRAM, VALUE, REPORT)                   \
   REPORT(std::uint64_t, "num_gcds", Gauge, "GCDs", Config,                     \
          "GCDs served concurrently", cfg_.num_gcds)                            \
@@ -178,12 +173,12 @@ struct ServeConfig : FrontEndConfig {
   VALUE(std::uint64_t, cache_stale_hits_avoided, "cache_stale_hits_avoided",   \
         Counter, "probes", None, "stale-epoch probes refused",                 \
         cs.stale_hits_avoided)                                                 \
-  VALUE(std::uint64_t, repairs, "repairs", Counter, "runs", None,              \
-        "incremental CC repairs", repairs)                                     \
+  VALUE(std::uint64_t, repairs, "repairs", Counter, "runs", None, "retired",   \
+        0)                                                                     \
   VALUE(std::uint64_t, recomputes, "recomputes", Counter, "runs", None,        \
-        "CC recomputes plus dynamic BFS runs", recomputes)                     \
+        "device runs over the dynamic mirrors", recomputes)                    \
   VALUE(std::uint64_t, repair_fallbacks, "repair_fallbacks", Counter, "runs",  \
-        None, "CC repairs abandoned", fallbacks)                               \
+        None, "retired", 0)                                                    \
   VALUE(bool, durable, "durable", Gauge, "flag", None, "WAL-backed store",     \
         hook != nullptr)                                                       \
   VALUE(std::uint64_t, wal_appends, "wal_appends", Counter, "records", None,   \
@@ -253,10 +248,10 @@ class Server : public FrontEnd {
   /// ordering, the per-GCD device uploads, and the host oracles).
   /// submit_update() rejects.
   explicit Server(const graph::Csr& g, ServeConfig cfg = {});
-  /// Dynamic serving over a mutable graph store: BFS queries run on
-  /// dyn::IncrementalBfs engines (and CC on dyn::IncrementalCc) against
-  /// refcounted snapshots, updates enter through submit_update().  The
-  /// store must outlive the server.  Batched sweeps and neighborhood
+  /// Dynamic serving over a mutable graph store: BFS (dyn::IncrementalBfs)
+  /// and CC (lp-cc) run over each GCD's device mirror of refcounted
+  /// snapshots, updates enter through submit_update().  The store must
+  /// outlive the server.  Batched sweeps and neighborhood
   /// grouping need the static CSR, so dynamic dispatch is always per-unit.
   explicit Server(dyn::GraphStore& store, ServeConfig cfg = {});
   ~Server() override;
@@ -289,6 +284,8 @@ class Server : public FrontEnd {
   }
 
   ServerStats stats() const;
+  /// Stats of GCD `gcd`'s device mirror (zero on a static server).
+  dyn::DynEngineStats mirror_stats(unsigned gcd) const;
   const ServeConfig& config() const { return cfg_; }
   /// The fingerprint queries are currently cached under; moves with every
   /// applied update batch on a dynamic server.
@@ -304,18 +301,17 @@ class Server : public FrontEnd {
  private:
   struct Gcd {
     std::unique_ptr<sim::Device> dev;
-    graph::DeviceCsr dg;  ///< static servers only (dynamic mirrors DeltaCsr)
+    graph::DeviceCsr dg;  ///< static servers only
+    /// Dynamic servers only: the DeltaCsr on this device, which every
+    /// dynamic rung reads (declared before the ladders that borrow it).
+    std::unique_ptr<dyn::DeviceMirror> mirror;
     /// Per-kind degradation ladders, fastest rung first, built from the
-    /// EngineRegistry (static servers) or the incremental engines
-    /// (dynamic: Bfs -> IncrementalBfs, Cc -> IncrementalCc).  Empty for
-    /// kinds outside ServeConfig::algos.
+    /// EngineRegistry (static servers) or over the mirror (dynamic: Bfs ->
+    /// IncrementalBfs, Cc -> lp-cc).  Empty for kinds outside
+    /// ServeConfig::algos.
     std::array<std::vector<std::unique_ptr<core::AlgorithmEngine>>,
                core::kNumAlgoKinds>
         ladders;
-    /// Non-owning views of the dynamic incremental engines (for stats()
-    /// and served-snapshot reads); null on static servers.
-    dyn::IncrementalBfs* inc = nullptr;
-    dyn::IncrementalCc* inc_cc = nullptr;
     /// With rerouting, lanes other than this GCD's home lane may dispatch
     /// here; the device's modelled clocks are not thread-safe.  Ranked
     /// (serve.gcd=40): taken inside the cycle lock, outside the device's
@@ -452,13 +448,10 @@ class Server : public FrontEnd {
   std::vector<std::unique_ptr<Gcd>> gcds_;
   std::unique_ptr<sim::ThreadPool> pool_;  ///< one lane per GCD
   /// Terminal rungs, one per kind: host engines from the registry (static)
-  /// or dyn::HostDeltaBfs (dynamic BFS), immune to simulated-device
-  /// faults.  Null for kinds without a registered host engine.
+  /// or dyn::HostDeltaEngine (dynamic), immune to simulated-device faults.
+  /// Null for kinds without a registered host engine.
   std::array<std::unique_ptr<core::AlgorithmEngine>, core::kNumAlgoKinds>
       host_engines_;
-  /// Non-owning view of host_engines_[Bfs] on a dynamic server (run_on
-  /// pins the validated snapshot); null on static servers.
-  dyn::HostDeltaBfs* host_dyn_ = nullptr;
 
   struct Handles {
     XBFS_STAT_HANDLES(XBFS_SERVER_STATS)

@@ -148,20 +148,20 @@ dyn::DurabilityStats DurabilityManager::stats() const {
 }
 
 xbfs::Status open_durable(const DurabilityConfig& cfg, graph::Csr base,
-                          core::XbfsConfig xbfs_cfg, std::size_t log_capacity,
+                          core::XbfsConfig xbfs_cfg,
+                          std::size_t /*log_capacity: unused*/,
                           DurableStore* out) {
   if (cfg.dir.empty()) {
     return xbfs::Status::Invalid("open_durable: empty storage dir");
   }
   if (const xbfs::Status s = ensure_dir(cfg.dir); !s.ok()) return s;
   if (file_exists(cfg.dir + "/" + kManifestName)) {
-    return recover_store(cfg, xbfs_cfg, log_capacity, out);
+    return recover_store(cfg, xbfs_cfg, out);
   }
 
   // Fresh initialization: epoch-0 snapshot + empty WAL + manifest, so a
   // crash at any later point always finds a complete pair to recover.
-  auto store = std::make_unique<dyn::GraphStore>(std::move(base), xbfs_cfg,
-                                                 log_capacity);
+  auto store = std::make_unique<dyn::GraphStore>(std::move(base), xbfs_cfg);
   const dyn::Snapshot snap = store->snapshot();
   std::string snap_name;
   if (const xbfs::Status s =

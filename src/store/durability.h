@@ -91,6 +91,7 @@ struct DurableStore {
 /// comes from the durable state.  Recovery-validation failures (broken
 /// fingerprint chain, corrupt snapshot/manifest) refuse with
 /// DataCorruption after a flight-recorder dump.
+/// `log_capacity` is unused; bench/xbench still passes it.
 xbfs::Status open_durable(const DurabilityConfig& cfg, graph::Csr base,
                           core::XbfsConfig xbfs_cfg, std::size_t log_capacity,
                           DurableStore* out);

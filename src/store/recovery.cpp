@@ -37,8 +37,7 @@ std::string hex(std::uint64_t v) {
 }  // namespace
 
 xbfs::Status recover_store(const DurabilityConfig& cfg,
-                           core::XbfsConfig xbfs_cfg,
-                           std::size_t log_capacity, DurableStore* out) {
+                           core::XbfsConfig xbfs_cfg, DurableStore* out) {
   Manifest m;
   if (const xbfs::Status s = read_manifest(cfg.dir, &m); !s.ok()) {
     // Missing manifest (Unavailable) is the fresh-dir signal, not a
@@ -83,8 +82,8 @@ xbfs::Status recover_store(const DurabilityConfig& cfg,
     return refuse(s);
   }
 
-  auto store = std::make_unique<dyn::GraphStore>(std::move(restored),
-                                                 xbfs_cfg, log_capacity);
+  auto store =
+      std::make_unique<dyn::GraphStore>(std::move(restored), xbfs_cfg);
   dyn::DurabilityStats rs;
   rs.recovered = true;
   rs.torn_tail_detected = wal.torn_tail;

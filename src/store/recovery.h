@@ -38,7 +38,6 @@ namespace xbfs::store {
 /// caller initializes fresh); DataCorruption = durable state exists but
 /// cannot be proven consistent (refused; flight recorder dumped).
 xbfs::Status recover_store(const DurabilityConfig& cfg,
-                           core::XbfsConfig xbfs_cfg,
-                           std::size_t log_capacity, DurableStore* out);
+                           core::XbfsConfig xbfs_cfg, DurableStore* out);
 
 }  // namespace xbfs::store

@@ -1,5 +1,5 @@
 // Dynamic-graph subsystem tests: DeltaCsr overlay semantics, GraphStore
-// snapshot versioning / update-log replay, and the property that
+// snapshot versioning and compaction, and the property that
 // dyn::IncrementalBfs levels always match a fresh reference BFS on the
 // updated graph: Xbfs over the incrementally patched device mirror sees
 // exactly the live edge set.
@@ -159,68 +159,6 @@ TEST(GraphStore, SnapshotsAreImmutableUnderWrites) {
   EXPECT_NE(s0.fingerprint, s1.fingerprint);
 }
 
-TEST(GraphStore, OpsBetweenReplaysTheGap) {
-  GraphStore store(path5());
-  EdgeBatch b1, b2;
-  b1.insert(0, 3);
-  b2.erase(3, 4);
-  store.apply(b1);
-  store.apply(b2);
-
-  const auto gap = store.ops_between(0, 2);
-  ASSERT_TRUE(gap.has_value());
-  ASSERT_EQ(gap->size(), 2u);
-  EXPECT_TRUE(gap->ops[0].insert);
-  EXPECT_FALSE(gap->ops[1].insert);
-
-  const auto tail = store.ops_between(1, 2);
-  ASSERT_TRUE(tail.has_value());
-  EXPECT_EQ(tail->size(), 1u);
-
-  const auto empty = store.ops_between(2, 2);
-  ASSERT_TRUE(empty.has_value());
-  EXPECT_TRUE(empty->empty());
-
-  EXPECT_FALSE(store.ops_between(3, 2).has_value());  // backwards
-}
-
-TEST(GraphStore, OpsBetweenDistinguishesBadRangeFromTruncation) {
-  GraphStore store(path5());
-  EdgeBatch b;
-  b.insert(0, 3);
-  store.apply(b);
-
-  // Invalid ranges are caller errors, not log truncation.
-  bool truncated = true;
-  EXPECT_FALSE(store.ops_between(2, 1, &truncated).has_value());
-  EXPECT_FALSE(truncated);
-  truncated = true;
-  EXPECT_FALSE(store.ops_between(0, 99, &truncated).has_value());
-  EXPECT_FALSE(truncated);
-  // A satisfiable range leaves the flag false as well.
-  truncated = true;
-  EXPECT_TRUE(store.ops_between(0, 1, &truncated).has_value());
-  EXPECT_FALSE(truncated);
-}
-
-TEST(GraphStore, TrimmedLogRefusesToReplay) {
-  GraphStore store(path5(), {}, /*log_capacity=*/2);
-  for (int i = 0; i < 4; ++i) {
-    EdgeBatch b;
-    b.insert(0, 3);  // alternates noop/insert; epoch bumps regardless
-    b.erase(0, 3);
-    store.apply(b);
-  }
-  // Epochs 1..2 fell off the two-entry log: the nullopt is reported as
-  // truncation, distinct from a caller-error range.
-  bool truncated = false;
-  EXPECT_FALSE(store.ops_between(0, 4, &truncated).has_value());
-  EXPECT_TRUE(truncated);
-  truncated = true;
-  EXPECT_TRUE(store.ops_between(2, 4, &truncated).has_value());
-  EXPECT_FALSE(truncated);
-}
-
 TEST(GraphStore, CompactsPastDensityThreshold) {
   core::XbfsConfig cfg;
   cfg.dyn_compact_threshold = 0.25;
@@ -267,7 +205,8 @@ TEST(DynIncremental, RepairMatchesReferenceOnRandomChurn) {
   GraphStore store(base);
   core::XbfsConfig cfg;
   cfg.report_runs = false;
-  IncrementalBfs eng(fx.dev, store, cfg);
+  DeviceMirror mirror(fx.dev, store, cfg.block_threads);
+  IncrementalBfs eng(mirror, cfg);
 
   std::mt19937_64 rng(7);
   std::uniform_int_distribution<vid_t> pick(0, n - 1);
@@ -310,7 +249,8 @@ TEST(DynIncremental, DeleteOnlyRepairMatchesReference) {
   GraphStore store(base);
   core::XbfsConfig cfg;
   cfg.report_runs = false;
-  IncrementalBfs eng(fx.dev, store, cfg);
+  DeviceMirror mirror(fx.dev, store, cfg.block_threads);
+  IncrementalBfs eng(mirror, cfg);
   const vid_t src = 0;
   eng.run(src);
 
@@ -341,7 +281,8 @@ TEST(DynIncremental, BridgeDeletionDisconnectsComponent) {
   GraphStore store(g);
   core::XbfsConfig cfg;
   cfg.report_runs = false;
-  IncrementalBfs eng(fx.dev, store, cfg);
+  DeviceMirror mirror(fx.dev, store, cfg.block_threads);
+  IncrementalBfs eng(mirror, cfg);
   eng.run(0);
 
   EdgeBatch b;
@@ -358,7 +299,8 @@ TEST(DynIncremental, InsertReachesTheUnreached) {
   GraphStore store(g);
   core::XbfsConfig cfg;
   cfg.report_runs = false;
-  IncrementalBfs eng(fx.dev, store, cfg);
+  DeviceMirror mirror(fx.dev, store, cfg.block_threads);
+  IncrementalBfs eng(mirror, cfg);
   const core::BfsResult cold = eng.run(0);
   EXPECT_EQ(cold.levels, (std::vector<std::int32_t>{0, 1, -1, -1}));
 
@@ -374,7 +316,8 @@ TEST(DynIncremental, StatsReadableWhileRunning) {
   GraphStore store(path5());
   core::XbfsConfig cfg;
   cfg.report_runs = false;
-  IncrementalBfs eng(fx.dev, store, cfg);
+  DeviceMirror mirror(fx.dev, store, cfg.block_threads);
+  IncrementalBfs eng(mirror, cfg);
   std::thread reader([&] {
     for (int i = 0; i < 50; ++i) (void)eng.stats();
   });

@@ -1,6 +1,6 @@
 // The device protocol of dyn::IncrementalBfs: a mirror sync plus one
 // core::Xbfs traversal of the churned DeltaCsr mirror (live tombstones and
-// insert overlay).  DynFixedCost pins the budget: a same-epoch run costs
+// insert overlay), and lp-cc over the same mirror under SimSan.  DynFixedCost pins the budget: a same-epoch run costs
 // what a static Xbfs run costs (one launch, one sync, two copies), and an
 // epoch change adds only the mirror sync.  DynLevelTotals runs every
 // forced strategy, balancing mode and bottom-up variant plus the
@@ -16,11 +16,13 @@
 #include <tuple>
 #include <vector>
 
+#include "algos/cc_engine.h"
 #include "dyn/delta_ref.h"
 #include "dyn/graph_store.h"
 #include "dyn/incremental_bfs.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "graph/reference.h"
 #include "graph/rmat.h"
 #include "hipsim/fault.h"
 #include "hipsim/sanitizer.h"
@@ -223,7 +225,8 @@ TEST(DynFixedCost, SameEpochRunCostsOneLaunchOneSyncTwoCopies) {
     SCOPED_TRACE(gc.name);
     ChurnedStore cs(gc.make(), 3);
     sim::Device dev = make_device(1);
-    IncrementalBfs eng(dev, *cs.store, cs.cfg);
+    DeviceMirror mirror(dev, *cs.store, cs.cfg.block_threads);
+    IncrementalBfs eng(mirror, cs.cfg);
     const vid_t n = cs.store->snapshot().graph->num_vertices();
     core::BfsResult r = eng.run(0);  // syncs the mirror
     for (const vid_t src : {vid_t{0}, n / 2, n - 1}) {
@@ -244,7 +247,8 @@ TEST(DynFixedCost, EpochChangeAddsOnlyTheMirrorSync) {
     SCOPED_TRACE(gc.name);
     ChurnedStore cs(gc.make(), 3);
     sim::Device dev = make_device(1);
-    IncrementalBfs eng(dev, *cs.store, cs.cfg);
+    DeviceMirror mirror(dev, *cs.store, cs.cfg.block_threads);
+    IncrementalBfs eng(mirror, cs.cfg);
     eng.run(0);
     for (int round = 0; round < 3; ++round) {
       cs.step(4);
@@ -269,7 +273,8 @@ TEST(DynFixedCost, EpochChangeAddsOnlyTheMirrorSync) {
 TEST(DynFixedCost, RunAfterAFaultedRoundKeepsExactTotals) {
   ChurnedStore cs(chain_graph(), 3);
   sim::Device dev = make_device(1);
-  IncrementalBfs eng(dev, *cs.store, cs.cfg);
+  DeviceMirror mirror(dev, *cs.store, cs.cfg.block_threads);
+  IncrementalBfs eng(mirror, cs.cfg);
   sim::FaultInjector& faults = sim::FaultInjector::global();
   unsigned faulted = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
@@ -315,12 +320,39 @@ TEST(DynFixedCost, KernelRacesAreAllAnnotated) {
     core::XbfsConfig cfg = base;
     cfg.report_runs = false;
     cfg.dyn_compact_threshold = cs.cfg.dyn_compact_threshold;
-    IncrementalBfs eng(dev, *cs.store, cfg);
+    DeviceMirror mirror(dev, *cs.store, cfg.block_threads);
+    IncrementalBfs eng(mirror, cfg);
     for (int round = 0; round < 3; ++round) {
       EXPECT_EQ(eng.run(0).levels,
                 reference_bfs(*cs.store->snapshot().graph, 0));
       cs.step(6);
     }
+  }
+  const std::uint64_t unannotated = san.unannotated_count();
+  const std::uint64_t out_of_bounds =
+      san.finding_count(sim::DefectKind::OutOfBounds);
+  san.reset();
+  san.disable();
+  EXPECT_EQ(unannotated, 0u);
+  EXPECT_EQ(out_of_bounds, 0u);
+}
+
+/// lp-cc over a tombstoned, overlaid mirror under SimSan all-on: its hook
+/// skips every kTombstone entry before touching a label, and its races are
+/// the annotated monotone-label ones.
+TEST(DynFixedCost, LpCcRacesOverTheMirrorAreAllAnnotated) {
+  sim::Sanitizer& san = sim::Sanitizer::global();
+  san.configure(sim::SanitizeConfig::all_on());
+  ChurnedStore cs(rmat_graph(), 3);
+  sim::Device dev = make_device(4);
+  DeviceMirror mirror(dev, *cs.store, cs.cfg.block_threads);
+  algos::LpCcEngine cc(dev, mirror.csr());
+  for (int round = 0; round < 3; ++round) {
+    const Snapshot snap = mirror.sync();
+    ASSERT_GT(snap.graph->tombstone_entries(), 0u);
+    EXPECT_EQ(*cc.solve({}).payload.components,
+              graph::canonical_components(*snap.graph));
+    cs.step(6);
   }
   const std::uint64_t unannotated = san.unannotated_count();
   const std::uint64_t out_of_bounds =
@@ -420,13 +452,15 @@ TEST_P(DynLevelTotals, RecomputeRepairAndFallbackMatchReference) {
     core::XbfsConfig c = cc.cfg;
     c.report_runs = false;
     c.dyn_compact_threshold = cfg.dyn_compact_threshold;
-    IncrementalBfs eng(dev, store, c);
+    DeviceMirror mirror(dev, store, c.block_threads);
+    IncrementalBfs eng(mirror, c);
     for (const vid_t src : sources) run_checked(eng, src, cc.name);
   }
 
   // One engine across epochs: in-place tombstone patches, revived base
   // edges written back, and the overlay re-uploaded.
-  IncrementalBfs eng(dev, store, cfg);
+  DeviceMirror mirror(dev, store, cfg.block_threads);
+  IncrementalBfs eng(mirror, cfg);
   for (int round = 0; round < 3; ++round) {
     EdgeBatch b = churn(*store.snapshot().graph, rng, 2 + n / 50);
     const DeltaCsr::Overlay& tombs = store.snapshot().graph->tombstones();

@@ -88,6 +88,41 @@ TEST_F(HipsimFault, DecisionsAreDeterministicInSeedAndSequence) {
   EXPECT_TRUE(any_diff);
 }
 
+TEST_F(HipsimFault, ReconfiguringRestartsEveryDecisionStream) {
+  FaultConfig cfg;
+  cfg.kernel_fault_rate = 0.3;
+  cfg.memcpy_corruption_rate = 0.3;
+  cfg.seed = 1234;
+  const auto draw = [](FaultInjector& inj) {
+    std::vector<int> seen;
+    for (int i = 0; i < 64; ++i) {
+      seen.push_back(inj.should_inject(FaultKind::KernelFault));
+      seen.push_back(inj.should_inject(FaultKind::MemcpyCorruption));
+    }
+    std::vector<std::int32_t> levels(97, 1);
+    for (int i = 0; i < 8; ++i) inj.corrupt_levels(levels);
+    for (const std::int32_t l : levels) seen.push_back(l);
+    return seen;
+  };
+
+  FaultInjector fresh;
+  fresh.configure(cfg);
+  const std::vector<int> want = draw(fresh);
+
+  // Draws made under an earlier configuration must not shift the streams
+  // of the next one: the same seed replays the fresh-process sequence.
+  FaultInjector reused;
+  reused.configure(cfg);
+  (void)draw(reused);
+  cfg.seed = 99;
+  reused.configure(cfg);
+  (void)draw(reused);
+  cfg.seed = 1234;
+  reused.configure(cfg);
+  EXPECT_EQ(draw(reused), want);
+  EXPECT_EQ(reused.decisions(FaultKind::KernelFault), 64u);
+}
+
 TEST_F(HipsimFault, RateZeroNeverFiresAndRateOneAlwaysFires) {
   FaultConfig cfg;
   cfg.kernel_fault_rate = 1.0;

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "dyn/incremental_bfs.h"
-#include "dyn/incremental_cc.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/stat_table.h"
@@ -245,8 +244,7 @@ TEST(StatTable, DocsTableMatchesEveryDeclaredStat) {
        {"algo_class", {XBFS_STAT_ROWS(XBFS_ALGO_CLASS_STATS)}},
        {"server", {XBFS_STAT_ROWS(XBFS_SERVER_STATS)}},
        {"router", {XBFS_STAT_ROWS(XBFS_ROUTER_STATS)}},
-       {"dyn_engine", {XBFS_STAT_ROWS(XBFS_DYN_ENGINE_STATS)}},
-       {"inc_cc", {XBFS_STAT_ROWS(XBFS_INC_CC_STATS)}}};
+       {"dyn_engine", {XBFS_STAT_ROWS(XBFS_DYN_ENGINE_STATS)}}};
   // Tables that share one summary record share its key space.
   EXPECT_TRUE(keys_unique({tables[0].second, tables[2].second}));
   EXPECT_TRUE(keys_unique({tables[0].second, tables[3].second}));
