@@ -102,6 +102,25 @@ void launch_clear_bitmap(sim::Device& dev, sim::LaunchTarget on,
   });
 }
 
+void launch_pack_levels(sim::Device& dev, sim::LaunchTarget on,
+                        sim::dspan<const std::uint32_t> status,
+                        sim::dspan<std::uint8_t> levels8,
+                        unsigned block_threads) {
+  sim::LaunchConfig cfg;
+  cfg.block_threads = block_threads;
+  cfg.grid_blocks =
+      auto_grid_blocks(dev.profile(), status.size(), block_threads);
+  dev.launch(on, "xbfs_pack_levels", cfg, [=](sim::BlockCtx& blk) {
+    auto& ctx = blk.ctx();
+    blk.grid_stride(status.size(), [&](std::uint64_t v) {
+      const std::uint32_t st = ctx.load(status, v);
+      ctx.store_nontemporal(levels8, v,
+                            st == kUnvisited ? kUnvisited8
+                                             : static_cast<std::uint8_t>(st));
+    });
+  });
+}
+
 void launch_append_queue(sim::Device& dev, sim::LaunchTarget on,
                          sim::dspan<const graph::vid_t> src_queue,
                          std::uint32_t count,

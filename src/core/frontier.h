@@ -127,6 +127,16 @@ void launch_clear_bitmap(sim::Device& dev, sim::LaunchTarget on,
                          sim::dspan<std::uint64_t> bitmap,
                          unsigned block_threads);
 
+/// Kernel `xbfs_pack_levels`: one byte per vertex for the host readback —
+/// levels8[v] = status[v], or kUnvisited8 when v was not reached.  Only a
+/// traversal of depth <= 254 fits.  The status loads are ordinary (lanes
+/// coalesce through the L2) and the stores non-temporal: the bytes are
+/// write-once host data.
+void launch_pack_levels(sim::Device& dev, sim::LaunchTarget on,
+                        sim::dspan<const std::uint32_t> status,
+                        sim::dspan<std::uint8_t> levels8,
+                        unsigned block_threads);
+
 /// Kernel: append `count` entries of `src_queue` to `dst_queue` starting at
 /// `dst_offset` (used to merge the carried pending queue into the next
 /// frontier).

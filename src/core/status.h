@@ -11,6 +11,8 @@ namespace xbfs::core {
 
 /// Sentinel for "not yet visited".  Any other value is the BFS level.
 inline constexpr std::uint32_t kUnvisited = 0xFFFFFFFFu;
+/// The one-byte level readback's "not yet visited".
+inline constexpr std::uint8_t kUnvisited8 = 0xFF;
 /// Sentinel parent for unreached vertices / the source.
 inline constexpr graph::vid_t kNoParent = static_cast<graph::vid_t>(-1);
 

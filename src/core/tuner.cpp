@@ -5,7 +5,9 @@
 #include <map>
 #include <string>
 
+#include "core/status.h"
 #include "core/xbfs.h"
+#include "hipsim/timing.h"
 
 namespace xbfs::core {
 
@@ -24,7 +26,10 @@ bool is_strategy_kernel(Strategy s, const std::string& kernel) {
   return false;
 }
 
-/// Per-level (ratio, strategy-kernel time) trace of one forced run.
+/// Per-level (ratio, strategy-kernel time) trace of one forced run.  A
+/// kernel's time is what the strategy pays for it: its row, which carries
+/// the launch overhead of a stand-alone launch, plus the grid barrier in
+/// front of a phase of the cooperative launch, which no row carries.
 struct ProbeTrace {
   std::vector<double> ratio;
   std::vector<double> kernels_ms;
@@ -44,6 +49,11 @@ ProbeTrace probe(const sim::DeviceProfile& profile, const graph::Csr& g,
   dev.profiler().clear();
   const BfsResult r = bfs.run(src);
 
+  // Xbfs::run's resident grid.
+  const double barrier_ms =
+      sim::grid_barrier_us(profile, std::max(max_grid_blocks(profile),
+                                             cfg.grid_blocks)) /
+      1000.0;
   ProbeTrace t;
   t.ratio.resize(r.level_stats.size());
   t.kernels_ms.assign(r.level_stats.size(), 0.0);
@@ -56,7 +66,8 @@ ProbeTrace probe(const sim::DeviceProfile& profile, const graph::Csr& g,
       continue;
     }
     if (is_strategy_kernel(strategy, rec.kernel)) {
-      t.kernels_ms[static_cast<std::size_t>(rec.level)] += rec.runtime_ms();
+      t.kernels_ms[static_cast<std::size_t>(rec.level)] +=
+          rec.runtime_ms() + (rec.launched ? 0.0 : barrier_ms);
     }
   }
   return t;

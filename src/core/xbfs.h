@@ -1,9 +1,13 @@
 // Public API of the XBFS reproduction: adaptive BFS on the simulated GPU.
 //
 // In the default StreamMode::Single a traversal is one cooperative launch
-// (hipsim/grid.h): init, every level's strategy kernels as grid phases, and
-// the direction policy evaluated by every block between levels, with the
-// per-level rows read back once at the end.  StreamMode::TripleBinned keeps
+// (hipsim/grid.h): init, every level's strategy kernels as grid phases, the
+// direction policy evaluated by every block between levels, and a last
+// phase that packs the levels into one byte per vertex.  One copy then
+// reads back the per-level rows of the first 64 levels with those bytes
+// (and the parents); a traversal deeper than 64 levels pays a second copy
+// for the rest of its rows, and one deeper than 254 levels reads the
+// 4-byte status there instead of the bytes.  StreamMode::TripleBinned keeps
 // the CUDA design's host loop, one round trip per level.
 //
 // The kernels read the graph through graph::DeviceAdjacency, so the same
@@ -55,8 +59,9 @@ class Xbfs final : public TraversalEngine {
   struct FrontierState;
   /// The level loop, shared by both stream modes; `Exec` issues the kernels
   /// and ends each level (host round trip or uniform device value).
+  /// Returns the levels run.
   template <typename Exec>
-  void level_loop(Exec& ex);
+  std::uint32_t level_loop(Exec& ex);
   void run_scanfree(sim::LaunchTarget on, const FrontierState& fs,
                     std::uint32_t level);
   void run_singlescan(sim::LaunchTarget on, const FrontierState& fs,
@@ -69,9 +74,14 @@ class Xbfs final : public TraversalEngine {
   XbfsConfig cfg_;
   AdaptivePolicy policy_;
   BfsBuffers buffers_;
-  /// StreamMode::Single: the device-side level rows (word 0 = levels run,
-  /// then two words per level), read back once per traversal.
-  sim::DeviceBuffer<std::uint64_t> level_log_;
+  /// StreamMode::Single: the device-side level log (word 0 = levels run,
+  /// then two words per level).  The head holds word 0 and the first 64
+  /// rows, the tail every later row; only the head rides in the one copy
+  /// every traversal pays.
+  sim::DeviceBuffer<std::uint64_t> log_head_;
+  sim::DeviceBuffer<std::uint64_t> log_tail_;
+  /// StreamMode::Single: the levels packed one byte per vertex.
+  sim::DeviceBuffer<std::uint8_t> levels8_;
   sim::Stream* bin_streams_[3] = {nullptr, nullptr, nullptr};
 };
 

@@ -6,7 +6,7 @@
 // stream mode.  Xbfs reads the mirror through graph::DeviceAdjacency, the
 // view flat graphs use too, so static and dynamic BFS share every strategy
 // kernel.  A same-epoch run costs what a static Xbfs run costs: one
-// launch, one sync and two copies.
+// launch, one sync and one copy (two past a depth of 64).
 #pragma once
 
 #include "core/algorithm_engine.h"

@@ -58,8 +58,8 @@ struct ServerFront {
   static constexpr const char* kTool = "serve";
   static constexpr const char* kLabel = "server";
   static constexpr const char* kGuardKeys = "1c16cb2758b21d64";
-  static constexpr const char* kGuardValues = "d9790da1ea58530c";
-  static constexpr const char* kGuardStats = "da34bef252a556ca";
+  static constexpr const char* kGuardValues = "457bd060cd9592f5";
+  static constexpr const char* kGuardStats = "67fe0d4b268c0ae7";
 
   ServerFront(const graph::Csr& g, std::size_t capacity, std::string scope) {
     serve::ServeConfig cfg;
@@ -111,8 +111,8 @@ struct DynamicFront {
   static constexpr const char* kTool = "serve";
   static constexpr const char* kLabel = "dynamic";
   static constexpr const char* kGuardKeys = "1c16cb2758b21d64";
-  static constexpr const char* kGuardValues = "95289130261749fb";
-  static constexpr const char* kGuardStats = "13b4f0e81c1d261d";
+  static constexpr const char* kGuardValues = "43598b15f07d24fb";
+  static constexpr const char* kGuardStats = "012e2218d6946bbe";
 
   DynamicFront(const graph::Csr& g, std::size_t capacity, std::string scope)
       : base(&g),
@@ -350,8 +350,10 @@ template <class Front, class Traffic>
 testjson::ValuePtr run_and_report(const graph::Csr& g,
                                   const std::string& scope,
                                   Traffic&& traffic) {
+  // One file per process: ctest runs this fixture's tests side by side.
   const std::string path = ::testing::TempDir() + "front_end_contract_" +
-                           Front::kLabel + ".json";
+                           Front::kLabel + "_" +
+                           std::to_string(::getpid()) + ".json";
   obs::ReportSession& rs = obs::ReportSession::global();
   rs.clear();
   rs.enable(path);

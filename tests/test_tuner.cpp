@@ -62,11 +62,13 @@ TEST(AlphaTuner, ToySizeReportsNoBracketAndDisablesBottomUp) {
 
 TEST(AlphaTuner, ToySizeFindsBracketInTheCooperativeLaunch) {
   // In the default stream mode a traversal is one cooperative launch: the
-  // five bottom-up kernels are grid phases that pay no launch of their own,
-  // so even at toy scale bottom-up wins the widest levels and the tuner
-  // brackets a crossover.
+  // five bottom-up kernels are grid phases that pay a grid barrier each
+  // (about 0.5 us) instead of a launch, so already at scale 13 bottom-up
+  // wins the widest levels and the tuner brackets a crossover, where the
+  // host loop finds none below about scale 17.  (At scale 10 the barriers
+  // still outweigh bottom-up's savings on every level.)
   graph::RmatParams p;
-  p.scale = 10;
+  p.scale = 13;
   p.edge_factor = 16;
   p.seed = 21;
   const graph::Csr g = graph::rmat_csr(p);

@@ -1,9 +1,12 @@
 // The host protocol of core::Xbfs.  In the default stream mode a traversal
-// is one cooperative launch, one synchronize() and two copies whatever its
-// depth, with no counter readback between levels; the TripleBinned host
-// loop keeps one synchronize() plus one counter readback per level.  Both
-// keep per-level frontier totals exact when one instance runs source after
-// source on its two alternating counter sets.
+// is one cooperative launch, one synchronize() and one copy (the level-log
+// head, one byte per vertex, the parents), with no counter readback
+// between levels; a traversal deeper than the log head's 64 levels pays a
+// second copy for the rest of the log (and, past 254 levels, the 4-byte
+// status).  The TripleBinned host loop keeps one synchronize() plus one
+// counter readback per level.  Both keep per-level frontier totals exact
+// when one instance runs source after source on its two alternating
+// counter sets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +15,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include "core/xbfs.h"
@@ -121,7 +125,7 @@ TEST(XbfsFixedCost, OneInitLaunchAndOnlyStrategyKernelsPerLevel) {
     const core::BfsResult r = bfs.run(c.src);
 
     std::map<int, unsigned> strategy_launches, appends;
-    unsigned inits = 0;
+    unsigned inits = 0, packs = 0;
     for (const sim::LaunchRecord& rec : dev.profiler().records()) {
       EXPECT_EQ(rec.kernel.find("reset"), std::string::npos) << rec.kernel;
       // One cooperative launch: its first phase row carries it.
@@ -129,6 +133,10 @@ TEST(XbfsFixedCost, OneInitLaunchAndOnlyStrategyKernelsPerLevel) {
       if (rec.kernel == "xbfs_init") {
         EXPECT_EQ(rec.level, -1);
         ++inits;
+      } else if (rec.kernel == "xbfs_pack_levels") {
+        // The readback's own phase, not the last level's.
+        EXPECT_EQ(rec.level, -1);
+        ++packs;
       } else if (rec.kernel == "xbfs_append_pending") {
         ++appends[rec.level];
       } else {
@@ -136,6 +144,9 @@ TEST(XbfsFixedCost, OneInitLaunchAndOnlyStrategyKernelsPerLevel) {
       }
     }
     EXPECT_EQ(inits, 1u);
+    // Levels pack into one byte per vertex up to depth 254 (chain1500 reads
+    // the 4-byte status instead).
+    EXPECT_EQ(packs, r.depth <= 254 ? 1u : 0u);
     EXPECT_EQ(strategy_launches.count(-1), 0u) << "setup is one launch";
     ASSERT_EQ(r.level_stats.size(), r.depth);
     for (const core::LevelStats& st : r.level_stats) {
@@ -156,7 +167,7 @@ TEST(XbfsFixedCost, OneInitLaunchAndOnlyStrategyKernelsPerLevel) {
   EXPECT_TRUE(saw_bottomup);
 }
 
-TEST(XbfsFixedCost, OneLaunchOneSyncTwoCopiesAtAnyDepth) {
+TEST(XbfsFixedCost, OneLaunchOneSyncOneCopyUnlessTheLogHeadOverflows) {
   // Host reads of device data that was never copied back are findings, so
   // a counter-set readback between levels would show up here.  Enabled
   // before any allocation: only buffers born under SimSan carry shadows.
@@ -164,7 +175,7 @@ TEST(XbfsFixedCost, OneLaunchOneSyncTwoCopiesAtAnyDepth) {
   sim::SanitizeConfig stale;
   stale.stale = true;
   san.configure(stale);
-  std::uint32_t deepest = 0;
+  std::uint32_t deepest = 0, copies_two = 0;
   {
     for (const FixedCostCase& c : fixed_cost_cases()) {
       for (const bool parents : {false, true}) {
@@ -175,11 +186,19 @@ TEST(XbfsFixedCost, OneLaunchOneSyncTwoCopiesAtAnyDepth) {
         cfg.build_parents = parents;
         core::Xbfs bfs(dev, dg, cfg);
         core::BfsResult r;
-        // Cooperative launch, host wait, then the log's level count and
-        // the status (and parent) arrays with the log's rows.
-        EXPECT_EQ(run_budget(dev, bfs, c.src, &r), (RunBudget{1, 1, 2}));
+        // Cooperative launch, host wait, then the log head with the packed
+        // levels (and parents); only the chains, deeper than the head's 64
+        // levels, copy the rest of the log (and chain1500 the status).
+        const RunBudget b = run_budget(dev, bfs, c.src, &r);
+        const std::uint64_t copies = r.depth > 64 ? 2 : 1;
+        EXPECT_EQ(b, (RunBudget{1, 1, copies}));
         EXPECT_EQ(r.levels, graph::reference_bfs(c.g, c.src));
+        if (parents) {
+          EXPECT_EQ(
+              graph::validate_bfs_parents(c.g, c.src, r.levels, r.parent), "");
+        }
         deepest = std::max(deepest, r.depth);
+        copies_two += copies == 2;
       }
     }
   }
@@ -189,6 +208,8 @@ TEST(XbfsFixedCost, OneLaunchOneSyncTwoCopiesAtAnyDepth) {
   san.disable();
   EXPECT_EQ(stale_reads, 0u);
   EXPECT_EQ(deepest, 1500u);
+  EXPECT_EQ(copies_two, 4u) << "chain150 and chain1500, with and without "
+                               "parents";
 }
 
 TEST(XbfsFixedCost, OneCounterReadbackPerLevel) {
@@ -275,8 +296,9 @@ std::vector<ConfigCase> config_cases() {
 
 /// FNV-1a over the protocol facts one run leaves behind: its levels, each
 /// level's strategy / NFG / frontier totals, and every profiler row's
-/// kernel, level and counters.  At one worker these are deterministic, so a
-/// refactor of the level loop that keeps the hash keeps the protocol.
+/// kernel, level and counters, except rows of the kernel `skip` names.  At
+/// one worker these are deterministic, so a refactor of the level loop that
+/// keeps the hash keeps the protocol.
 struct RunHash {
   std::uint64_t h = 0xcbf29ce484222325ull;
 
@@ -290,7 +312,8 @@ struct RunHash {
     for (const char c : s) mix(static_cast<std::uint8_t>(c));
     mix(s.size());
   }
-  void mix(const core::BfsResult& r, const sim::Profiler& prof) {
+  void mix(const core::BfsResult& r, const sim::Profiler& prof,
+           std::string_view skip = {}) {
     for (const std::int32_t l : r.levels) mix(static_cast<std::uint32_t>(l));
     mix(r.level_stats.size());
     for (const core::LevelStats& st : r.level_stats) {
@@ -300,8 +323,12 @@ struct RunHash {
       mix(st.frontier_count);
       mix(st.frontier_edges);
     }
-    mix(prof.records().size());
-    for (const sim::LaunchRecord& rec : prof.records()) {
+    const auto& recs = prof.records();
+    mix(static_cast<std::size_t>(
+        std::count_if(recs.begin(), recs.end(),
+                      [&](const auto& rec) { return rec.kernel != skip; })));
+    for (const sim::LaunchRecord& rec : recs) {
+      if (rec.kernel == skip) continue;
       mix(rec.kernel);
       mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(rec.level)));
       mix(rec.counters.fetch_bytes);
@@ -346,7 +373,9 @@ TEST_P(XbfsLevelTotals, ReusedRunsKeepExactLevelTotals) {
   sim::Device dev = make_device(workers);
   auto dg = graph::DeviceCsr::upload(dev, g);
   core::Xbfs bfs(dev, dg, cc.cfg);
-  RunHash hash;
+  // The strategy hash leaves out the readback's pack phase, so it pins the
+  // init and level-loop rows alone.
+  RunHash hash, strategy_hash;
   for (int i = 0; i < 3; ++i) {
     const vid_t src = sources[i];
     std::ostringstream where;
@@ -357,6 +386,7 @@ TEST_P(XbfsLevelTotals, ReusedRunsKeepExactLevelTotals) {
     dev.profiler().clear();
     const core::BfsResult r = bfs.run(src);
     hash.mix(r, dev.profiler());
+    strategy_hash.mix(r, dev.profiler(), "xbfs_pack_levels");
     ASSERT_EQ(r.levels, ref);
     if (i == 0) ASSERT_EQ(r.depth % 2, 1u);
     if (cc.cfg.build_parents) {
@@ -378,12 +408,16 @@ TEST_P(XbfsLevelTotals, ReusedRunsKeepExactLevelTotals) {
     }
   }
   if (workers == 1) {
-    char line[32];
+    char line[32], strategy_line[32];
     std::snprintf(line, sizeof(line), "%016llx",
                   static_cast<unsigned long long>(hash.h));
+    std::snprintf(strategy_line, sizeof(strategy_line), "%016llx",
+                  static_cast<unsigned long long>(strategy_hash.h));
     RecordProperty("protocol_hash", line);
-    std::printf("[ XbfsLevelTotals ] %s_%s protocol_hash=%s\n", gc.name,
-                cc.name, line);
+    RecordProperty("strategy_hash", strategy_line);
+    std::printf("[ XbfsLevelTotals ] %s_%s protocol_hash=%s "
+                "strategy_hash=%s\n",
+                gc.name, cc.name, line, strategy_line);
   }
 }
 
