@@ -106,20 +106,23 @@ void L2Model::access(std::uint64_t addr, unsigned bytes, bool is_write,
 }
 
 void L2Model::stream(std::uint64_t addr, unsigned bytes, bool is_write,
-                     KernelCounters& c) {
+                     KernelCounters& c, std::uint64_t* last_line) {
   if (is_write) {
     c.writeback_bytes += bytes;
     return;
   }
-  const std::uint64_t first_line = addr / line_bytes_;
-  const std::uint64_t last_line = (addr + (bytes ? bytes - 1 : 0)) / line_bytes_;
+  const std::uint64_t first = addr / line_bytes_;
+  const std::uint64_t last = (addr + (bytes ? bytes - 1 : 0)) / line_bytes_;
   const unsigned mask = n_shards() - 1;
-  const unsigned nlines = static_cast<unsigned>(last_line - first_line + 1);
-  for (std::uint64_t line = first_line; line <= last_line; ++line) {
-    const unsigned shard = static_cast<unsigned>(line & mask);
-    locks_[shard].lock();
-    const bool hit = shards_[shard]->contains(line);
-    locks_[shard].unlock();
+  const unsigned nlines = static_cast<unsigned>(last - first + 1);
+  for (std::uint64_t line = first; line <= last; ++line) {
+    bool hit = last_line != nullptr && line == *last_line;
+    if (!hit) {
+      const unsigned shard = static_cast<unsigned>(line & mask);
+      locks_[shard].lock();
+      hit = shards_[shard]->contains(line);
+      locks_[shard].unlock();
+    }
     if (hit) {
       c.l2_hits += 1;
       c.l2_hit_bytes += bytes / nlines;
@@ -128,6 +131,7 @@ void L2Model::stream(std::uint64_t addr, unsigned bytes, bool is_write,
       c.fetch_bytes += line_bytes_;
     }
   }
+  if (last_line != nullptr) *last_line = last;
 }
 
 void L2Model::invalidate_all() {

@@ -80,9 +80,13 @@ class L2Model {
   /// Non-temporal (streaming) access, HIP's __builtin_nontemporal_load /
   /// _store: a read is served from L2 when its line is resident and from
   /// HBM otherwise, a write goes through to HBM, and neither allocates a
-  /// line or touches replacement state.
+  /// line or touches replacement state.  `last_line`, when given, is the
+  /// line the caller's previous streaming read ended on: a read of that
+  /// line coalesces into the fetch already made (charged its payload, as
+  /// a lane joining its wavefront's transaction), and the read leaves its
+  /// own last line there.
   void stream(std::uint64_t addr, unsigned bytes, bool is_write,
-              KernelCounters& c);
+              KernelCounters& c, std::uint64_t* last_line = nullptr);
 
   void invalidate_all();
 
@@ -121,10 +125,12 @@ class MemProbe {
     counters_->bytes_written += bytes;
     l2_->access(addr, bytes, /*is_write=*/true, *counters_);
   }
+  /// Consecutive streaming reads of one line by one block coalesce into
+  /// one fetch (L2Model::stream).
   void read_nontemporal(std::uint64_t addr, unsigned bytes) {
     counters_->mem_reads += 1;
     counters_->bytes_read += bytes;
-    l2_->stream(addr, bytes, /*is_write=*/false, *counters_);
+    l2_->stream(addr, bytes, /*is_write=*/false, *counters_, &stream_line_);
   }
   void write_nontemporal(std::uint64_t addr, unsigned bytes) {
     counters_->mem_writes += 1;
@@ -145,10 +151,16 @@ class MemProbe {
   }
 
   KernelCounters& counters() { return *counters_; }
+  /// A new block starts on this probe: nothing it streams is coalesced
+  /// with the previous block's reads.
+  void begin_block() { stream_line_ = kNoLine; }
 
  private:
+  static constexpr std::uint64_t kNoLine = ~0ull;
+
   L2Model* l2_;
   KernelCounters* counters_;
+  std::uint64_t stream_line_ = kNoLine;  ///< the last streaming read's line
 };
 
 }  // namespace xbfs::sim

@@ -185,5 +185,29 @@ TEST(MemProbe, RecordsReadsWritesAndAtomics) {
   EXPECT_EQ(c.bytes_written, 8u + 4u);   // write + atomic write side
 }
 
+TEST(MemProbe, ConsecutiveStreamingReadsOfOneLineFetchItOnce) {
+  // 32 consecutive 4-byte non-temporal reads cover one 128-byte line of a
+  // cold L2: one fetch, and the other 31 loads coalesce into it.
+  DeviceProfile p = tiny_profile();
+  p.l2_line_bytes = 128;
+  L2Model l2(p, 4);
+  KernelCounters c;
+  MemProbe probe(&l2, &c);
+  probe.begin_block();
+  for (unsigned i = 0; i < 32; ++i) probe.read_nontemporal(4096 + 4 * i, 4);
+  EXPECT_EQ(c.fetch_bytes, 128u) << "not 32 x 128 B = 4 KiB";
+  EXPECT_EQ(c.l2_misses, 1u);
+  EXPECT_EQ(c.l2_hits, 31u);
+  EXPECT_EQ(c.l2_hit_bytes, 31u * 4u);
+  // Streaming allocates nothing, so the next block fetches the line again.
+  probe.begin_block();
+  probe.read_nontemporal(4096, 4);
+  EXPECT_EQ(c.fetch_bytes, 256u);
+  // Another line in between breaks the run.
+  probe.read_nontemporal(8192, 4);
+  probe.read_nontemporal(4100, 4);
+  EXPECT_EQ(c.fetch_bytes, 512u);
+}
+
 }  // namespace
 }  // namespace xbfs::sim
