@@ -59,8 +59,9 @@ void launch_init(sim::Device& dev, sim::LaunchTarget on, BfsBuffers& b,
     for (int i = 0; i < 3; ++i) maps[i] = b.bitmaps[i].span();
   }
   auto queue = b.queue_a.span();
-  const CounterSpans sets[2] = {b.counter_sets[0].spans(),
-                                b.counter_sets[1].spans()};
+  const CounterSpans sets[3] = {b.counter_sets[0].spans(),
+                                b.counter_sets[1].spans(),
+                                b.counter_sets[2].spans()};
   sim::LaunchConfig cfg;
   cfg.block_threads = block_threads;
   cfg.grid_blocks =
@@ -82,8 +83,7 @@ void launch_init(sim::Device& dev, sim::LaunchTarget on, BfsBuffers& b,
       });
     }
     if (blk.block_id() == 0) ctx.store(queue, 0, src);
-    zero_counter_set(blk, sets[0]);
-    zero_counter_set(blk, sets[1]);
+    for (const CounterSpans& set : sets) zero_counter_set(blk, set);
   });
 }
 

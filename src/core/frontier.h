@@ -3,11 +3,13 @@
 // controller — a modelled host readback, or device loads inside the
 // cooperative launch.
 //
-// The counters are double-buffered so no launch resets them: level k
-// accumulates into counter_sets[k & 1], and its first kernel zeroes
-// counter_sets[(k + 1) & 1] for level k+1.  Level k-1's set was read
-// before level k started: by the host before it launched level k, or by
-// every block before the grid barrier that ends the read.
+// The counters rotate through three sets so no launch resets them: level
+// k accumulates into counter_sets[k % 3], and its first kernel zeroes
+// counter_sets[(k + 1) % 3] for level k+1.  That set was last read for
+// level k-2's decision.  In the cooperative launch every block reads level
+// k-1's set for the decision that picks level k's kernels and branches
+// straight into them with no barrier between, so the set level k zeroes
+// must not be the one just read: with two sets it would be.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +65,7 @@ struct BfsBuffers {
   sim::DeviceBuffer<graph::vid_t> pending_a;
   sim::DeviceBuffer<graph::vid_t> pending_b;
   sim::DeviceBuffer<graph::vid_t> bu_queue;  ///< n (bottom-up candidates)
-  CounterSet counter_sets[2];  ///< level k uses counter_sets[k & 1]
+  CounterSet counter_sets[3];  ///< level k uses counter_sets[k % 3]
   // Bottom-up double-scan scratch.
   sim::DeviceBuffer<std::uint32_t> seg_counts;
   sim::DeviceBuffer<std::uint32_t> seg_offsets;
@@ -104,7 +106,7 @@ struct LevelCounters {
 /// Kernel `xbfs_init`: set up a run from `src` in one launch — status
 /// (kUnvisited, 0 at src), parent (kNoParent, src at src) when allocated,
 /// the three bitmaps when allocated (only src's bit set, in bitmaps[0]),
-/// queue_a[0] = src, and both counter sets zeroed.
+/// queue_a[0] = src, and every counter set zeroed.
 void launch_init(sim::Device& dev, sim::LaunchTarget on, BfsBuffers& b,
                  graph::vid_t src, unsigned block_threads);
 

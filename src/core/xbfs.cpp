@@ -217,7 +217,10 @@ struct HostLevels {
 /// cooperative launch.  After the barrier that ends a level, every block
 /// loads the level's counter set and runs the unchanged policy; the
 /// simulator checks they agree (GridCtx::uniform), and block 0 appends the
-/// level's row to the device log.
+/// level's row to the device log.  Each block then branches straight into
+/// whatever follows (the next level's first kernel, the pending append, a
+/// bitmap clear or the pack) with no barrier between; nothing there writes
+/// what the decision read (frontier.h).
 struct GridLevels {
   sim::GridCtx& grid;
   const AdaptivePolicy& policy;
@@ -438,8 +441,8 @@ std::uint32_t Xbfs::level_loop(Exec& ex) {
     fs.cur_queue_mut = curq.span();
     fs.next_queue = nextq.span();
     fs.pending_queue = pendq.span();
-    fs.counters = &buffers_.counter_sets[level & 1];
-    fs.next_counters = buffers_.counter_sets[(level + 1) & 1].spans();
+    fs.counters = &buffers_.counter_sets[level % 3];
+    fs.next_counters = buffers_.counter_sets[(level + 1) % 3].spans();
     fs.cur_count = static_cast<std::uint32_t>(ls.cur_count);
     fs.unclaimed = static_cast<std::uint32_t>(
         ls.claimed < g_.n ? g_.n - ls.claimed : 0);

@@ -242,6 +242,9 @@ class Device {
   struct BlockRun {
     KernelCounters counters;
     double raw_imbalance = 1.0;
+    /// SimSan's access logs (empty unless it is on), for the caller's race
+    /// analysis: one launch or phase, or a fused uniform and phase.
+    std::vector<SanRecorder> san_logs;
   };
   void check_launch_config(std::string_view name,
                            const LaunchConfig& cfg) const;
@@ -254,9 +257,10 @@ class Device {
   /// Attribution sink and metrics for one finished launch.
   void bill_launch(const LaunchResult& r);
   /// Close a cooperative launch: advance its stream, bill it, trace it.
-  LaunchResult end_grid(const GridCtx& grid);
+  LaunchResult end_grid(GridCtx& grid);
   /// Run cfg.grid_blocks blocks of `body` (worker pool, or controlled tasks
-  /// under SchedCheck) with SimSan's per-launch analysis.
+  /// under SchedCheck) with SimSan's per-access checks; the race analysis
+  /// of the returned logs is the caller's.
   BlockRun run_blocks(std::string_view name, const LaunchConfig& cfg,
                       const KernelBody& body);
   std::uint64_t reserve_addr(std::uint64_t bytes);

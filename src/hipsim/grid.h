@@ -21,21 +21,30 @@
 // Pricing: the launch pays kernel_launch_us once; each phase costs its
 // bottleneck x imbalance (phase_time, exactly a stand-alone launch's body);
 // each barrier between two phases costs grid_barrier_us (one global atomic
-// per resident block plus an L2 round trip).  Phases other than uniform
-// ones record one profiler row each under the kernel's own name; the first
-// of them carries the launch overhead and LaunchRecord::launched.
+// per resident block plus an L2 round trip).  A uniform phase owes no
+// barrier to the phase that follows it: every block computes the value and
+// branches straight into the chosen kernel's body, so the pair is one
+// stretch of code between two barriers.  The barrier in front of a uniform
+// phase stays (its loads must see every block's earlier writes), as does
+// one between two uniform phases.  Phases other than uniform ones record
+// one profiler row each under the kernel's own name; the first of them
+// carries the launch overhead and LaunchRecord::launched.
 //
 // Fault injection draws once per cooperative launch, at the launch.  An
 // injected kernel fault is reported the way a device-side error is: the
 // kernel runs, launch_grid throws FaultInjected when it ends, and the
 // attribution sink is billed for it.
 //
-// SimSan analyzes each phase separately, so a phase boundary is a
-// happens-before edge between blocks while a cross-block conflict inside
-// one phase is still a race; under SchedCheck each phase is one controlled
-// session.  While a program runs, the device refuses stream launches and
-// host copies: the kernel is resident, and nothing returns to the host
-// until it ends.
+// SimSan analyzes the accesses between two barriers as one session, so a
+// barrier is a happens-before edge between blocks while a cross-block
+// conflict inside one session is still a race.  A session is one phase,
+// or a uniform phase together with the phase that follows it: a block's
+// write in that phase to a word another block read for the uniform value
+// is a race, since nothing made the reader finish first.  Under SchedCheck
+// each phase is one controlled session (the next phase's body depends on
+// the uniform value, so the pair cannot be interleaved as one).  While a
+// program runs, the device refuses stream launches and host copies: the
+// kernel is resident, and nothing returns to the host until it ends.
 //
 // The multi-device form (hipLaunchCooperativeKernelMultiDevice) opens one
 // GridCtx per device, all starting together, and hands the program a
@@ -45,9 +54,10 @@
 // memories and returns the fabric time it is priced at; every grid then
 // waits for the slowest one to reach its barrier, and all of them resume
 // at that arrival plus the fabric time.  Like a phase boundary it orders
-// every write before it against every access after it, on every device.
+// every write before it against every access after it, on every device,
+// and it pays its barrier even right behind a uniform phase.
 // MultiGridCtx::uniform is GridCtx::uniform on every device, checked to
-// agree across devices too.
+// agree across devices too: each device's next phase pays no barrier.
 #pragma once
 
 #include <functional>
@@ -86,7 +96,8 @@ class GridCtx {
   }
 
   /// Every resident block evaluates f(blk); throws std::logic_error unless
-  /// all results compare equal, else returns the common value.
+  /// all results compare equal, else returns the common value.  The next
+  /// phase() pays no barrier.
   template <typename F>
   auto uniform(std::string_view name, F&& f) {
     using T = std::decay_t<std::invoke_result_t<F&, BlockCtx&>>;
@@ -113,6 +124,9 @@ class GridCtx {
 
   LaunchResult run_phase(std::string_view name, const LaunchConfig& cfg,
                          const Device::KernelBody& body, bool row);
+  /// Analyze a uniform phase's held access logs alone: a barrier (or the
+  /// launch's end) follows it.
+  void flush_san();
 
   Device& dev_;
   Stream& stream_;
@@ -124,6 +138,10 @@ class GridCtx {
   double elapsed_us_;  ///< launch overhead + phases + barriers so far
   unsigned phases_ = 0;
   unsigned barriers_ = 0;
+  bool after_uniform_ = false;  ///< the last phase was a uniform one
+  std::string held_name_;       ///< that uniform phase's name
+  /// Its SimSan access logs, analyzed with the next phase's.
+  std::vector<SanRecorder> held_logs_;
   bool launch_billed_ = false;  ///< a profiler row carries the launch
   KernelCounters counters_;     ///< every phase, uniform ones included
   TimingBreakdown timing_;      ///< per-resource times summed over phases

@@ -45,7 +45,7 @@ std::uint64_t shard_bytes(const graph::Csr& g, const dist::Partition1D& part,
   b += std::max<std::uint64_t>(1, edges) * sizeof(vid_t);         // cols
   b += std::max<std::uint64_t>(1, rows) * sizeof(std::uint32_t);  // status
   b += 2 * words * sizeof(std::uint64_t);                         // bitmaps
-  b += 2 * sizeof(std::uint64_t);                                 // claims
+  b += 4 * sizeof(std::uint64_t);                                 // claims
   return b;
 }
 
@@ -101,7 +101,7 @@ ShardedStore::ShardedStore(const graph::Csr& g, ShardStoreConfig cfg)
           std::max<vid_t>(1, rows->num_rows), tag + ".status");
       rep->cur_bm = dev.alloc<std::uint64_t>(words, tag + ".cur_bm");
       rep->next_bm = dev.alloc<std::uint64_t>(words, tag + ".next_bm");
-      rep->claims = dev.alloc<std::uint64_t>(2, tag + ".claims");
+      rep->claims = dev.alloc<std::uint64_t>(4, tag + ".claims");
 
       const std::uint64_t allocated = dev.allocated_bytes();
       max_shard_bytes_ = std::max(max_shard_bytes_, allocated);

@@ -70,9 +70,10 @@ class ShardedStore {
  public:
   /// One shard replica: a full simulated device plus the sweep's working
   /// set, as ShardSweep uses it (status is local-row indexed, bitmaps
-  /// are global; claims[0] sums the degrees of this replica's claims in a
-  /// level, and the cleaned broadcast overwrites claims[0] and claims[1]
-  /// with the level's global claimed degree and count).
+  /// are global).  Claims hold two words per level parity, from word
+  /// 2 * (level & 1): the first sums the degrees of this replica's claims
+  /// in the level, and the cleaned broadcast overwrites both with the
+  /// level's global claimed degree and count.
   struct Replica {
     std::unique_ptr<sim::Device> device;
     std::shared_ptr<const dist::LocalRows> rows;  ///< shared across replicas

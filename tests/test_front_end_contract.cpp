@@ -58,8 +58,8 @@ struct ServerFront {
   static constexpr const char* kTool = "serve";
   static constexpr const char* kLabel = "server";
   static constexpr const char* kGuardKeys = "1c16cb2758b21d64";
-  static constexpr const char* kGuardValues = "457bd060cd9592f5";
-  static constexpr const char* kGuardStats = "67fe0d4b268c0ae7";
+  static constexpr const char* kGuardValues = "aada48b258e1ea2b";
+  static constexpr const char* kGuardStats = "0b1d9df1cb86632b";
 
   ServerFront(const graph::Csr& g, std::size_t capacity, std::string scope) {
     serve::ServeConfig cfg;
@@ -82,8 +82,8 @@ struct RouterFront {
   static constexpr const char* kTool = "shard_router";
   static constexpr const char* kLabel = "router";
   static constexpr const char* kGuardKeys = "e492640a325685d2";
-  static constexpr const char* kGuardValues = "9232d1fd8bb9ed01";
-  static constexpr const char* kGuardStats = "597a200268f5eea5";
+  static constexpr const char* kGuardValues = "347368e073e4e3bb";
+  static constexpr const char* kGuardStats = "ab5762484be8ed5f";
 
   RouterFront(const graph::Csr& g, std::size_t capacity, std::string scope) {
     shard::ShardStoreConfig scfg;
@@ -111,8 +111,8 @@ struct DynamicFront {
   static constexpr const char* kTool = "serve";
   static constexpr const char* kLabel = "dynamic";
   static constexpr const char* kGuardKeys = "1c16cb2758b21d64";
-  static constexpr const char* kGuardValues = "43598b15f07d24fb";
-  static constexpr const char* kGuardStats = "012e2218d6946bbe";
+  static constexpr const char* kGuardValues = "cfb374c43345f68e";
+  static constexpr const char* kGuardStats = "76e90b994c869329";
 
   DynamicFront(const graph::Csr& g, std::size_t capacity, std::string scope)
       : base(&g),

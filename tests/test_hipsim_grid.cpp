@@ -1,11 +1,13 @@
 // Cooperative (grid-resident) launches, hipsim/grid.h: pricing (one launch
 // overhead, per-phase bottleneck x imbalance, barrier = one atomic per
-// resident block plus an L2 round trip), phases as SimSan ordering points,
-// uniform values, SchedCheck on a missing barrier, attribution, fault
-// injection at the launch, and the host operations a running cooperative
-// launch refuses; then the multi-device form: one launch fee per device,
-// exchanges that align the grids, cross-device uniform values, faults at
-// the end of the launch, and exchanges as SimSan ordering points.
+// resident block plus an L2 round trip, none behind a uniform phase),
+// phases as SimSan ordering points, uniform values and the phase behind
+// them as one SimSan session, SchedCheck on a missing barrier,
+// attribution, fault injection at the launch, and the host operations a
+// running cooperative launch refuses; then the multi-device form: one
+// launch fee per device, exchanges that align the grids and keep their
+// barrier, cross-device uniform values, faults at the end of the launch,
+// and exchanges as SimSan ordering points.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -124,6 +126,36 @@ TEST_F(GridLaunch, PricingIsOneLaunchPhasesAndBarriers) {
   EXPECT_EQ(launches, 1u);
 }
 
+TEST_F(GridLaunch, UniformOwesNoBarrierToTheNextPhase) {
+  const DeviceProfile p = DeviceProfile::mi250x_gcd();
+  const double barrier = grid_barrier_us(p, kResident);
+  const LaunchConfig one{.grid_blocks = 1, .block_threads = kThreads};
+  Device dev = make_device();
+  auto buf = dev.alloc<std::uint32_t>(kResident * 65536);
+  const auto decide = [](BlockCtx&) { return 1; };
+  dev.launch_grid(dev.stream(0), "coop", resident_grid(), [&](GridCtx& grid) {
+    grid.phase("a", one, uneven_body(buf.span()));
+    double t = grid.now_us();
+    grid.uniform("decide", decide);
+    EXPECT_EQ(grid.barriers(), 1u) << "phase -> uniform pays one";
+    EXPECT_GE(grid.now_us(), t + barrier);
+
+    t = grid.now_us();
+    const LaunchResult b = grid.phase("b", one, uneven_body(buf.span()));
+    EXPECT_EQ(grid.barriers(), 1u) << "uniform -> phase pays none";
+    EXPECT_NEAR(grid.now_us(), t + b.time_us, 1e-9);
+
+    grid.uniform("again", decide);
+    t = grid.now_us();
+    grid.uniform("twice", decide);
+    EXPECT_EQ(grid.barriers(), 3u) << "uniform -> uniform pays one";
+    EXPECT_GE(grid.now_us(), t + barrier);
+    grid.phase("c", one, uneven_body(buf.span()));
+    EXPECT_EQ(grid.phases(), 6u);
+    EXPECT_EQ(grid.barriers(), 3u);
+  });
+}
+
 TEST_F(GridLaunch, PhaseMustFitTheResidentGrid) {
   Device dev = make_device();
   const auto noop = [](BlockCtx&) {};
@@ -225,6 +257,54 @@ TEST_F(GridLaunch, PhaseBoundaryOrdersBlocksForSimSan) {
                       });
                     });
     EXPECT_GT(san.finding_count(DefectKind::DataRace), 0u);
+  }
+  san.reset();
+  san.disable();
+}
+
+/// Block 0 publishes a word, every block reads it for a uniform value, and
+/// block 0 then zeroes it, right behind the uniform or behind a barrier.
+void decide_then_zero(GridCtx& grid, dspan<std::uint32_t> word, bool barrier) {
+  const LaunchConfig one{.grid_blocks = 1, .block_threads = kThreads};
+  grid.phase("publish", one,
+             [=](BlockCtx& blk) { blk.ctx().store(word, 0, 7u); });
+  EXPECT_EQ(grid.uniform("decide", [=](BlockCtx& blk) {
+              return blk.ctx().load(word, 0);
+            }),
+            7u);
+  if (barrier) grid.phase("other", one, [](BlockCtx&) {});
+  grid.phase("zero", one,
+             [=](BlockCtx& blk) { blk.ctx().store(word, 0, 0u); });
+}
+
+// A uniform phase and the phase behind it share one SimSan session: with
+// no barrier between, block 0's write after the decision races the other
+// blocks' reads for it.  Behind a barrier the same write is clean.
+TEST_F(GridLaunch, UniformAndTheNextPhaseAreOneSimSanSession) {
+  Sanitizer& san = Sanitizer::global();
+  san.configure(SanitizeConfig::all_on());
+  {
+    Device dev = make_device();
+    auto word = dev.alloc<std::uint32_t>(1, "grid.decided");
+    dev.launch_grid(dev.stream(0), "fused", resident_grid(),
+                    [&](GridCtx& grid) {
+                      decide_then_zero(grid, word.span(), false);
+                    });
+    EXPECT_GT(san.finding_count(DefectKind::DataRace), 0u);
+    EXPECT_EQ(san.unannotated_count(),
+              san.finding_count(DefectKind::DataRace));
+    bool named = false;
+    for (const Finding& f : san.findings()) {
+      named |= f.kernel == "decide+zero" && f.buffer == "grid.decided";
+    }
+    EXPECT_TRUE(named) << "the finding names the fused pair";
+
+    san.reset();
+    dev.launch_grid(dev.stream(0), "ordered", resident_grid(),
+                    [&](GridCtx& grid) {
+                      decide_then_zero(grid, word.span(), true);
+                    });
+    EXPECT_EQ(san.unannotated_count(), 0u);
   }
   san.reset();
   san.disable();
@@ -427,6 +507,75 @@ TEST_F(MultiGridLaunch, ExchangeAlignsToTheSlowestGridPlusFabricAndABarrier) {
   EXPECT_DOUBLE_EQ(r[0].time_us, r[1].time_us);
   EXPECT_NEAR(d.a.now_us(), start + r[0].time_us, 1e-9);
   EXPECT_NEAR(d.b.now_us(), start + r[1].time_us, 1e-9);
+}
+
+TEST_F(MultiGridLaunch, UniformOwesNoBarrierButAnExchangeKeepsItsOwn) {
+  Pair d;
+  Device::launch_grid(d.members(), "multi", [&](MultiGridCtx& mg) {
+    mg.uniform("decide", [](std::size_t, BlockCtx&) { return 1; });
+    for (std::size_t i = 0; i < mg.size(); ++i) {
+      mg.grid(i).phase("p", resident_grid(), [](BlockCtx&) {});
+      EXPECT_EQ(mg.grid(i).barriers(), 0u) << "device " << i;
+    }
+    mg.uniform("decide", [](std::size_t, BlockCtx&) { return 1; });
+    mg.exchange("x", [] { return 1.0; });
+    for (std::size_t i = 0; i < mg.size(); ++i) {
+      EXPECT_EQ(mg.grid(i).barriers(), 2u) << "device " << i;
+    }
+  });
+}
+
+// The multi-device form of UniformAndTheNextPhaseAreOneSimSanSession: each
+// device's uniform phase and its next phase are one session.
+TEST_F(MultiGridLaunch, UniformAndTheNextPhaseAreOneSimSanSession) {
+  Sanitizer& san = Sanitizer::global();
+  san.configure(SanitizeConfig::all_on());
+  {
+    Device a = make_device();
+    Device b = make_device();
+    auto word_a = a.alloc<std::uint32_t>(1, "multi.decided_a");
+    auto word_b = b.alloc<std::uint32_t>(1, "multi.decided_b");
+    const std::vector<GridMember> members = {
+        {&a, &a.stream(0), resident_grid()},
+        {&b, &b.stream(0), resident_grid()}};
+    const dspan<std::uint32_t> words[2] = {word_a.span(), word_b.span()};
+    for (const bool barrier : {false, true}) {
+      SCOPED_TRACE(barrier ? "behind a barrier" : "fused");
+      san.reset();
+      Device::launch_grid(members, "multi", [&](MultiGridCtx& mg) {
+        const LaunchConfig one{.grid_blocks = 1, .block_threads = kThreads};
+        for (std::size_t i = 0; i < mg.size(); ++i) {
+          mg.grid(i).phase("publish", one, [w = words[i]](BlockCtx& blk) {
+            blk.ctx().store(w, 0, 7u);
+          });
+        }
+        EXPECT_EQ(mg.uniform("decide",
+                             [&](std::size_t i, BlockCtx& blk) {
+                               return blk.ctx().load(words[i], 0);
+                             }),
+                  7u);
+        if (barrier) mg.exchange("x", [] { return 1.0; });
+        for (std::size_t i = 0; i < mg.size(); ++i) {
+          mg.grid(i).phase("zero", one, [w = words[i]](BlockCtx& blk) {
+            blk.ctx().store(w, 0, 0u);
+          });
+        }
+      });
+      std::vector<std::string> racy;
+      for (const Finding& f : san.findings()) {
+        if (f.kind == DefectKind::DataRace) racy.push_back(f.buffer);
+      }
+      std::sort(racy.begin(), racy.end());
+      if (barrier) {
+        EXPECT_EQ(san.unannotated_count(), 0u);
+      } else {
+        EXPECT_EQ(racy, (std::vector<std::string>{"multi.decided_a",
+                                                   "multi.decided_b"}));
+      }
+    }
+  }
+  san.reset();
+  san.disable();
 }
 
 TEST_F(MultiGridLaunch, UniformMustAgreeAcrossDevices) {

@@ -412,7 +412,7 @@ TEST_F(ServingChaos, SweepFailurePathsMatchPinnedHash) {
   EXPECT_GE(faulted, 1u) << "replay=" << kSeed;
   EXPECT_GE(corrupted, 1u) << "replay=" << kSeed;
   EXPECT_GE(exhausted, 1u) << "replay=" << kSeed;
-  EXPECT_EQ(hash, "ef60d20deb3bb738") << "replay=" << kSeed;
+  EXPECT_EQ(hash, "9ee6b4cf7198fdd7") << "replay=" << kSeed;
   if (::testing::Test::HasFailure()) std::printf("%s", text.c_str());
 }
 
