@@ -8,7 +8,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench/strategy_runs.h"
+#include "bench/bench_common.h"
+#include "core/tuner.h"
 
 using namespace xbfs;
 using namespace xbfs::bench;
@@ -21,16 +22,18 @@ int main(int argc, char** argv) {
   LoadedDataset d = load_dataset(graph::DatasetId::R25, opt);
   const graph::vid_t src = pick_sources(d, 1, opt.seed)[0];
 
-  const StrategyRun runs[3] = {
-      run_forced_strategy(d.host, src, core::Strategy::ScanFree, scaled_mi250x(opt)),
-      run_forced_strategy(d.host, src, core::Strategy::SingleScan, scaled_mi250x(opt)),
-      run_forced_strategy(d.host, src, core::Strategy::BottomUp, scaled_mi250x(opt)),
+  const sim::DeviceProfile profile = scaled_mi250x(opt);
+  const core::ForcedRun runs[3] = {
+      core::run_forced_strategy(profile, d.host, src, core::Strategy::ScanFree),
+      core::run_forced_strategy(profile, d.host, src,
+                                core::Strategy::SingleScan),
+      core::run_forced_strategy(profile, d.host, src, core::Strategy::BottomUp),
   };
 
   // Levels up to (and including) the ratio peak, as in the paper.
   std::size_t peak = 0;
-  for (std::size_t lvl = 0; lvl < runs[0].rows.size(); ++lvl) {
-    if (runs[0].rows[lvl].ratio >= runs[0].rows[peak].ratio) peak = lvl;
+  for (std::size_t lvl = 0; lvl < runs[0].levels.size(); ++lvl) {
+    if (runs[0].levels[lvl].ratio >= runs[0].levels[peak].ratio) peak = lvl;
   }
 
   print_header(
@@ -41,14 +44,15 @@ int main(int argc, char** argv) {
   for (std::size_t lvl = 0; lvl <= peak; ++lvl) {
     double ms[3];
     for (int s = 0; s < 3; ++s) {
-      ms[s] = lvl < runs[s].rows.size() ? runs[s].rows[lvl].kernels_ms : 0.0;
+      ms[s] =
+          lvl < runs[s].levels.size() ? runs[s].levels[lvl].kernels_ms : 0.0;
     }
     const double td_best = std::min(ms[0], ms[1]);
     const char* winner =
         ms[2] < td_best
             ? "bottom-up"
             : (ms[0] <= ms[1] ? "scan-free" : "single-scan");
-    const double ratio = runs[0].rows[lvl].ratio;
+    const double ratio = runs[0].levels[lvl].ratio;
     if (ms[2] < td_best) {
       best_alpha_hi = std::min(best_alpha_hi, ratio);
     } else {

@@ -6,7 +6,8 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "bench/strategy_runs.h"
+#include "bench/bench_common.h"
+#include "core/tuner.h"
 
 using namespace xbfs;
 using namespace xbfs::bench;
@@ -19,14 +20,16 @@ int main(int argc, char** argv) {
   LoadedDataset d = load_dataset(graph::DatasetId::R25, opt);
   const graph::vid_t src = pick_sources(d, 1, opt.seed)[0];
 
-  const StrategyRun runs[3] = {
-      run_forced_strategy(d.host, src, core::Strategy::ScanFree, scaled_mi250x(opt)),
-      run_forced_strategy(d.host, src, core::Strategy::SingleScan, scaled_mi250x(opt)),
-      run_forced_strategy(d.host, src, core::Strategy::BottomUp, scaled_mi250x(opt)),
+  const sim::DeviceProfile profile = scaled_mi250x(opt);
+  const core::ForcedRun runs[3] = {
+      core::run_forced_strategy(profile, d.host, src, core::Strategy::ScanFree),
+      core::run_forced_strategy(profile, d.host, src,
+                                core::Strategy::SingleScan),
+      core::run_forced_strategy(profile, d.host, src, core::Strategy::BottomUp),
   };
 
   const std::size_t depth = std::max(
-      {runs[0].rows.size(), runs[1].rows.size(), runs[2].rows.size()});
+      {runs[0].levels.size(), runs[1].levels.size(), runs[2].levels.size()});
   print_header(
       "Table VI: total memory read (MB) / runtime (ms) per level, * = winner");
   std::printf("%-6s %-26s %-26s %-26s\n", "Level", "Scan Free", "Single Scan",
@@ -35,9 +38,9 @@ int main(int argc, char** argv) {
     double ms[3], mb[3];
     bool present[3];
     for (int s = 0; s < 3; ++s) {
-      present[s] = lvl < runs[s].rows.size();
-      ms[s] = present[s] ? runs[s].rows[lvl].kernels_ms : 0.0;
-      mb[s] = present[s] ? runs[s].rows[lvl].fetch_kb / 1024.0 : 0.0;
+      present[s] = lvl < runs[s].levels.size();
+      ms[s] = present[s] ? runs[s].levels[lvl].kernels_ms : 0.0;
+      mb[s] = present[s] ? runs[s].levels[lvl].fetch_kb / 1024.0 : 0.0;
     }
     int winner = -1;
     double best = 0;

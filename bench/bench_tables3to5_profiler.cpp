@@ -10,21 +10,23 @@
 //   * every strategy's level-0 kernel absorbs the ~20 ms HIP warm-up.
 #include <cstdio>
 
-#include "bench/strategy_runs.h"
+#include "bench/bench_common.h"
+#include "core/tuner.h"
 
 using namespace xbfs;
 using namespace xbfs::bench;
 
 namespace {
 
-void print_strategy_table(const char* title, const StrategyRun& run) {
+void print_strategy_table(const char* title, const core::ForcedRun& run) {
   print_header(title);
   std::printf("%-10s %-7s %-13s %-9s %-10s %-16s\n", "Ratio", "Level",
               "Runtime(ms)", "L2(%)", "MBusy(%)", "FS(KB)");
-  for (const StrategyLevelRow& row : run.rows) {
+  for (std::size_t level = 0; level < run.levels.size(); ++level) {
+    const core::ForcedLevel& row = run.levels[level];
     for (const sim::LaunchRecord& k : row.kernels) {
-      std::printf("%-10.2e %-7d %-13.3f %-9.3f %-10.3f %-16.3f  %s\n",
-                  row.ratio, row.level, k.runtime_ms(), k.l2_pct(),
+      std::printf("%-10.2e %-7zu %-13.3f %-9.3f %-10.3f %-16.3f  %s\n",
+                  row.ratio, level, k.runtime_ms(), k.l2_pct(),
                   k.mbusy_pct(), k.fetch_kb(), k.kernel.c_str());
     }
   }
@@ -43,18 +45,21 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(d.host.num_edges()));
   const graph::vid_t src = pick_sources(d, 1, opt.seed)[0];
 
-  const StrategyRun sf =
-      run_forced_strategy(d.host, src, core::Strategy::ScanFree, scaled_mi250x(opt));
+  const core::ForcedRun sf =
+      core::run_forced_strategy(scaled_mi250x(opt), d.host, src,
+                                core::Strategy::ScanFree);
   print_strategy_table("Table III: scan-free strategy (rocprofiler view)",
                        sf);
 
-  const StrategyRun ss =
-      run_forced_strategy(d.host, src, core::Strategy::SingleScan, scaled_mi250x(opt));
+  const core::ForcedRun ss =
+      core::run_forced_strategy(scaled_mi250x(opt), d.host, src,
+                                core::Strategy::SingleScan);
   print_strategy_table("Table IV: single-scan strategy (rocprofiler view)",
                        ss);
 
-  const StrategyRun bu =
-      run_forced_strategy(d.host, src, core::Strategy::BottomUp, scaled_mi250x(opt));
+  const core::ForcedRun bu =
+      core::run_forced_strategy(scaled_mi250x(opt), d.host, src,
+                                core::Strategy::BottomUp);
   print_strategy_table("Table V: bottom-up strategy (rocprofiler view)", bu);
 
   return 0;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <string>
 
 #include "core/status.h"
 #include "core/xbfs.h"
@@ -11,69 +9,55 @@
 
 namespace xbfs::core {
 
-namespace {
-
-bool is_strategy_kernel(Strategy s, const std::string& kernel) {
+bool is_strategy_kernel(Strategy s, std::string_view kernel) {
   switch (s) {
     case Strategy::ScanFree:
-      return kernel.find("xbfs_scanfree_expand") != std::string::npos ||
-             kernel.find("xbfs_classify_bins") != std::string::npos;
+      return kernel.find("xbfs_scanfree_expand") != std::string_view::npos ||
+             kernel.find("xbfs_classify_bins") != std::string_view::npos;
     case Strategy::SingleScan:
-      return kernel.find("xbfs_singlescan_") != std::string::npos;
+      return kernel.find("xbfs_singlescan_") != std::string_view::npos;
     case Strategy::BottomUp:
-      return kernel.find("xbfs_bu_") != std::string::npos;
+      return kernel.find("xbfs_bu_") != std::string_view::npos;
   }
   return false;
 }
 
-/// Per-level (ratio, strategy-kernel time) trace of one forced run.  A
-/// kernel's time is what the strategy pays for it: its row, which carries
-/// the launch overhead of a stand-alone launch, plus the grid barrier in
-/// front of a phase of the cooperative launch, which no row carries.
-struct ProbeTrace {
-  std::vector<double> ratio;
-  std::vector<double> kernels_ms;
-};
-
-ProbeTrace probe(const sim::DeviceProfile& profile, const graph::Csr& g,
-                 graph::vid_t src, Strategy strategy,
-                 const XbfsConfig& base) {
+ForcedRun run_forced_strategy(const sim::DeviceProfile& profile,
+                              const graph::Csr& g, graph::vid_t src,
+                              Strategy strategy, XbfsConfig base) {
   sim::SimOptions so;
   so.num_workers = 1;
   sim::Device dev(profile, so);
-  dev.warmup();
   auto dg = graph::DeviceCsr::upload(dev, g);
-  XbfsConfig cfg = base;
-  cfg.forced_strategy = static_cast<int>(strategy);
-  Xbfs bfs(dev, dg, cfg);
-  dev.profiler().clear();
-  const BfsResult r = bfs.run(src);
+  base.forced_strategy = static_cast<int>(strategy);
+  Xbfs bfs(dev, dg, base);
+  dev.profiler().clear();  // keep the upload out of the rows
 
+  ForcedRun run;
+  run.strategy = strategy;
+  run.result = bfs.run(src);
+  run.levels.resize(run.result.level_stats.size());
+  for (std::size_t l = 0; l < run.levels.size(); ++l) {
+    run.levels[l].ratio = run.result.level_stats[l].ratio;
+  }
   // Xbfs::run's resident grid.
   const double barrier_ms =
       sim::grid_barrier_us(profile, std::max(max_grid_blocks(profile),
-                                             cfg.grid_blocks)) /
+                                             base.grid_blocks)) /
       1000.0;
-  ProbeTrace t;
-  t.ratio.resize(r.level_stats.size());
-  t.kernels_ms.assign(r.level_stats.size(), 0.0);
-  for (std::size_t lvl = 0; lvl < r.level_stats.size(); ++lvl) {
-    t.ratio[lvl] = r.level_stats[lvl].ratio;
-  }
   for (const sim::LaunchRecord& rec : dev.profiler().records()) {
     if (rec.level < 0 ||
-        static_cast<std::size_t>(rec.level) >= t.kernels_ms.size()) {
+        static_cast<std::size_t>(rec.level) >= run.levels.size() ||
+        !is_strategy_kernel(strategy, rec.kernel)) {
       continue;
     }
-    if (is_strategy_kernel(strategy, rec.kernel)) {
-      t.kernels_ms[static_cast<std::size_t>(rec.level)] +=
-          rec.runtime_ms() + (rec.launched ? 0.0 : barrier_ms);
-    }
+    ForcedLevel& lv = run.levels[static_cast<std::size_t>(rec.level)];
+    lv.kernels.push_back(rec);
+    lv.kernels_ms += rec.runtime_ms() + (rec.launched ? 0.0 : barrier_ms);
+    lv.fetch_kb += rec.fetch_kb();
   }
-  return t;
+  return run;
 }
-
-}  // namespace
 
 TunerReport tune_alpha(const sim::DeviceProfile& profile,
                        const graph::Csr& g, const TunerOptions& opt) {
@@ -81,20 +65,23 @@ TunerReport tune_alpha(const sim::DeviceProfile& profile,
   report.recommended_alpha = opt.fallback_alpha;
 
   for (graph::vid_t src : opt.probe_sources) {
-    const ProbeTrace sf =
-        probe(profile, g, src, Strategy::ScanFree, opt.base_config);
-    const ProbeTrace ss =
-        probe(profile, g, src, Strategy::SingleScan, opt.base_config);
-    const ProbeTrace bu =
-        probe(profile, g, src, Strategy::BottomUp, opt.base_config);
+    const ForcedRun sf = run_forced_strategy(profile, g, src,
+                                             Strategy::ScanFree,
+                                             opt.base_config);
+    const ForcedRun ss = run_forced_strategy(profile, g, src,
+                                             Strategy::SingleScan,
+                                             opt.base_config);
+    const ForcedRun bu = run_forced_strategy(profile, g, src,
+                                             Strategy::BottomUp,
+                                             opt.base_config);
     const std::size_t depth =
-        std::min({sf.ratio.size(), ss.ratio.size(), bu.ratio.size()});
+        std::min({sf.levels.size(), ss.levels.size(), bu.levels.size()});
     for (std::size_t lvl = 0; lvl < depth; ++lvl) {
       TunerReport::Sample s;
-      s.ratio = sf.ratio[lvl];
-      s.scanfree_ms = sf.kernels_ms[lvl];
-      s.singlescan_ms = ss.kernels_ms[lvl];
-      s.bottomup_ms = bu.kernels_ms[lvl];
+      s.ratio = sf.levels[lvl].ratio;
+      s.scanfree_ms = sf.levels[lvl].kernels_ms;
+      s.singlescan_ms = ss.levels[lvl].kernels_ms;
+      s.bottomup_ms = bu.levels[lvl].kernels_ms;
       report.samples.push_back(s);
     }
   }

@@ -9,13 +9,47 @@
 // top-down strategy, and recommends an alpha inside that bracket.
 #pragma once
 
+#include <string_view>
 #include <vector>
 
 #include "core/config.h"
+#include "core/xbfs.h"
 #include "graph/device_csr.h"
 #include "hipsim/device.h"
 
 namespace xbfs::core {
+
+/// True when `kernel` belongs to strategy `s`'s per-level pipeline (not
+/// setup, pending append, bitmap clear or readback).
+bool is_strategy_kernel(Strategy s, std::string_view kernel);
+
+/// One level of a traversal with one strategy forced at every level.
+struct ForcedLevel {
+  double ratio = 0.0;
+  std::vector<sim::LaunchRecord> kernels;  ///< the strategy's rows only
+  /// What the strategy pays for the level: each of its rows, which carries
+  /// the launch overhead of a stand-alone launch, plus one grid barrier per
+  /// phase row of the cooperative launch, which no row carries.  A level
+  /// of n phases pays n barriers: n - 1 between them and one in front of
+  /// its decision (the next level's first phase follows the decision with
+  /// none).
+  double kernels_ms = 0.0;
+  double fetch_kb = 0.0;  ///< sum over the strategy's rows
+};
+
+struct ForcedRun {
+  Strategy strategy = Strategy::ScanFree;
+  BfsResult result;
+  std::vector<ForcedLevel> levels;  ///< one per traversal level
+};
+
+/// Run Xbfs on `g` from `src` with `strategy` forced at every level (under
+/// `base`, whose forced_strategy is ignored) on a fresh single-worker
+/// device, so the counters are bit-reproducible, and collate the
+/// strategy's profiler rows by level.
+ForcedRun run_forced_strategy(const sim::DeviceProfile& profile,
+                              const graph::Csr& g, graph::vid_t src,
+                              Strategy strategy, XbfsConfig base = {});
 
 struct TunerOptions {
   /// Probe sources; more probes widen the level/ratio coverage.
