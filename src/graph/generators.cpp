@@ -6,8 +6,7 @@
 
 namespace xbfs::graph {
 
-Csr erdos_renyi(vid_t n, std::uint64_t target_edges, std::uint64_t seed,
-                const BuildOptions& opt) {
+Csr erdos_renyi(vid_t n, std::uint64_t target_edges, std::uint64_t seed) {
   assert(n >= 2);
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<vid_t> pick(0, n - 1);
@@ -16,11 +15,10 @@ Csr erdos_renyi(vid_t n, std::uint64_t target_edges, std::uint64_t seed,
   for (std::uint64_t i = 0; i < target_edges; ++i) {
     edges.push_back(Edge{pick(rng), pick(rng)});
   }
-  return build_csr(n, std::move(edges), opt);
+  return build_csr(n, std::move(edges));
 }
 
-Csr small_world(vid_t n, unsigned k, double beta, std::uint64_t seed,
-                const BuildOptions& opt) {
+Csr small_world(vid_t n, unsigned k, double beta, std::uint64_t seed) {
   assert(n > 2 * k);
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> uni(0.0, 1.0);
@@ -34,11 +32,11 @@ Csr small_world(vid_t n, unsigned k, double beta, std::uint64_t seed,
       edges.push_back(Edge{v, w});
     }
   }
-  return build_csr(n, std::move(edges), opt);
+  return build_csr(n, std::move(edges));
 }
 
 Csr layered_citation(vid_t n, unsigned layers, unsigned avg_out,
-                     std::uint64_t seed, const BuildOptions& opt) {
+                     std::uint64_t seed) {
   assert(layers >= 2 && n >= layers);
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> uni(0.0, 1.0);
@@ -58,11 +56,10 @@ Csr layered_citation(vid_t n, unsigned layers, unsigned avg_out,
       edges.push_back(Edge{v, w});
     }
   }
-  return build_csr(n, std::move(edges), opt);
+  return build_csr(n, std::move(edges));
 }
 
-Csr barabasi_albert(vid_t n, unsigned attach, std::uint64_t seed,
-                    const BuildOptions& opt) {
+Csr barabasi_albert(vid_t n, unsigned attach, std::uint64_t seed) {
   assert(n > attach && attach >= 1);
   std::mt19937_64 rng(seed);
   std::vector<Edge> edges;
@@ -86,7 +83,7 @@ Csr barabasi_albert(vid_t n, unsigned attach, std::uint64_t seed,
       endpoints.push_back(w);
     }
   }
-  return build_csr(n, std::move(edges), opt);
+  return build_csr(n, std::move(edges));
 }
 
 }  // namespace xbfs::graph

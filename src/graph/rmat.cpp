@@ -60,9 +60,9 @@ std::vector<Edge> rmat_edges(const RmatParams& p) {
   return edges;
 }
 
-Csr rmat_csr(const RmatParams& params, const BuildOptions& opt) {
+Csr rmat_csr(const RmatParams& params) {
   const vid_t n = vid_t{1} << params.scale;
-  return build_csr(n, rmat_edges(params), opt);
+  return build_csr(n, rmat_edges(params));
 }
 
 }  // namespace xbfs::graph

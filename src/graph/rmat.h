@@ -26,6 +26,6 @@ struct RmatParams {
 std::vector<Edge> rmat_edges(const RmatParams& params);
 
 /// Convenience: generate and build the undirected, deduplicated CSR.
-Csr rmat_csr(const RmatParams& params, const BuildOptions& opt = {});
+Csr rmat_csr(const RmatParams& params);
 
 }  // namespace xbfs::graph
