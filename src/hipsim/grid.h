@@ -55,7 +55,9 @@
 // waits for the slowest one to reach its barrier, and all of them resume
 // at that arrival plus the fabric time.  Like a phase boundary it orders
 // every write before it against every access after it, on every device,
-// and it pays its barrier even right behind a uniform phase.
+// and it pays its barrier even right behind a uniform phase.  That barrier
+// is the only one between the phases on either side: the phase right
+// behind an exchange (a uniform one too) pays none of its own.
 // MultiGridCtx::uniform is GridCtx::uniform on every device, checked to
 // agree across devices too: each device's next phase pays no barrier.
 #pragma once
@@ -138,8 +140,9 @@ class GridCtx {
   double elapsed_us_;  ///< launch overhead + phases + barriers so far
   unsigned phases_ = 0;
   unsigned barriers_ = 0;
-  bool after_uniform_ = false;  ///< the last phase was a uniform one
-  std::string held_name_;       ///< that uniform phase's name
+  bool after_uniform_ = false;   ///< the last phase was a uniform one
+  bool after_exchange_ = false;  ///< the last step was an exchange
+  std::string held_name_;        ///< that uniform phase's name
   /// Its SimSan access logs, analyzed with the next phase's.
   std::vector<SanRecorder> held_logs_;
   bool launch_billed_ = false;  ///< a profiler row carries the launch

@@ -326,13 +326,15 @@ LaunchResult GridCtx::run_phase(std::string_view name, const LaunchConfig& cfg,
   }
   // A phase right behind a uniform one is the branch every block takes on
   // the value it just computed: no barrier between them, so SimSan analyzes
-  // the two as one session.
+  // the two as one session.  A phase right behind an exchange is ordered by
+  // the exchange's multi-grid sync, which already paid its barrier.
   const bool fused = after_uniform_ && row;
-  if (phases_ > 0 && !fused) {
+  if (phases_ > 0 && !fused && !after_exchange_) {
     elapsed_us_ += barrier_us_;
     ++barriers_;
     flush_san();
   }
+  after_exchange_ = false;
   Device::BlockRun run = dev_.run_blocks(name, cfg, body);
   if (!row) {
     held_name_ = name;
@@ -499,6 +501,7 @@ double MultiGridCtx::exchange(std::string_view name,
     ++g->barriers_;
     g->flush_san();
     g->after_uniform_ = false;
+    g->after_exchange_ = true;
     if (tr.enabled() && fabric_us > 0.0) {
       obs::Span sp;
       sp.name = std::string(name);

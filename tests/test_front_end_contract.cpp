@@ -82,8 +82,8 @@ struct RouterFront {
   static constexpr const char* kTool = "shard_router";
   static constexpr const char* kLabel = "router";
   static constexpr const char* kGuardKeys = "e492640a325685d2";
-  static constexpr const char* kGuardValues = "347368e073e4e3bb";
-  static constexpr const char* kGuardStats = "ab5762484be8ed5f";
+  static constexpr const char* kGuardValues = "4ad761669c8720c1";
+  static constexpr const char* kGuardStats = "fe79980f2acf3da2";
 
   RouterFront(const graph::Csr& g, std::size_t capacity, std::string scope) {
     shard::ShardStoreConfig scfg;

@@ -502,6 +502,21 @@ TEST_F(MultiGridLaunch, ExchangeAlignsToTheSlowestGridPlusFabricAndABarrier) {
           EXPECT_EQ(mg.grid(i).barriers(), 1u);
         }
         EXPECT_DOUBLE_EQ(mg.now_us(), slowest + kFabricUs);
+        // The exchange's multi-grid sync already orders every grid: the
+        // phase right behind it (a uniform one too) pays no second barrier.
+        for (std::size_t i = 0; i < mg.size(); ++i) {
+          const LaunchResult after = mg.grid(i).phase(
+              "after", {.grid_blocks = 1, .block_threads = kThreads},
+              [](BlockCtx&) {});
+          EXPECT_DOUBLE_EQ(mg.grid(i).now_us(),
+                           slowest + kFabricUs + after.time_us);
+          EXPECT_EQ(mg.grid(i).barriers(), 1u) << "device " << i;
+        }
+        mg.exchange("swap", [&] { return kFabricUs; });
+        mg.uniform("decide", [](std::size_t, BlockCtx&) { return 1; });
+        for (std::size_t i = 0; i < mg.size(); ++i) {
+          EXPECT_EQ(mg.grid(i).barriers(), 2u) << "device " << i;
+        }
       });
   EXPECT_TRUE(ran);
   EXPECT_DOUBLE_EQ(r[0].time_us, r[1].time_us);
