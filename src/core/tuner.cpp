@@ -28,6 +28,7 @@ ForcedRun run_forced_strategy(const sim::DeviceProfile& profile,
   sim::SimOptions so;
   so.num_workers = 1;
   sim::Device dev(profile, so);
+  dev.warmup();  // the one-time HIP warm-up is no strategy's cost
   auto dg = graph::DeviceCsr::upload(dev, g);
   base.forced_strategy = static_cast<int>(strategy);
   Xbfs bfs(dev, dg, base);

@@ -46,7 +46,8 @@ struct ForcedRun {
 /// Run Xbfs on `g` from `src` with `strategy` forced at every level (under
 /// `base`, whose forced_strategy is ignored) on a fresh single-worker
 /// device, so the counters are bit-reproducible, and collate the
-/// strategy's profiler rows by level.
+/// strategy's profiler rows by level.  The device is warmed first: neither
+/// the rows nor `result.total_ms` carry `first_launch_us`.
 ForcedRun run_forced_strategy(const sim::DeviceProfile& profile,
                               const graph::Csr& g, graph::vid_t src,
                               Strategy strategy, XbfsConfig base = {});

@@ -16,7 +16,7 @@ DeviceProfile DeviceProfile::mi250x_gcd() {
   p.lane_slots_per_us = 1.2e7;
   p.atomics_per_us = 2.0e3;
   p.kernel_launch_us = 4.0;
-  p.first_launch_us = 20000.0;  // ~20 ms HIP warm-up, visible in Tables III-V
+  p.first_launch_us = 20000.0;  // ~20 ms HIP warm-up (paper Tables III-V)
   // AMD device synchronization is markedly more expensive than NVIDIA's;
   // this drives the paper's stream-consolidation optimization (Sec. IV-B).
   p.device_sync_us = 18.0;

@@ -128,6 +128,28 @@ TEST(AlphaTuner, TopDownOnlyGraphGetsConservativeAlpha) {
   EXPECT_GE(rep.recommended_alpha, opt.fallback_alpha);
 }
 
+// A forced-strategy run models a warmed-up device: the one-time HIP
+// warm-up is neither in the traversal's total nor on any level's row.
+TEST(ForcedStrategy, RunsOnAWarmDevice) {
+  graph::RmatParams p;
+  p.scale = 10;
+  p.edge_factor = 16;
+  p.seed = 21;
+  const graph::Csr g = graph::rmat_csr(p);
+  const sim::DeviceProfile profile = sim::DeviceProfile::mi250x_gcd();
+  const graph::vid_t src = graph::largest_component_vertices(g).front();
+  for (const Strategy s :
+       {Strategy::ScanFree, Strategy::SingleScan, Strategy::BottomUp}) {
+    SCOPED_TRACE(strategy_name(s));
+    const ForcedRun run = run_forced_strategy(profile, g, src, s);
+    EXPECT_GT(run.result.total_ms, 0.0);
+    EXPECT_LT(run.result.total_ms, profile.first_launch_us / 1000.0);
+    for (const ForcedLevel& lv : run.levels) {
+      EXPECT_LT(lv.kernels_ms, profile.first_launch_us / 1000.0);
+    }
+  }
+}
+
 TEST(Report, ScheduleTableAndCsvContainEveryLevel) {
   graph::RmatParams p;
   p.scale = 10;
