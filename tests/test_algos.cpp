@@ -5,12 +5,20 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <random>
+#include <type_traits>
 
 #include "algos/bc.h"
 #include "algos/cc_engine.h"
+#include "algos/kcore_engine.h"
 #include "algos/multi_bfs.h"
 #include "algos/scc.h"
+#include "algos/sssp_engine.h"
+#include "baseline/async_sssp.h"
+#include "baseline/gunrock_like.h"
+#include "baseline/hier_queue.h"
+#include "baseline/simple_scan.h"
 #include "graph/builder.h"
 #include "graph/device_csr.h"
 #include "graph/generators.h"
@@ -33,13 +41,54 @@ graph::Csr undirected_rmat(unsigned scale, std::uint64_t seed) {
   return graph::rmat_csr(p);
 }
 
-// --- lp-cc launch protocol ---------------------------------------------------
+// --- launch protocols ---------------------------------------------------------
 
-/// FNV-1a over lp-cc's whole device protocol on a flat graph: per launch
-/// its kernel name, loads, stores, bytes, fetches, atomics, issued and
-/// active slots and modelled microseconds; then the rounds, depth, hook
-/// count and labels.  One worker makes every modelled time bit-exact, so
-/// a change to how the hook loop reads adjacency moves the hash.
+/// FNV-1a accumulator for the protocol hashes below.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+
+  void mix(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ (x & 0xff)) * 0x100000001b3ull;
+      x >>= 8;
+    }
+  }
+  void mix_double(double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    mix(bits);
+  }
+  template <class T>
+  void mix_all(const std::vector<T>& xs) {
+    for (const T x : xs) {
+      if constexpr (std::is_floating_point_v<T>) {
+        mix_double(x);
+      } else {
+        mix(static_cast<std::uint64_t>(x));
+      }
+    }
+  }
+};
+
+/// Mix every profiler row of `dev`: its kernel name, loads, stores, bytes,
+/// fetches, atomics, issued and active slots and modelled microseconds.
+/// One worker makes every modelled time bit-exact, so a change to a
+/// kernel's launch geometry or loads moves the hash.
+void mix_launch_rows(Fnv& f, sim::Device& dev) {
+  for (const sim::LaunchRecord& rec : dev.profiler().records()) {
+    for (const char c : rec.kernel) f.mix(static_cast<unsigned char>(c));
+    const sim::KernelCounters& k = rec.counters;
+    for (const std::uint64_t x :
+         {k.mem_reads, k.mem_writes, k.bytes_read, k.bytes_written,
+          k.fetch_bytes, k.atomics, k.lane_slots, k.active_lanes}) {
+      f.mix(x);
+    }
+    f.mix_double(rec.timing.total_us);
+  }
+}
+
+/// lp-cc's whole device protocol on a flat graph: the launch rows, then
+/// the rounds, depth, hook count and labels.
 std::uint64_t lp_cc_protocol_hash(const graph::Csr& g) {
   sim::Device dev(sim::DeviceProfile::mi250x_gcd(),
                   sim::SimOptions{.num_workers = 1});
@@ -49,33 +98,13 @@ std::uint64_t lp_cc_protocol_hash(const graph::Csr& g) {
   const core::AlgoResult r = eng.solve({});
   EXPECT_EQ(*r.payload.components, graph::canonical_components(g));
 
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ (x & 0xff)) * 0x100000001b3ull;
-      x >>= 8;
-    }
-  };
-  const auto mix_double = [&mix](double d) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof(bits));
-    mix(bits);
-  };
-  for (const sim::LaunchRecord& rec : dev.profiler().records()) {
-    for (const char c : rec.kernel) mix(static_cast<unsigned char>(c));
-    const sim::KernelCounters& k = rec.counters;
-    for (const std::uint64_t x :
-         {k.mem_reads, k.mem_writes, k.bytes_read, k.bytes_written,
-          k.fetch_bytes, k.atomics, k.lane_slots, k.active_lanes}) {
-      mix(x);
-    }
-    mix_double(rec.timing.total_us);
-  }
-  mix(r.level_stats.size());
-  mix(r.payload.depth);
-  mix(r.work_items);
-  for (const graph::vid_t l : *r.payload.components) mix(l);
-  return h;
+  Fnv f;
+  mix_launch_rows(f, dev);
+  f.mix(r.level_stats.size());
+  f.mix(r.payload.depth);
+  f.mix(r.work_items);
+  f.mix_all(*r.payload.components);
+  return f.h;
 }
 
 TEST(LpCcProtocol, FlatGraphLaunchRowsMatchPinnedHash) {
@@ -97,6 +126,121 @@ TEST(LpCcProtocol, FlatGraphLaunchRowsMatchPinnedHash) {
     std::printf("[ LpCcProtocol ] %s protocol_hash=%016llx\n", c.name,
                 static_cast<unsigned long long>(h));
     EXPECT_EQ(h, c.pinned) << c.name;
+  }
+}
+
+/// Every device engine and baseline that launches at the fixed block
+/// size, run once on a one-worker device: what it computed, its modelled
+/// total and its launch rows.  A change to any of their launch geometries
+/// moves its hash.
+TEST(EngineProtocol, LaunchRowsMatchPinnedHash) {
+  const graph::Csr g = undirected_rmat(9, 7);
+  const graph::vid_t src = graph::largest_component_vertices(g).front();
+  std::mt19937_64 rng(5);
+  std::vector<graph::Edge> arcs;
+  for (unsigned i = 0; i < 900; ++i) {
+    arcs.push_back({static_cast<graph::vid_t>(rng() % 300),
+                    static_cast<graph::vid_t>(rng() % 300)});
+  }
+  graph::BuildOptions directed;
+  directed.symmetrize = false;
+  const graph::Csr arcs_g = graph::build_csr(300, std::move(arcs), directed);
+
+  const auto mix_bfs = [](Fnv& f, const core::BfsResult& r) {
+    f.mix_all(r.levels);
+    f.mix(r.level_stats.size());
+    f.mix_double(r.total_ms);
+  };
+  const auto mix_algo = [](Fnv& f, const core::AlgoResult& r) {
+    const core::ResultPayload& p = r.payload;
+    if (p.distances) f.mix_all(*p.distances);
+    if (p.cores) f.mix_all(*p.cores);
+    if (p.scores) f.mix_all(*p.scores);
+    if (p.components) f.mix_all(*p.components);
+    f.mix(p.depth);
+    f.mix(r.work_items);
+    f.mix_double(r.total_ms);
+  };
+  const struct {
+    const char* name;
+    std::uint64_t pinned;
+    std::function<void(sim::Device&, const graph::DeviceCsr&, Fnv&)> run;
+  } cases[] = {
+      {"delta-sssp", 0x84c6e60b94cb3229ull,
+       [&](sim::Device& dev, const graph::DeviceCsr& dg, Fnv& f) {
+         DeltaSsspEngine eng(dev, dg);
+         dev.profiler().clear();
+         mix_algo(f, eng.solve({.algo = core::AlgoKind::Sssp, .source = src}));
+       }},
+      {"kcore-pull", 0x2c89482c5d1be1dfull,
+       [&](sim::Device& dev, const graph::DeviceCsr& dg, Fnv& f) {
+         KCorePullEngine eng(dev, dg);
+         dev.profiler().clear();
+         mix_algo(f, eng.solve({.algo = core::AlgoKind::KCore}));
+       }},
+      {"brandes-bc", 0xe8534c756a5a0df5ull,
+       [&](sim::Device& dev, const graph::DeviceCsr& dg, Fnv& f) {
+         dev.profiler().clear();
+         const BcResult r = betweenness_centrality(dev, dg, {src, 3, 77});
+         f.mix_all(r.centrality);
+         f.mix_double(r.total_ms);
+       }},
+      {"multi-bfs", 0xc02af91ba9c3c2d1ull,
+       [&](sim::Device& dev, const graph::DeviceCsr& dg, Fnv& f) {
+         dev.profiler().clear();
+         const MultiBfsResult r = multi_source_bfs(dev, dg, {src, 3, 77});
+         for (const auto& l : r.levels) f.mix_all(l);
+         f.mix(r.depth);
+         f.mix_double(r.total_ms);
+       }},
+      {"fwbw-scc", 0x5d667466ea3230afull,
+       [&](sim::Device& dev, const graph::DeviceCsr&, Fnv& f) {
+         const auto fwd = graph::DeviceCsr::upload(dev, arcs_g);
+         const auto bwd =
+             graph::DeviceCsr::upload(dev, graph::reverse_csr(arcs_g));
+         dev.profiler().clear();
+         const SccResult r = scc_fw_bw(dev, fwd, bwd);
+         f.mix_all(r.component);
+         f.mix(r.num_components);
+         f.mix(r.fwbw_rounds);
+         f.mix(r.trimmed);
+         f.mix_double(r.total_ms);
+       }},
+      {"simple-scan", 0xf9371c6576f4577aull,
+       [&](sim::Device& dev, const graph::DeviceCsr& dg, Fnv& f) {
+         baseline::SimpleScanBfs eng(dev, dg);
+         dev.profiler().clear();
+         mix_bfs(f, eng.run(src));
+       }},
+      {"gunrock-like", 0x9ac4609e2d48afbbull,
+       [&](sim::Device& dev, const graph::DeviceCsr& dg, Fnv& f) {
+         baseline::GunrockLikeBfs eng(dev, dg);
+         dev.profiler().clear();
+         mix_bfs(f, eng.run(src));
+       }},
+      {"hier-queue", 0x322349c05329f01cull,
+       [&](sim::Device& dev, const graph::DeviceCsr& dg, Fnv& f) {
+         baseline::HierQueueBfs eng(dev, dg);
+         dev.profiler().clear();
+         mix_bfs(f, eng.run(src));
+       }},
+      {"async-sssp", 0xbac09189e7d96092ull,
+       [&](sim::Device& dev, const graph::DeviceCsr& dg, Fnv& f) {
+         baseline::AsyncSsspBfs eng(dev, dg);
+         dev.profiler().clear();
+         mix_bfs(f, eng.run(src));
+       }},
+  };
+  for (const auto& c : cases) {
+    sim::Device dev(sim::DeviceProfile::mi250x_gcd(),
+                    sim::SimOptions{.num_workers = 1});
+    const graph::DeviceCsr dg = graph::DeviceCsr::upload(dev, g);
+    Fnv f;
+    c.run(dev, dg, f);
+    mix_launch_rows(f, dev);
+    std::printf("[ EngineProtocol ] %s protocol_hash=%016llx\n", c.name,
+                static_cast<unsigned long long>(f.h));
+    EXPECT_EQ(f.h, c.pinned) << c.name;
   }
 }
 
