@@ -18,6 +18,7 @@
 #include "core/xbfs.h"
 #include "graph/datasets.h"
 #include "graph/device_csr.h"
+#include "graph/g500_validate.h"
 #include "graph/io.h"
 #include "graph/reference.h"
 #include "graph/stats.h"
@@ -85,7 +86,7 @@ int main(int argc, char** argv) {
   std::cout << "\nXBFS schedule:\n";
   core::print_schedule(std::cout, r);
 
-  const std::string err = graph::validate_bfs_levels(g, src, r.levels);
+  const std::string err = graph::validate_levels_graph500(g, src, r.levels);
   std::cout << "validation: " << (err.empty() ? "OK" : err) << "\n";
 
   if (tune) {

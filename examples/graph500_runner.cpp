@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     // Official-style validation on the parent tree (the five Graph500
     // rules), plus the level cross-check.
     std::string err = graph::validate_graph500(g, src, r.parent);
-    if (err.empty()) err = graph::validate_bfs_levels(g, src, r.levels);
+    if (err.empty()) err = graph::validate_levels_graph500(g, src, r.levels);
     if (!err.empty()) {
       std::cerr << "VALIDATION FAILED for source " << src << ": " << err
                 << "\n";

@@ -10,6 +10,7 @@
 #include "core/report.h"
 #include "core/xbfs.h"
 #include "graph/device_csr.h"
+#include "graph/g500_validate.h"
 #include "graph/reference.h"
 #include "graph/rmat.h"
 
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
   core::Xbfs bfs(dev, dg);
   const core::BfsResult r = bfs.run(src);
 
-  const std::string err = graph::validate_bfs_levels(g, src, r.levels);
+  const std::string err = graph::validate_levels_graph500(g, src, r.levels);
   std::cout << "\nBFS from source " << src << ": depth " << r.depth
             << ", validation " << (err.empty() ? "OK" : "FAILED: " + err)
             << "\n\n";

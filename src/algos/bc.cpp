@@ -4,18 +4,16 @@
 #include <deque>
 #include <utility>
 
-#include "core/status.h"  // kUnvisited, auto_grid_blocks
+#include "core/status.h"  // kUnvisited, full_width_launch
 
 namespace xbfs::algos {
 
-using core::auto_grid_blocks;
 using core::kUnvisited;
 using graph::eid_t;
 using graph::vid_t;
 
 BcResult betweenness_centrality(sim::Device& dev, const graph::DeviceCsr& g,
-                                const std::vector<graph::vid_t>& sources,
-                                const BcConfig& cfg) {
+                                const std::vector<graph::vid_t>& sources) {
   const vid_t n = g.n;
   sim::Stream& s = dev.stream(0);
   const double t0 = dev.now_us();
@@ -34,9 +32,7 @@ BcResult betweenness_centrality(sim::Device& dev, const graph::DeviceCsr& g,
   auto offsets = g.offsets_span();
   auto cols = g.cols_span();
 
-  sim::LaunchConfig lc;
-  lc.block_threads = cfg.block_threads;
-  lc.grid_blocks = auto_grid_blocks(dev.profile(), n, cfg.block_threads);
+  const sim::LaunchConfig lc = core::full_width_launch(dev.profile(), n);
 
   dev.launch(s, "bc_zero", lc, [=](sim::BlockCtx& blk) {
     auto& ctx = blk.ctx();

@@ -14,10 +14,6 @@
 
 namespace xbfs::algos {
 
-struct BcConfig {
-  unsigned block_threads = 256;
-};
-
 struct BcResult {
   /// Accumulated (unnormalized) dependency per vertex over the sources.
   std::vector<double> centrality;
@@ -26,8 +22,7 @@ struct BcResult {
 
 /// Accumulate BC contributions of the given source vertices.
 BcResult betweenness_centrality(sim::Device& dev, const graph::DeviceCsr& g,
-                                const std::vector<graph::vid_t>& sources,
-                                const BcConfig& cfg = {});
+                                const std::vector<graph::vid_t>& sources);
 
 /// Serial host reference (exact for the same source set).
 std::vector<double> betweenness_reference(const graph::Csr& g,

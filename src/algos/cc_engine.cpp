@@ -8,12 +8,10 @@
 
 namespace xbfs::algos {
 
-using core::auto_grid_blocks;
 using graph::vid_t;
 
-LpCcEngine::LpCcEngine(sim::Device& dev, const graph::DeviceCsr& g,
-                       CcEngineConfig cfg)
-    : dev_(dev), g_(g), cfg_(cfg) {
+LpCcEngine::LpCcEngine(sim::Device& dev, const graph::DeviceCsr& g)
+    : dev_(dev), g_(g) {
   label_ = dev.alloc<vid_t>(g.n, "cc.label");
   counters_ = dev.alloc<std::uint32_t>(1, "cc.counters");
 }
@@ -30,9 +28,7 @@ core::AlgoResult LpCcEngine::solve(const core::AlgoQuery&) {
   const std::uint64_t n = g_.n;
   const std::uint64_t m = std::max<std::uint64_t>(1, g_.m);
 
-  sim::LaunchConfig lc;
-  lc.block_threads = cfg_.block_threads;
-  lc.grid_blocks = auto_grid_blocks(dev_.profile(), n, cfg_.block_threads);
+  const sim::LaunchConfig lc = core::full_width_launch(dev_.profile(), n);
   const sim::LaunchConfig rc{.grid_blocks = 1, .block_threads = 64};
 
   dev_.launch(s, "cc_init", lc, [=](sim::BlockCtx& blk) {

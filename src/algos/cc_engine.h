@@ -24,14 +24,9 @@
 
 namespace xbfs::algos {
 
-struct CcEngineConfig {
-  unsigned block_threads = 256;
-};
-
 class LpCcEngine final : public core::AlgorithmEngine {
  public:
-  LpCcEngine(sim::Device& dev, const graph::DeviceCsr& g,
-             CcEngineConfig cfg = {});
+  LpCcEngine(sim::Device& dev, const graph::DeviceCsr& g);
 
   core::AlgoKind kind() const override { return core::AlgoKind::Cc; }
   core::AlgoResult solve(const core::AlgoQuery& q) override;
@@ -43,7 +38,6 @@ class LpCcEngine final : public core::AlgorithmEngine {
  private:
   sim::Device& dev_;
   const graph::DeviceCsr& g_;
-  CcEngineConfig cfg_;
   sim::DeviceBuffer<graph::vid_t> label_;
   sim::DeviceBuffer<std::uint32_t> counters_;  ///< [0]=hooks that improved
 };

@@ -1,6 +1,7 @@
 #include "algos/engines.h"
 
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -24,11 +25,11 @@ using core::AlgoResult;
 using core::EngineContext;
 using graph::vid_t;
 
-BcEngine::BcEngine(sim::Device& dev, const graph::DeviceCsr& g, BcConfig cfg)
-    : dev_(dev), g_(g), cfg_(cfg) {}
+BcEngine::BcEngine(sim::Device& dev, const graph::DeviceCsr& g)
+    : dev_(dev), g_(g) {}
 
 AlgoResult BcEngine::solve(const AlgoQuery& q) {
-  BcResult r = betweenness_centrality(dev_, g_, {q.source}, cfg_);
+  BcResult r = betweenness_centrality(dev_, g_, {q.source});
   AlgoResult out;
   out.payload.kind = AlgoKind::Bc;
   out.payload.scores = std::make_shared<const std::vector<double>>(
@@ -38,13 +39,13 @@ AlgoResult BcEngine::solve(const AlgoQuery& q) {
 }
 
 SccEngine::SccEngine(sim::Device& dev, const graph::Csr& host_g,
-                     const graph::DeviceCsr& fwd, SccConfig cfg)
-    : dev_(dev), fwd_(fwd), cfg_(cfg) {
+                     const graph::DeviceCsr& fwd)
+    : dev_(dev), fwd_(fwd) {
   bwd_ = graph::DeviceCsr::upload(dev, graph::reverse_csr(host_g));
 }
 
 AlgoResult SccEngine::solve(const AlgoQuery&) {
-  SccResult r = scc_fw_bw(dev_, fwd_, bwd_, cfg_);
+  SccResult r = scc_fw_bw(dev_, fwd_, bwd_);
   AlgoResult out;
   out.payload.kind = AlgoKind::Scc;
   out.payload.components = std::make_shared<const std::vector<vid_t>>(
@@ -63,114 +64,82 @@ double wall_ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// One fault-immune host oracle per kind: thin engine shells over the
-/// graph/reference algorithms, registered as the host fallback rung the
-/// serving ladder degrades to when every device rung has failed.
-class HostSsspEngine final : public core::AlgorithmEngine {
+/// One fault-immune host oracle per kind: an engine shell over one
+/// graph/reference algorithm, registered as the host fallback rung the
+/// serving ladder degrades to when every device rung has failed.  total_ms
+/// is wall time.
+class HostOracleEngine final : public core::AlgorithmEngine {
  public:
-  explicit HostSsspEngine(const graph::Csr& g) : g_(g) {}
-  AlgoKind kind() const override { return AlgoKind::Sssp; }
-  const char* name() const override { return "host-sssp"; }
+  /// Fills the payload's vector (and depth) from the reference
+  /// computation; the shell sets the kind.
+  using Oracle = void (*)(const graph::Csr&, const AlgoQuery&,
+                          core::ResultPayload&);
+
+  HostOracleEngine(AlgoKind kind, const char* name, const graph::Csr& g,
+                   Oracle oracle)
+      : kind_(kind), name_(name), g_(g), oracle_(oracle) {}
+  AlgoKind kind() const override { return kind_; }
+  const char* name() const override { return name_; }
   core::EngineCapabilities capabilities() const override { return {}; }
   AlgoResult solve(const AlgoQuery& q) override {
     const auto t0 = std::chrono::steady_clock::now();
     AlgoResult out;
-    out.payload.kind = AlgoKind::Sssp;
-    out.payload.distances = std::make_shared<const std::vector<std::uint32_t>>(
-        graph::reference_sssp(g_, q.source, q.params.weight_seed,
-                              q.params.max_weight));
+    out.payload.kind = kind_;
+    oracle_(g_, q, out.payload);
     out.total_ms = wall_ms_since(t0);
     return out;
   }
 
  private:
+  AlgoKind kind_;
+  const char* name_;
   const graph::Csr& g_;
+  Oracle oracle_;
 };
 
-class HostCcEngine final : public core::AlgorithmEngine {
- public:
-  explicit HostCcEngine(const graph::Csr& g) : g_(g) {}
-  AlgoKind kind() const override { return AlgoKind::Cc; }
-  const char* name() const override { return "host-cc"; }
-  core::EngineCapabilities capabilities() const override { return {}; }
-  AlgoResult solve(const AlgoQuery&) override {
-    const auto t0 = std::chrono::steady_clock::now();
-    AlgoResult out;
-    out.payload.kind = AlgoKind::Cc;
-    out.payload.components = std::make_shared<const std::vector<vid_t>>(
-        graph::canonical_components(g_));
-    out.total_ms = wall_ms_since(t0);
-    return out;
-  }
+template <class T>
+std::shared_ptr<const std::vector<T>> share(std::vector<T> v) {
+  return std::make_shared<const std::vector<T>>(std::move(v));
+}
 
- private:
-  const graph::Csr& g_;
-};
+void host_sssp(const graph::Csr& g, const AlgoQuery& q,
+               core::ResultPayload& p) {
+  p.distances = share(graph::reference_sssp(g, q.source, q.params.weight_seed,
+                                            q.params.max_weight));
+}
 
-class HostKcoreEngine final : public core::AlgorithmEngine {
- public:
-  explicit HostKcoreEngine(const graph::Csr& g) : g_(g) {}
-  AlgoKind kind() const override { return AlgoKind::KCore; }
-  const char* name() const override { return "host-kcore"; }
-  core::EngineCapabilities capabilities() const override { return {}; }
-  AlgoResult solve(const AlgoQuery& q) override {
-    const auto t0 = std::chrono::steady_clock::now();
-    AlgoResult out;
-    out.payload.kind = AlgoKind::KCore;
-    out.payload.cores = std::make_shared<const std::vector<std::uint32_t>>(
-        graph::reference_kcore(g_, q.params.k));
-    out.total_ms = wall_ms_since(t0);
-    return out;
-  }
+void host_cc(const graph::Csr& g, const AlgoQuery&, core::ResultPayload& p) {
+  p.components = share(graph::canonical_components(g));
+}
 
- private:
-  const graph::Csr& g_;
-};
+void host_kcore(const graph::Csr& g, const AlgoQuery& q,
+                core::ResultPayload& p) {
+  p.cores = share(graph::reference_kcore(g, q.params.k));
+}
 
-class HostBcEngine final : public core::AlgorithmEngine {
- public:
-  explicit HostBcEngine(const graph::Csr& g) : g_(g) {}
-  AlgoKind kind() const override { return AlgoKind::Bc; }
-  const char* name() const override { return "host-bc"; }
-  core::EngineCapabilities capabilities() const override { return {}; }
-  AlgoResult solve(const AlgoQuery& q) override {
-    const auto t0 = std::chrono::steady_clock::now();
-    AlgoResult out;
-    out.payload.kind = AlgoKind::Bc;
-    out.payload.scores = std::make_shared<const std::vector<double>>(
-        betweenness_reference(g_, {q.source}));
-    out.total_ms = wall_ms_since(t0);
-    return out;
-  }
+void host_bc(const graph::Csr& g, const AlgoQuery& q, core::ResultPayload& p) {
+  p.scores = share(betweenness_reference(g, {q.source}));
+}
 
- private:
-  const graph::Csr& g_;
-};
-
-class HostSccEngine final : public core::AlgorithmEngine {
- public:
-  explicit HostSccEngine(const graph::Csr& g) : g_(g) {}
-  AlgoKind kind() const override { return AlgoKind::Scc; }
-  const char* name() const override { return "host-scc"; }
-  core::EngineCapabilities capabilities() const override { return {}; }
-  AlgoResult solve(const AlgoQuery&) override {
-    const auto t0 = std::chrono::steady_clock::now();
-    AlgoResult out;
-    out.payload.kind = AlgoKind::Scc;
-    vid_t n_comp = 0;
-    out.payload.components = std::make_shared<const std::vector<vid_t>>(
-        scc_reference(g_, &n_comp));
-    out.payload.depth = n_comp;
-    out.total_ms = wall_ms_since(t0);
-    return out;
-  }
-
- private:
-  const graph::Csr& g_;
-};
+void host_scc(const graph::Csr& g, const AlgoQuery&, core::ResultPayload& p) {
+  vid_t n_comp = 0;
+  p.components = share(scc_reference(g, &n_comp));
+  p.depth = n_comp;
+}
 
 bool device_ready(const EngineContext& ctx) {
   return ctx.dev != nullptr && ctx.dg != nullptr;
+}
+
+void register_host_oracle(core::EngineRegistry& reg, AlgoKind kind,
+                          const char* name, HostOracleEngine::Oracle oracle) {
+  reg.register_engine(
+      kind, name, 0, false,
+      [=](const EngineContext& ctx) -> std::unique_ptr<core::AlgorithmEngine> {
+        if (!ctx.host_g) return nullptr;
+        return std::make_unique<HostOracleEngine>(kind, name, *ctx.host_g,
+                                                  oracle);
+      });
 }
 
 void do_register() {
@@ -211,16 +180,13 @@ void do_register() {
       AlgoKind::Sssp, "delta-sssp", 0, true,
       [](const EngineContext& ctx) -> std::unique_ptr<core::AlgorithmEngine> {
         if (!device_ready(ctx)) return nullptr;
-        SsspEngineConfig cfg;
-        if (ctx.config) cfg.alpha = ctx.config->alpha;
-        return std::make_unique<DeltaSsspEngine>(*ctx.dev, *ctx.dg, cfg);
+        if (!ctx.config) {
+          return std::make_unique<DeltaSsspEngine>(*ctx.dev, *ctx.dg);
+        }
+        return std::make_unique<DeltaSsspEngine>(*ctx.dev, *ctx.dg,
+                                                 ctx.config->alpha);
       });
-  reg.register_engine(
-      AlgoKind::Sssp, "host-sssp", 0, false,
-      [](const EngineContext& ctx) -> std::unique_ptr<core::AlgorithmEngine> {
-        if (!ctx.host_g) return nullptr;
-        return std::make_unique<HostSsspEngine>(*ctx.host_g);
-      });
+  register_host_oracle(reg, AlgoKind::Sssp, "host-sssp", host_sssp);
 
   // --- Cc
   reg.register_engine(
@@ -229,12 +195,7 @@ void do_register() {
         if (!device_ready(ctx)) return nullptr;
         return std::make_unique<LpCcEngine>(*ctx.dev, *ctx.dg);
       });
-  reg.register_engine(
-      AlgoKind::Cc, "host-cc", 0, false,
-      [](const EngineContext& ctx) -> std::unique_ptr<core::AlgorithmEngine> {
-        if (!ctx.host_g) return nullptr;
-        return std::make_unique<HostCcEngine>(*ctx.host_g);
-      });
+  register_host_oracle(reg, AlgoKind::Cc, "host-cc", host_cc);
 
   // --- KCore
   reg.register_engine(
@@ -243,12 +204,7 @@ void do_register() {
         if (!device_ready(ctx)) return nullptr;
         return std::make_unique<KCorePullEngine>(*ctx.dev, *ctx.dg);
       });
-  reg.register_engine(
-      AlgoKind::KCore, "host-kcore", 0, false,
-      [](const EngineContext& ctx) -> std::unique_ptr<core::AlgorithmEngine> {
-        if (!ctx.host_g) return nullptr;
-        return std::make_unique<HostKcoreEngine>(*ctx.host_g);
-      });
+  register_host_oracle(reg, AlgoKind::KCore, "host-kcore", host_kcore);
 
   // --- Bc
   reg.register_engine(
@@ -257,12 +213,7 @@ void do_register() {
         if (!device_ready(ctx)) return nullptr;
         return std::make_unique<BcEngine>(*ctx.dev, *ctx.dg);
       });
-  reg.register_engine(
-      AlgoKind::Bc, "host-bc", 0, false,
-      [](const EngineContext& ctx) -> std::unique_ptr<core::AlgorithmEngine> {
-        if (!ctx.host_g) return nullptr;
-        return std::make_unique<HostBcEngine>(*ctx.host_g);
-      });
+  register_host_oracle(reg, AlgoKind::Bc, "host-bc", host_bc);
 
   // --- Scc (needs the host topology for the transpose upload)
   reg.register_engine(
@@ -271,12 +222,7 @@ void do_register() {
         if (!device_ready(ctx) || !ctx.host_g) return nullptr;
         return std::make_unique<SccEngine>(*ctx.dev, *ctx.host_g, *ctx.dg);
       });
-  reg.register_engine(
-      AlgoKind::Scc, "host-scc", 0, false,
-      [](const EngineContext& ctx) -> std::unique_ptr<core::AlgorithmEngine> {
-        if (!ctx.host_g) return nullptr;
-        return std::make_unique<HostSccEngine>(*ctx.host_g);
-      });
+  register_host_oracle(reg, AlgoKind::Scc, "host-scc", host_scc);
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ namespace xbfs::algos {
 /// source BC remains a direct betweenness_centrality call).
 class BcEngine final : public core::AlgorithmEngine {
  public:
-  BcEngine(sim::Device& dev, const graph::DeviceCsr& g, BcConfig cfg = {});
+  BcEngine(sim::Device& dev, const graph::DeviceCsr& g);
 
   core::AlgoKind kind() const override { return core::AlgoKind::Bc; }
   core::AlgoResult solve(const core::AlgoQuery& q) override;
@@ -39,7 +39,6 @@ class BcEngine final : public core::AlgorithmEngine {
  private:
   sim::Device& dev_;
   const graph::DeviceCsr& g_;
-  BcConfig cfg_;
 };
 
 /// FW-BW SCC behind the engine interface.  The constructor materializes
@@ -48,7 +47,7 @@ class BcEngine final : public core::AlgorithmEngine {
 class SccEngine final : public core::AlgorithmEngine {
  public:
   SccEngine(sim::Device& dev, const graph::Csr& host_g,
-            const graph::DeviceCsr& fwd, SccConfig cfg = {});
+            const graph::DeviceCsr& fwd);
 
   core::AlgoKind kind() const override { return core::AlgoKind::Scc; }
   core::AlgoResult solve(const core::AlgoQuery& q) override;
@@ -61,7 +60,6 @@ class SccEngine final : public core::AlgorithmEngine {
   sim::Device& dev_;
   const graph::DeviceCsr& fwd_;
   graph::DeviceCsr bwd_;
-  SccConfig cfg_;
 };
 
 /// Populate core::EngineRegistry::global() with every builtin engine.

@@ -8,13 +8,11 @@
 
 namespace xbfs::algos {
 
-using core::auto_grid_blocks;
 using graph::eid_t;
 using graph::vid_t;
 
-KCorePullEngine::KCorePullEngine(sim::Device& dev, const graph::DeviceCsr& g,
-                                 KCoreEngineConfig cfg)
-    : dev_(dev), g_(g), cfg_(cfg) {
+KCorePullEngine::KCorePullEngine(sim::Device& dev, const graph::DeviceCsr& g)
+    : dev_(dev), g_(g) {
   deg_ = dev.alloc<std::uint32_t>(g.n, "kcore.deg");
   alive_ = dev.alloc<std::uint8_t>(g.n, "kcore.alive");
   just_died_ = dev.alloc<std::uint8_t>(g.n, "kcore.just_died");
@@ -39,9 +37,7 @@ core::AlgoResult KCorePullEngine::solve(const core::AlgoQuery& q) {
   const std::uint64_t n = g_.n;
   const std::uint64_t m = std::max<std::uint64_t>(1, g_.m);
 
-  sim::LaunchConfig lc;
-  lc.block_threads = cfg_.block_threads;
-  lc.grid_blocks = auto_grid_blocks(dev_.profile(), n, cfg_.block_threads);
+  const sim::LaunchConfig lc = core::full_width_launch(dev_.profile(), n);
   const sim::LaunchConfig rc{.grid_blocks = 1, .block_threads = 64};
 
   // katana DegreeCounting + InitializeGraph: seed the current degrees and

@@ -23,14 +23,9 @@
 
 namespace xbfs::algos {
 
-struct KCoreEngineConfig {
-  unsigned block_threads = 256;
-};
-
 class KCorePullEngine final : public core::AlgorithmEngine {
  public:
-  KCorePullEngine(sim::Device& dev, const graph::DeviceCsr& g,
-                  KCoreEngineConfig cfg = {});
+  KCorePullEngine(sim::Device& dev, const graph::DeviceCsr& g);
 
   core::AlgoKind kind() const override { return core::AlgoKind::KCore; }
   core::AlgoResult solve(const core::AlgoQuery& q) override;
@@ -42,7 +37,6 @@ class KCorePullEngine final : public core::AlgorithmEngine {
  private:
   sim::Device& dev_;
   const graph::DeviceCsr& g_;
-  KCoreEngineConfig cfg_;
   sim::DeviceBuffer<std::uint32_t> deg_;       ///< current (trimmed) degree
   sim::DeviceBuffer<std::uint8_t> alive_;
   sim::DeviceBuffer<std::uint8_t> just_died_;  ///< katana pull_flag

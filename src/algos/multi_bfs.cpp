@@ -5,18 +5,16 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/status.h"  // auto_grid_blocks
+#include "core/status.h"  // full_width_launch
 #include "graph/csr.h"
 
 namespace xbfs::algos {
 
-using core::auto_grid_blocks;
 using graph::eid_t;
 using graph::vid_t;
 
 MultiBfsResult multi_source_bfs(sim::Device& dev, const graph::DeviceCsr& g,
-                                const std::vector<graph::vid_t>& sources,
-                                const MultiBfsConfig& cfg) {
+                                const std::vector<graph::vid_t>& sources) {
   if (sources.empty() || sources.size() > 64) {
     throw std::invalid_argument("multi_source_bfs takes 1..64 sources");
   }
@@ -43,9 +41,7 @@ MultiBfsResult multi_source_bfs(sim::Device& dev, const graph::DeviceCsr& g,
   auto offsets = g.offsets_span();
   auto cols = g.cols_span();
 
-  sim::LaunchConfig lc;
-  lc.block_threads = cfg.block_threads;
-  lc.grid_blocks = auto_grid_blocks(dev.profile(), n, cfg.block_threads);
+  const sim::LaunchConfig lc = core::full_width_launch(dev.profile(), n);
 
   // Init: no search anywhere, all levels -1.
   dev.launch(s, "mbfs_init", lc, [=](sim::BlockCtx& blk) {
@@ -155,8 +151,7 @@ MultiBfsResult multi_source_bfs(sim::Device& dev, const graph::DeviceCsr& g,
 
 MultiBfsResult multi_source_bfs_batched(sim::Device& dev,
                                         const graph::DeviceCsr& g,
-                                        const std::vector<vid_t>& sources,
-                                        const MultiBfsConfig& cfg) {
+                                        const std::vector<vid_t>& sources) {
   if (sources.empty()) {
     throw std::invalid_argument("multi_source_bfs_batched takes >= 1 source");
   }
@@ -168,7 +163,7 @@ MultiBfsResult multi_source_bfs_batched(sim::Device& dev,
         std::min(begin + kMaxConcurrentSources, sources.size());
     const std::vector<vid_t> chunk(sources.begin() + begin,
                                    sources.begin() + end);
-    MultiBfsResult sweep = multi_source_bfs(dev, g, chunk, cfg);
+    MultiBfsResult sweep = multi_source_bfs(dev, g, chunk);
     for (auto& lv : sweep.levels) out.levels.push_back(std::move(lv));
     out.total_ms += sweep.total_ms;
     out.depth = std::max(out.depth, sweep.depth);

@@ -12,10 +12,6 @@
 
 namespace xbfs::algos {
 
-struct MultiBfsConfig {
-  unsigned block_threads = 256;
-};
-
 struct MultiBfsResult {
   /// levels[s][v]: hop distance from sources[s] to v (-1 unreached).
   std::vector<std::vector<std::int32_t>> levels;
@@ -29,17 +25,15 @@ inline constexpr unsigned kMaxConcurrentSources = 64;
 
 /// Run up to 64 BFS searches concurrently on the simulated device.
 MultiBfsResult multi_source_bfs(sim::Device& dev, const graph::DeviceCsr& g,
-                                const std::vector<graph::vid_t>& sources,
-                                const MultiBfsConfig& cfg = {});
+                                const std::vector<graph::vid_t>& sources);
 
 /// Any number of sources: splits the input into consecutive sweeps of at
 /// most kMaxConcurrentSources and concatenates the per-source levels in
 /// input order (duplicates allowed; each occurrence gets its own levels
 /// vector).  total_ms sums the sweeps, depth is the max over sweeps.
-MultiBfsResult multi_source_bfs_batched(sim::Device& dev,
-                                        const graph::DeviceCsr& g,
-                                        const std::vector<graph::vid_t>& sources,
-                                        const MultiBfsConfig& cfg = {});
+MultiBfsResult multi_source_bfs_batched(
+    sim::Device& dev, const graph::DeviceCsr& g,
+    const std::vector<graph::vid_t>& sources);
 
 /// iBFS's GroupBy heuristic: order sources so that batches of `group_size`
 /// share as much traversal as possible — sources whose early frontiers

@@ -5,11 +5,10 @@
 #include <map>
 #include <utility>
 
-#include "core/status.h"  // auto_grid_blocks
+#include "core/status.h"  // full_width_launch
 
 namespace xbfs::algos {
 
-using core::auto_grid_blocks;
 using graph::eid_t;
 using graph::vid_t;
 
@@ -30,7 +29,7 @@ struct SccState {
 /// along `g` inside one partition color until a sweep makes no progress.
 void reachability(sim::Device& dev, const graph::DeviceCsr& g,
                   SccState& st, sim::dspan<std::uint8_t> mark, vid_t color_id,
-                  const SccConfig& cfg, const char* kernel_name) {
+                  const char* kernel_name) {
   sim::Stream& s = dev.stream(0);
   auto offsets = g.offsets_span();
   auto cols = g.cols_span();
@@ -38,9 +37,7 @@ void reachability(sim::Device& dev, const graph::DeviceCsr& g,
   auto scc = st.scc.cspan();
   auto changed = st.changed.span();
   const vid_t n = g.n;
-  sim::LaunchConfig lc;
-  lc.block_threads = cfg.block_threads;
-  lc.grid_blocks = auto_grid_blocks(dev.profile(), n, cfg.block_threads);
+  const sim::LaunchConfig lc = core::full_width_launch(dev.profile(), n);
   for (;;) {
     st.changed.h_write(0, 0);  // host reset; re-uploaded below
     dev.memcpy_h2d(s, st.changed);
@@ -81,7 +78,7 @@ void reachability(sim::Device& dev, const graph::DeviceCsr& g,
 }  // namespace
 
 SccResult scc_fw_bw(sim::Device& dev, const graph::DeviceCsr& fwd,
-                    const graph::DeviceCsr& bwd, const SccConfig& cfg) {
+                    const graph::DeviceCsr& bwd) {
   const vid_t n = fwd.n;
   sim::Stream& s = dev.stream(0);
   const double t0 = dev.now_us();
@@ -103,9 +100,7 @@ SccResult scc_fw_bw(sim::Device& dev, const graph::DeviceCsr& fwd,
   auto in_offsets = bwd.offsets_span();
   auto in_cols = bwd.cols_span();
 
-  sim::LaunchConfig lc;
-  lc.block_threads = cfg.block_threads;
-  lc.grid_blocks = auto_grid_blocks(dev.profile(), n, cfg.block_threads);
+  const sim::LaunchConfig lc = core::full_width_launch(dev.profile(), n);
 
   dev.launch(s, "scc_init", lc, [=](sim::BlockCtx& blk) {
     auto& ctx = blk.ctx();
@@ -201,8 +196,8 @@ SccResult scc_fw_bw(sim::Device& dev, const graph::DeviceCsr& fwd,
       });
     });
 
-    reachability(dev, fwd, st, fw, part, cfg, "scc_forward_sweep");
-    reachability(dev, bwd, st, bw, part, cfg, "scc_backward_sweep");
+    reachability(dev, fwd, st, fw, part, "scc_forward_sweep");
+    reachability(dev, bwd, st, bw, part, "scc_backward_sweep");
 
     // Classify: fw&bw -> the pivot's SCC; fw-only / bw-only / neither form
     // up to three sub-partitions that go back on the worklist.

@@ -15,10 +15,6 @@
 
 namespace xbfs::algos {
 
-struct SccConfig {
-  unsigned block_threads = 256;
-};
-
 struct SccResult {
   std::vector<graph::vid_t> component;  ///< component id per vertex
   graph::vid_t num_components = 0;
@@ -30,7 +26,7 @@ struct SccResult {
 /// FW-BW SCC on a *directed* graph: `fwd` is the out-edge CSR, `bwd` its
 /// transpose (graph::reverse_csr), both resident on `dev`.
 SccResult scc_fw_bw(sim::Device& dev, const graph::DeviceCsr& fwd,
-                    const graph::DeviceCsr& bwd, const SccConfig& cfg = {});
+                    const graph::DeviceCsr& bwd);
 
 /// Serial Tarjan reference; component ids are arbitrary but consistent.
 std::vector<graph::vid_t> scc_reference(const graph::Csr& g,

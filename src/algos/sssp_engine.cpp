@@ -9,14 +9,13 @@
 
 namespace xbfs::algos {
 
-using core::auto_grid_blocks;
 using core::kUnreachedDist;
 using graph::eid_t;
 using graph::vid_t;
 
 DeltaSsspEngine::DeltaSsspEngine(sim::Device& dev, const graph::DeviceCsr& g,
-                                 SsspEngineConfig cfg)
-    : dev_(dev), g_(g), cfg_(cfg) {
+                                 double alpha)
+    : dev_(dev), g_(g), alpha_(alpha) {
   dist_ = dev.alloc<std::uint32_t>(g.n, "sssp.dist");
   dirty_ = dev.alloc<std::uint8_t>(g.n, "sssp.dirty");
   counters_ = dev.alloc<std::uint32_t>(4, "sssp.counters");
@@ -33,7 +32,7 @@ core::AlgoResult DeltaSsspEngine::solve(const core::AlgoQuery& q) {
   const std::uint64_t seed = q.params.weight_seed;
   const std::uint32_t delta =
       q.params.delta != 0 ? q.params.delta : max_weight;
-  const double alpha = cfg_.alpha;
+  const double alpha = alpha_;
 
   auto dist = dist_.span();
   auto dirty = dirty_.span();
@@ -43,9 +42,7 @@ core::AlgoResult DeltaSsspEngine::solve(const core::AlgoQuery& q) {
   const std::uint64_t n = g_.n;
   const std::uint64_t m = std::max<std::uint64_t>(1, g_.m);
 
-  sim::LaunchConfig lc;
-  lc.block_threads = cfg_.block_threads;
-  lc.grid_blocks = auto_grid_blocks(dev_.profile(), n, cfg_.block_threads);
+  const sim::LaunchConfig lc = core::full_width_launch(dev_.profile(), n);
   const sim::LaunchConfig rc{.grid_blocks = 1, .block_threads = 64};
 
   dev_.launch(s, "sssp_ds_init", lc, [=](sim::BlockCtx& blk) {

@@ -25,16 +25,12 @@
 
 namespace xbfs::algos {
 
-struct SsspEngineConfig {
-  unsigned block_threads = 256;
-  /// Pull threshold on (active frontier edges)/|E| — the r-vs-alpha rule.
-  double alpha = 0.1;
-};
-
 class DeltaSsspEngine final : public core::AlgorithmEngine {
  public:
+  /// `alpha` is the pull threshold on (active frontier edges)/|E| — the
+  /// r-vs-alpha rule.
   DeltaSsspEngine(sim::Device& dev, const graph::DeviceCsr& g,
-                  SsspEngineConfig cfg = {});
+                  double alpha = 0.1);
 
   core::AlgoKind kind() const override { return core::AlgoKind::Sssp; }
   core::AlgoResult solve(const core::AlgoQuery& q) override;
@@ -49,7 +45,7 @@ class DeltaSsspEngine final : public core::AlgorithmEngine {
  private:
   sim::Device& dev_;
   const graph::DeviceCsr& g_;
-  SsspEngineConfig cfg_;
+  double alpha_;
   sim::DeviceBuffer<std::uint32_t> dist_;
   sim::DeviceBuffer<std::uint8_t> dirty_;  ///< improved since last relaxation
   /// [0]=active in-bucket count, [1]=their edges, [2]=relaxations,

@@ -8,14 +8,12 @@
 
 namespace xbfs::baseline {
 
-using core::auto_grid_blocks;
 using core::kUnvisited;
 using graph::eid_t;
 using graph::vid_t;
 
-AsyncSsspBfs::AsyncSsspBfs(sim::Device& dev, const graph::DeviceCsr& g,
-                           AsyncSsspConfig cfg)
-    : dev_(dev), g_(g), cfg_(cfg) {
+AsyncSsspBfs::AsyncSsspBfs(sim::Device& dev, const graph::DeviceCsr& g)
+    : dev_(dev), g_(g) {
   dist_ = dev.alloc<std::uint32_t>(g.n, "sssp.dist");
   dirty_ = dev.alloc<std::uint8_t>(g.n, "sssp.dirty");
   counters_ = dev.alloc<std::uint32_t>(2, "sssp.counters");
@@ -34,9 +32,7 @@ core::BfsResult AsyncSsspBfs::run(vid_t src) {
   auto cols = g_.cols_span();
   const std::uint64_t n = g_.n;
 
-  sim::LaunchConfig lc;
-  lc.block_threads = cfg_.block_threads;
-  lc.grid_blocks = auto_grid_blocks(dev_.profile(), n, cfg_.block_threads);
+  const sim::LaunchConfig lc = core::full_width_launch(dev_.profile(), n);
   dev_.launch(s, "sssp_init", lc, [=](sim::BlockCtx& blk) {
     auto& ctx = blk.ctx();
     blk.grid_stride(n, [&](std::uint64_t v) {

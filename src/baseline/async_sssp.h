@@ -17,14 +17,9 @@
 
 namespace xbfs::baseline {
 
-struct AsyncSsspConfig {
-  unsigned block_threads = 256;
-};
-
 class AsyncSsspBfs final : public core::TraversalEngine {
  public:
-  AsyncSsspBfs(sim::Device& dev, const graph::DeviceCsr& g,
-               AsyncSsspConfig cfg = {});
+  AsyncSsspBfs(sim::Device& dev, const graph::DeviceCsr& g);
 
   core::BfsResult run(graph::vid_t src) override;
   const char* name() const override { return "async-sssp"; }
@@ -39,7 +34,6 @@ class AsyncSsspBfs final : public core::TraversalEngine {
  private:
   sim::Device& dev_;
   const graph::DeviceCsr& g_;
-  AsyncSsspConfig cfg_;
   sim::DeviceBuffer<std::uint32_t> dist_;
   sim::DeviceBuffer<std::uint8_t> dirty_;  ///< vertex improved last round
   sim::DeviceBuffer<std::uint32_t> counters_;  // [0]=changed, [1..2]=relaxations lo/hi

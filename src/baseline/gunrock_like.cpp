@@ -22,9 +22,8 @@ constexpr std::size_t kEdgeTail = 0;
 constexpr std::size_t kVertexTail = 1;
 }  // namespace
 
-GunrockLikeBfs::GunrockLikeBfs(sim::Device& dev, const graph::DeviceCsr& g,
-                               GunrockConfig cfg)
-    : dev_(dev), g_(g), cfg_(cfg) {
+GunrockLikeBfs::GunrockLikeBfs(sim::Device& dev, const graph::DeviceCsr& g)
+    : dev_(dev), g_(g) {
   status_ = dev.alloc<std::uint32_t>(g.n, "gunrock.status");
   vertex_frontier_a_ = dev.alloc<vid_t>(g.n, "gunrock.frontier_a");
   // Duplicates can push the compacted frontier past |V|; Gunrock sizes
@@ -42,7 +41,7 @@ core::BfsResult GunrockLikeBfs::run(vid_t src) {
   const std::size_t prof_start = dev_.profiler().records().size();
   core::BfsResult result;
 
-  core::launch_init_status(dev_, s, status_.span(), cfg_.block_threads);
+  core::launch_init_status(dev_, s, status_.span(), core::kBlockThreads);
 
   // Seed the frontier.
   {
@@ -90,13 +89,7 @@ core::BfsResult GunrockLikeBfs::run(vid_t src) {
     // --- advance: gather all neighbors of the frontier into the edge
     // frontier; a cheap visited pre-check drops some but races leave dupes.
     const std::uint32_t fsize = frontier_size;
-    sim::LaunchConfig ac;
-    ac.block_threads = cfg_.block_threads;
-    ac.grid_blocks =
-        cfg_.grid_blocks != 0
-            ? cfg_.grid_blocks
-            : core::auto_grid_blocks(dev_.profile(), fsize,
-                                     cfg_.block_threads);
+    const sim::LaunchConfig ac = core::full_width_launch(dev_.profile(), fsize);
     dev_.launch(s, "gunrock_advance", ac, [=](sim::BlockCtx& blk) {
       auto& ctx = blk.ctx();
       blk.wavefronts([&](sim::WavefrontCtx& wf, unsigned) {
@@ -132,14 +125,8 @@ core::BfsResult GunrockLikeBfs::run(vid_t src) {
 
     // --- filter: claim unvisited entries, compact into the vertex frontier.
     const std::uint32_t next_level = level + 1;
-    sim::LaunchConfig fc;
-    fc.block_threads = cfg_.block_threads;
-    fc.grid_blocks =
-        cfg_.grid_blocks != 0
-            ? cfg_.grid_blocks
-            : core::auto_grid_blocks(
-                  dev_.profile(), std::max<std::uint32_t>(edge_count, 1),
-                  cfg_.block_threads);
+    const sim::LaunchConfig fc =
+        core::full_width_launch(dev_.profile(), edge_count);
     dev_.launch(s, "gunrock_filter", fc, [=](sim::BlockCtx& blk) {
       auto& ctx = blk.ctx();
       blk.wavefronts([&](sim::WavefrontCtx& wf, unsigned) {

@@ -17,17 +17,11 @@
 
 namespace xbfs::baseline {
 
-struct GunrockConfig {
-  unsigned block_threads = 256;
-  unsigned grid_blocks = 0;  ///< 0 = auto
-};
-
 class GunrockLikeBfs final : public core::TraversalEngine {
  public:
   /// Allocates the O(|E|) edge-frontier buffers up front (the space cost
   /// the paper calls out).
-  GunrockLikeBfs(sim::Device& dev, const graph::DeviceCsr& g,
-                 GunrockConfig cfg = {});
+  GunrockLikeBfs(sim::Device& dev, const graph::DeviceCsr& g);
 
   core::BfsResult run(graph::vid_t src) override;
 
@@ -39,7 +33,6 @@ class GunrockLikeBfs final : public core::TraversalEngine {
  private:
   sim::Device& dev_;
   const graph::DeviceCsr& g_;
-  GunrockConfig cfg_;
   sim::DeviceBuffer<std::uint32_t> status_;
   sim::DeviceBuffer<graph::vid_t> vertex_frontier_a_;
   sim::DeviceBuffer<graph::vid_t> vertex_frontier_b_;

@@ -8,7 +8,6 @@
 
 namespace xbfs::baseline {
 
-using core::auto_grid_blocks;
 using core::kUnvisited;
 using graph::eid_t;
 using graph::vid_t;
@@ -34,7 +33,7 @@ core::BfsResult HierQueueBfs::run(vid_t src) {
   auto cols = g_.cols_span();
   const eid_t* offsets_host = g_.offsets.host_data();
 
-  core::launch_init_status(dev_, s, status, cfg_.block_threads);
+  core::launch_init_status(dev_, s, status, core::kBlockThreads);
   {
     auto frontier = frontier_a_.span();
     sim::LaunchConfig lc{.grid_blocks = 1, .block_threads = 64};
@@ -68,10 +67,7 @@ core::BfsResult HierQueueBfs::run(vid_t src) {
     const std::uint32_t fsize = frontier_size;
     const std::uint32_t next_level = level + 1;
 
-    sim::LaunchConfig ec;
-    ec.block_threads = cfg_.block_threads;
-    ec.grid_blocks =
-        auto_grid_blocks(dev_.profile(), fsize, cfg_.block_threads);
+    const sim::LaunchConfig ec = core::full_width_launch(dev_.profile(), fsize);
     dev_.launch(s, "hq_expand", ec, [=](sim::BlockCtx& blk) {
       auto& ctx = blk.ctx();
       // Block-local queue in LDS; overflow goes straight to the global

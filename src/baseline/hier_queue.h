@@ -16,7 +16,6 @@
 namespace xbfs::baseline {
 
 struct HierQueueConfig {
-  unsigned block_threads = 256;
   unsigned block_queue_capacity = 1024;  ///< LDS entries per block
 };
 

@@ -12,9 +12,8 @@ using core::kUnvisited;
 using graph::eid_t;
 using graph::vid_t;
 
-SimpleScanBfs::SimpleScanBfs(sim::Device& dev, const graph::DeviceCsr& g,
-                             SimpleScanConfig cfg)
-    : dev_(dev), g_(g), cfg_(cfg) {
+SimpleScanBfs::SimpleScanBfs(sim::Device& dev, const graph::DeviceCsr& g)
+    : dev_(dev), g_(g) {
   status_ = dev.alloc<std::uint32_t>(g.n, "scan.status");
   counters_ = dev.alloc<std::uint32_t>(1, "scan.counters");
 }
@@ -25,7 +24,7 @@ core::BfsResult SimpleScanBfs::run(vid_t src) {
   const std::size_t prof_start = dev_.profiler().records().size();
   core::BfsResult result;
 
-  core::launch_init_status(dev_, s, status_.span(), cfg_.block_threads);
+  core::launch_init_status(dev_, s, status_.span(), core::kBlockThreads);
   {
     auto status = status_.span();
     sim::LaunchConfig lc{.grid_blocks = 1, .block_threads = 64};
@@ -55,12 +54,7 @@ core::BfsResult SimpleScanBfs::run(vid_t src) {
     });
 
     const std::uint32_t next_level = level + 1;
-    sim::LaunchConfig lc;
-    lc.block_threads = cfg_.block_threads;
-    lc.grid_blocks = cfg_.grid_blocks != 0
-                         ? cfg_.grid_blocks
-                         : core::auto_grid_blocks(dev_.profile(), n,
-                                                  cfg_.block_threads);
+    const sim::LaunchConfig lc = core::full_width_launch(dev_.profile(), n);
     dev_.launch(s, "scanbfs_scan_expand", lc, [=](sim::BlockCtx& blk) {
       auto& ctx = blk.ctx();
       // The whole scan races on status by design: pre-check loads vs the

@@ -13,15 +13,9 @@
 
 namespace xbfs::baseline {
 
-struct SimpleScanConfig {
-  unsigned block_threads = 256;
-  unsigned grid_blocks = 0;
-};
-
 class SimpleScanBfs final : public core::TraversalEngine {
  public:
-  SimpleScanBfs(sim::Device& dev, const graph::DeviceCsr& g,
-                SimpleScanConfig cfg = {});
+  SimpleScanBfs(sim::Device& dev, const graph::DeviceCsr& g);
 
   core::BfsResult run(graph::vid_t src) override;
 
@@ -33,7 +27,6 @@ class SimpleScanBfs final : public core::TraversalEngine {
  private:
   sim::Device& dev_;
   const graph::DeviceCsr& g_;
-  SimpleScanConfig cfg_;
   sim::DeviceBuffer<std::uint32_t> status_;
   sim::DeviceBuffer<std::uint32_t> counters_;  // [0] = newly visited
 };

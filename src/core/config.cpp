@@ -11,19 +11,8 @@ Status XbfsConfig::validate() const {
         "alpha must be positive and finite (adaptive range (0,1); > 1 "
         "disables bottom-up), got " + std::to_string(alpha));
   }
-  if (!(growth_threshold > 0.0) || !std::isfinite(growth_threshold)) {
-    return Status::Invalid("growth_threshold must be positive and finite, "
-                           "got " + std::to_string(growth_threshold));
-  }
   if (block_threads < 1) {
     return Status::Invalid("block_threads must be >= 1");
-  }
-  if (stream_mode == StreamMode::TripleBinned &&
-      medium_min_degree >= large_min_degree) {
-    return Status::Invalid(
-        "TripleBinned bin edges must satisfy medium_min_degree < "
-        "large_min_degree, got " + std::to_string(medium_min_degree) +
-        " >= " + std::to_string(large_min_degree));
   }
   if (!(bottomup_spill_factor > 0.0) || !std::isfinite(bottomup_spill_factor)) {
     return Status::Invalid("bottomup_spill_factor must be positive and "

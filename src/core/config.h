@@ -1,9 +1,15 @@
-// Tuning parameters of the XBFS runner.  Every knob the paper reports
-// tuning or ablating is here so benches can sweep them.
+// Tuning parameters of the XBFS runner: every knob the paper tunes or
+// ablates (alpha, NFG, look-ahead, bitmap probing, balancing and stream
+// mode, the spill factor), so benches can sweep them, plus the launch
+// geometry toy-scale tests shrink.  Design constants the paper fixes live
+// beside the code that reads them: kBlockThreads (core/status.h), the
+// growth threshold (core/policy.cpp) and the degree bins
+// (core/kernels_topdown.h).
 #pragma once
 
 #include <cstdint>
 
+#include "core/status.h"
 #include "core/status_code.h"
 
 namespace xbfs::core {
@@ -35,8 +41,6 @@ struct XbfsConfig {
   // --- adaptive policy -----------------------------------------------------
   /// Bottom-up threshold on ratio = (frontier edges)/|E| (paper: 0.1).
   double alpha = 0.1;
-  /// Frontier-count growth rate above which single-scan replaces scan-free.
-  double growth_threshold = 8.0;
   /// Skip queue generation when the previous strategy produced the queue
   /// (the "No Frontier Generation" single-scan variant).
   bool enable_nfg = true;
@@ -54,8 +58,6 @@ struct XbfsConfig {
 
   // --- workload balancing --------------------------------------------------
   Balancing topdown_balancing = Balancing::DegreeBinned;
-  /// Degree at or below which DegreeBinned uses a single lane per vertex.
-  unsigned small_degree_threshold = 16;
   /// Use wavefront-centric gather in the bottom-up expansion.  The paper
   /// found this *hurts* on 64-wide AMD wavefronts (early termination idles
   /// lanes); default off.
@@ -63,13 +65,9 @@ struct XbfsConfig {
 
   // --- streams -------------------------------------------------------------
   StreamMode stream_mode = StreamMode::Single;
-  /// TripleBinned bin edges: degree < medium_min -> small bin,
-  /// degree < large_min -> medium bin, else large bin.
-  unsigned medium_min_degree = 64;
-  unsigned large_min_degree = 4096;
 
   // --- launch geometry -----------------------------------------------------
-  unsigned block_threads = 256;
+  unsigned block_threads = kBlockThreads;
   /// 0 = auto: enough blocks to fill the CUs a few times over.
   unsigned grid_blocks = 0;
   /// Status-array segment length for the bottom-up count/queue-gen kernels;
@@ -99,8 +97,7 @@ struct XbfsConfig {
   /// Reject nonsense configurations with a diagnostic instead of letting
   /// them silently misbehave.  Checked: alpha > 0 and finite (the adaptive
   /// range is (0,1); values above 1 are the documented "disable bottom-up"
-  /// idiom and stay valid), growth_threshold > 0 and finite,
-  /// block_threads >= 1, TripleBinned bin edges ordered, positive finite
+  /// idiom and stay valid), block_threads >= 1, positive finite
   /// bottomup_spill_factor and dyn_compact_threshold.  Called by the Xbfs
   /// constructor (so also by dyn::IncrementalBfs) and serve::Server
   /// startup.

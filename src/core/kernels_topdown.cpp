@@ -180,8 +180,7 @@ void gather_wavefront_centric(sim::ExecCtx& ctx, const TopDownArgs& a,
 template <bool kCas, bool kEnqueue>
 void expand_kernel_body(sim::BlockCtx& blk, const TopDownArgs& a,
                         sim::dspan<const vid_t> queue,
-                        std::uint32_t queue_size, Balancing balancing,
-                        unsigned small_threshold) {
+                        std::uint32_t queue_size, Balancing balancing) {
   auto& ctx = blk.ctx();
   blk.wavefronts([&](sim::WavefrontCtx& wf, unsigned) {
     const unsigned W = wf.size();
@@ -202,7 +201,7 @@ void expand_kernel_body(sim::BlockCtx& blk, const TopDownArgs& a,
           for (unsigned l = 0; l < W; ++l) {
             const std::uint64_t bit = std::uint64_t{1} << l;
             if (!(c.valid & bit)) continue;
-            (c.row[l].len() <= small_threshold ? small : coop) |= bit;
+            (c.row[l].len() <= kSmallDegreeThreshold ? small : coop) |= bit;
           }
           break;
       }
@@ -233,10 +232,9 @@ sim::LaunchResult launch_scanfree_expand(sim::Device& dev, sim::LaunchTarget on,
                                          const XbfsConfig& cfg) {
   const sim::LaunchConfig lc = expand_launch_config(dev, a.queue_size, cfg);
   const Balancing bal = cfg.topdown_balancing;
-  const unsigned thr = cfg.small_degree_threshold;
   return dev.launch(on, "xbfs_scanfree_expand", lc, [=](sim::BlockCtx& blk) {
     zero_counter_set(blk, a.next_counters);
-    expand_kernel_body<true, true>(blk, a, a.queue, a.queue_size, bal, thr);
+    expand_kernel_body<true, true>(blk, a, a.queue, a.queue_size, bal);
   });
 }
 
@@ -245,13 +243,12 @@ sim::LaunchResult launch_singlescan_expand(sim::Device& dev, sim::LaunchTarget o
                                            const XbfsConfig& cfg) {
   const sim::LaunchConfig lc = expand_launch_config(dev, a.queue_size, cfg);
   const Balancing bal = cfg.topdown_balancing;
-  const unsigned thr = cfg.small_degree_threshold;
   return dev.launch(on, "xbfs_singlescan_expand", lc, [=](sim::BlockCtx& blk) {
     zero_counter_set(blk, a.next_counters);
     const std::uint32_t size = a.queue_size_on_device
                                    ? blk.ctx().load(a.counters, kCurTail)
                                    : a.queue_size;
-    expand_kernel_body<false, false>(blk, a, a.queue, size, bal, thr);
+    expand_kernel_body<false, false>(blk, a, a.queue, size, bal);
   });
 }
 
@@ -309,8 +306,6 @@ sim::LaunchResult launch_classify_bins(sim::Device& dev, sim::LaunchTarget on,
                                        sim::dspan<graph::vid_t> bin_large,
                                        const XbfsConfig& cfg) {
   const sim::LaunchConfig lc = expand_launch_config(dev, a.queue_size, cfg);
-  const std::uint32_t med_min = cfg.medium_min_degree;
-  const std::uint32_t large_min = cfg.large_min_degree;
   return dev.launch(on, "xbfs_classify_bins", lc, [=](sim::BlockCtx& blk) {
     zero_counter_set(blk, a.next_counters);
     auto& ctx = blk.ctx();
@@ -325,9 +320,9 @@ sim::LaunchResult launch_classify_bins(sim::Device& dev, sim::LaunchTarget on,
         for (unsigned l = 0; l < W; ++l) {
           const std::uint64_t bit = std::uint64_t{1} << l;
           if (!(c.valid & bit)) continue;
-          if (c.row[l].len() < med_min) {
+          if (c.row[l].len() < kMediumMinDegree) {
             sm |= bit;
-          } else if (c.row[l].len() < large_min) {
+          } else if (c.row[l].len() < kLargeMinDegree) {
             md |= bit;
           } else {
             lg |= bit;
@@ -362,9 +357,8 @@ sim::LaunchResult launch_scanfree_expand_bin(sim::Device& dev, sim::LaunchTarget
                                              const char* kernel_name,
                                              const XbfsConfig& cfg) {
   const sim::LaunchConfig lc = expand_launch_config(dev, bin_size, cfg);
-  const unsigned thr = cfg.small_degree_threshold;
   return dev.launch(on, kernel_name, lc, [=](sim::BlockCtx& blk) {
-    expand_kernel_body<true, true>(blk, a, bin, bin_size, balancing, thr);
+    expand_kernel_body<true, true>(blk, a, bin, bin_size, balancing);
   });
 }
 

@@ -13,6 +13,14 @@
 
 namespace xbfs::core {
 
+/// Balancing::DegreeBinned: a frontier vertex of degree at or below this
+/// gathers on one lane, a larger one on a whole wavefront.
+inline constexpr unsigned kSmallDegreeThreshold = 16;
+/// StreamMode::TripleBinned bin edges: degree < kMediumMinDegree -> small
+/// bin, degree < kLargeMinDegree -> medium bin, else large bin.
+inline constexpr unsigned kMediumMinDegree = 64;
+inline constexpr unsigned kLargeMinDegree = 4096;
+
 /// Everything a top-down expansion kernel touches.
 struct TopDownArgs {
   /// The graph: base rows skip kTombstone entries, then the overlay row.

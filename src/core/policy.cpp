@@ -2,6 +2,13 @@
 
 namespace xbfs::core {
 
+namespace {
+
+/// Frontier-count growth rate above which single-scan replaces scan-free.
+constexpr double kGrowthThreshold = 8.0;
+
+}  // namespace
+
 LevelDecision AdaptivePolicy::decide(const LevelInputs& in) const {
   LevelDecision d;
   d.ratio = frontier_ratio(in.frontier_edges, in.total_edges);
@@ -42,7 +49,7 @@ LevelDecision AdaptivePolicy::decide(const LevelInputs& in) const {
           ? static_cast<double>(in.frontier_count) /
                 static_cast<double>(in.prev_frontier_count)
           : 1.0;
-  if (growth > cfg_.growth_threshold) {
+  if (growth > kGrowthThreshold) {
     // Rapidly growing frontier: scan-free's CAS + duplicate-enqueue costs
     // scale with the expansion; the single scan amortizes better.
     d.strategy = Strategy::SingleScan;

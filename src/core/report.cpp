@@ -49,8 +49,6 @@ obs::RunRecord to_run_record(const BfsResult& r, std::string tool,
 
   if (cfg != nullptr) {
     rec.config.emplace_back("alpha", std::to_string(cfg->alpha));
-    rec.config.emplace_back("growth_threshold",
-                            std::to_string(cfg->growth_threshold));
     rec.config.emplace_back("enable_nfg", cfg->enable_nfg ? "true" : "false");
     rec.config.emplace_back("enable_lookahead",
                             cfg->enable_lookahead ? "true" : "false");

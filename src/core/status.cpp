@@ -32,6 +32,12 @@ unsigned max_grid_blocks(const sim::DeviceProfile& profile,
   return profile.num_cus * std::max(1u, waves_per_cu);
 }
 
+sim::LaunchConfig full_width_launch(const sim::DeviceProfile& profile,
+                                    std::uint64_t work) {
+  return {.grid_blocks = auto_grid_blocks(profile, work, kBlockThreads),
+          .block_threads = kBlockThreads};
+}
+
 void launch_init_status(sim::Device& dev, sim::LaunchTarget on,
                         sim::dspan<std::uint32_t> status,
                         unsigned block_threads) {

@@ -16,6 +16,10 @@ inline constexpr std::uint8_t kUnvisited8 = 0xFF;
 /// Sentinel parent for unreached vertices / the source.
 inline constexpr graph::vid_t kNoParent = static_cast<graph::vid_t>(-1);
 
+/// Threads per block of every engine's full-width kernels, and the
+/// default of XbfsConfig::block_threads.
+inline constexpr unsigned kBlockThreads = 256;
+
 /// Launch geometry helper: blocks needed to give each of `work` items one
 /// thread, capped at max_grid_blocks.
 unsigned auto_grid_blocks(const sim::DeviceProfile& profile,
@@ -26,6 +30,11 @@ unsigned auto_grid_blocks(const sim::DeviceProfile& profile,
 /// also the resident grid of Xbfs's cooperative launch, so every phase fits.
 unsigned max_grid_blocks(const sim::DeviceProfile& profile,
                          unsigned waves_per_cu = 8);
+
+/// Launch shape of a grid-stride kernel over `work` items: kBlockThreads
+/// per block, auto_grid_blocks blocks.
+sim::LaunchConfig full_width_launch(const sim::DeviceProfile& profile,
+                                    std::uint64_t work);
 
 /// Kernel: fill the status array with kUnvisited (O(|V|) stores).
 void launch_init_status(sim::Device& dev, sim::LaunchTarget on,

@@ -9,9 +9,8 @@
 //   5. the root's parent is itself and no unreached vertex has a parent.
 //
 // Used by examples/graph500_runner and the test suite.  The levels
-// validator below is the one BFS level oracle: graph::validate_bfs_levels
-// (reference.h) forwards to it, and the serving paths call it on a Csr or
-// a dyn::DeltaCsr.
+// validator below is the one BFS level oracle; the serving paths call it
+// on a Csr or a dyn::DeltaCsr.
 #pragma once
 
 #include <sstream>

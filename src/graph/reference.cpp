@@ -24,11 +24,6 @@ std::vector<vid_t> largest_component_vertices(const Csr& g) {
   return out;
 }
 
-std::string validate_bfs_levels(const Csr& g, vid_t src,
-                                const std::vector<std::int32_t>& levels) {
-  return validate_levels_graph500(g, src, levels);
-}
-
 std::string validate_bfs_parents(const Csr& g, vid_t src,
                                  const std::vector<std::int32_t>& levels,
                                  const std::vector<vid_t>& parent) {

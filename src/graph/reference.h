@@ -95,12 +95,6 @@ std::vector<vid_t> connected_components(const G& g, vid_t* n_components) {
 /// sources from this set so every run traverses the bulk of the graph.
 std::vector<vid_t> largest_component_vertices(const Csr& g);
 
-/// Validate a BFS level assignment: graph::validate_levels_graph500
-/// (g500_validate.h), the complete level oracle, under its older name.
-/// Returns empty string if valid, else a diagnostic.
-std::string validate_bfs_levels(const Csr& g, vid_t src,
-                                const std::vector<std::int32_t>& levels);
-
 /// Validate a parent array against a level assignment: parent edges must
 /// exist and span exactly one level.
 std::string validate_bfs_parents(const Csr& g, vid_t src,

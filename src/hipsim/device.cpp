@@ -21,7 +21,7 @@ std::atomic<int> g_next_trace_pid{1};
 
 Device::Device(DeviceProfile profile, SimOptions options)
     : profile_(std::move(profile)), options_(options) {
-  l2_ = std::make_unique<L2Model>(profile_, options_.l2_shards);
+  l2_ = std::make_unique<L2Model>(profile_, L2Model::kShards);
   pool_ = std::make_unique<ThreadPool>(options_.num_workers);
   worker_shmem_.reserve(pool_->size());
   for (unsigned i = 0; i < pool_->size(); ++i) {

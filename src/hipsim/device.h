@@ -28,8 +28,6 @@ struct SimOptions {
   /// Worker threads executing simulated blocks.  1 gives bit-exact,
   /// sequential "deterministic profile mode"; 0 = hardware concurrency.
   unsigned num_workers = 0;
-  /// Address-sharded L2 slices (power of two taken).
-  unsigned l2_shards = 64;
   /// LDS arena per worker (shared memory per simulated block).
   std::size_t lds_bytes = 64 * 1024;
   /// Record per-launch profiler rows.

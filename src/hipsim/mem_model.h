@@ -70,6 +70,10 @@ class CacheShard {
 /// The full L2 model: shards + spinlocks.
 class L2Model {
  public:
+  /// Address-sharded slices of a Device's L2.
+  static constexpr unsigned kShards = 64;
+
+  /// `n_shards` is rounded down to a power of two.
   explicit L2Model(const DeviceProfile& profile, unsigned n_shards);
 
   /// Probe the model for an access of `bytes` payload bytes at device

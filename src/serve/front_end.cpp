@@ -15,6 +15,9 @@ namespace xbfs::serve {
 
 namespace {
 
+/// Independent LRU shards of the result cache (lock striping).
+constexpr unsigned kCacheShards = 8;
+
 /// The per-lane window burn rates, comma-separated (summary slo_gcd_burns).
 std::string slo_lane_burns(const obs::SloSnapshot& slo) {
   std::string out;
@@ -40,9 +43,6 @@ xbfs::Status FrontEndConfig::validate() const {
   if (queue_capacity < 1) {
     return xbfs::Status::Invalid("queue_capacity must be >= 1");
   }
-  if (cache_shards < 1) {
-    return xbfs::Status::Invalid("cache_shards must be >= 1");
-  }
   if (max_attempts < 1) {
     return xbfs::Status::Invalid("max_attempts must be >= 1");
   }
@@ -60,7 +60,7 @@ xbfs::Status FrontEndConfig::validate() const {
 
 FrontEnd::FrontEnd(const FrontEndConfig& cfg, const Shape& shape)
     : queue_(cfg.queue_capacity, shape.qos_weights),
-      cache_(cfg.cache_capacity, cfg.cache_shards),
+      cache_(cfg.cache_capacity, kCacheShards),
       health_(shape.lanes, BreakerConfig{cfg.breaker_failure_threshold,
                                          cfg.breaker_cooldown_ms}),
       fcfg_(cfg),

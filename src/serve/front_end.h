@@ -76,7 +76,6 @@ struct FrontEndConfig {
   std::size_t queue_capacity;
   /// Result-cache entries across all shards; 0 disables caching.
   std::size_t cache_capacity;
-  unsigned cache_shards = 8;
   /// Deadline applied to queries that don't set their own (ms from
   /// enqueue); non-positive = none (resolve_deadline_us).
   double default_timeout_ms = -1.0;

@@ -35,8 +35,7 @@ namespace xbfs::serve {
 
 /// The parameter-hash salt BFS entries are keyed under (BFS ignores
 /// AlgoParams, so submit paths normalize them to the default before
-/// hashing).  The two-argument get/put overloads — the pre-redesign API,
-/// still what the BFS-only ShardRouter uses — key through this.
+/// hashing).
 inline std::uint64_t bfs_params_hash() {
   static const std::uint64_t h = core::AlgoParams{}.hash();
   return h;
@@ -81,16 +80,6 @@ class ResultCache {
   /// the shard is full.
   void put(std::uint64_t graph_fp, core::AlgoKind algo,
            std::uint64_t params_hash, graph::vid_t source, CachedResult v);
-
-  /// BFS convenience overloads (kind Bfs, default-params salt) — the
-  /// pre-redesign two-key API, kept for BFS-only callers (ShardRouter).
-  CachedResult get(std::uint64_t graph_fp, graph::vid_t source) {
-    return get(graph_fp, core::AlgoKind::Bfs, bfs_params_hash(), source);
-  }
-  void put(std::uint64_t graph_fp, graph::vid_t source, CachedResult v) {
-    put(graph_fp, core::AlgoKind::Bfs, bfs_params_hash(), source,
-        std::move(v));
-  }
 
   /// Register the serving fingerprint without counting a bump — called once
   /// at dynamic-server startup so the first epoch_bump() has a "previous"

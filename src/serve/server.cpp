@@ -21,6 +21,12 @@ namespace xbfs::serve {
 
 namespace {
 
+/// Each GCD's simulator: one worker thread (deterministic profile mode;
+/// serving parallelism comes from num_gcds) and no per-launch profiler
+/// rows (a long-running server would grow the row list without bound).
+constexpr sim::SimOptions kGcdDeviceOptions{.num_workers = 1,
+                                            .profiling = false};
+
 /// Canonicalize a query so equivalent requests dedup and share cache
 /// entries: whole-graph kinds pin source 0, and params irrelevant to the
 /// kind are zeroed so they cannot split the params-hash.
@@ -118,9 +124,6 @@ obs::RungAttribution make_rung(const sim::AttributionSink& sink,
 xbfs::Status ServeConfig::validate() const {
   if (const xbfs::Status s = FrontEndConfig::validate(); !s.ok()) return s;
   if (num_gcds < 1) return xbfs::Status::Invalid("num_gcds must be >= 1");
-  if (device_workers < 1) {
-    return xbfs::Status::Invalid("device_workers must be >= 1");
-  }
   if (max_batch < 1 || max_batch > algos::kMaxConcurrentSources) {
     return xbfs::Status::Invalid(
         "max_batch must be in [1, " +
@@ -236,8 +239,7 @@ Server::Server(const graph::Csr* g, dyn::GraphStore* store, ServeConfig cfg)
     auto gcd = std::make_unique<Gcd>();
     gcd->dev = std::make_unique<sim::Device>(
         cfg_.profile,
-        sim::SimOptions{.num_workers = cfg_.device_workers,
-                        .profiling = cfg_.device_profiling});
+        kGcdDeviceOptions);
     gcd->dev->set_trace_label("GCD " + std::to_string(i));
     gcd->dev->warmup();
     if (store_) {

@@ -64,9 +64,6 @@ struct ServeConfig : FrontEndConfig {
 
   /// Simulated GCDs served concurrently (one worker thread drives each).
   unsigned num_gcds = 1;
-  /// Simulator worker threads inside each GCD (1 = deterministic profile
-  /// mode; serving parallelism comes from num_gcds).
-  unsigned device_workers = 1;
   /// Sources per bit-parallel sweep; clamped to [1, 64].
   unsigned max_batch = 64;
   /// Cost-aware dispatch: batches narrower than this run as per-source
@@ -80,9 +77,6 @@ struct ServeConfig : FrontEndConfig {
   /// How long the scheduler waits for the backlog to fill a full cycle
   /// before dispatching what is there (0 = dispatch immediately).
   double batch_window_ms = 1.0;
-  /// Per-launch profiler rows on the worker devices (off: a long-running
-  /// server would grow the row list without bound).
-  bool device_profiling = false;
   /// Per-worker traversal configuration.  report_runs is forced off — the
   /// server emits one summary record instead of one record per query.
   core::XbfsConfig xbfs;

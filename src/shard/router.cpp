@@ -229,7 +229,8 @@ void ShardRouter::process_query(serve::PendingQuery&& p,
           std::move(sw.levels));
       payload.depth = sw.depth;
       if (publish && cache_.enabled()) {
-        cache_.put(fingerprint(), p.source, payload);
+        cache_.put(fingerprint(), core::AlgoKind::Bfs, p.phash, p.source,
+                   payload);
         if (log) {
           log->event(complete_us, "cache_publish",
                      "fp=" + std::to_string(fingerprint()));

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/status.h"  // kUnvisited, auto_grid_blocks
+#include "core/status.h"  // kUnvisited, full_width_launch
 #include "core/xbfs.h"    // safe_gteps
 #include "hipsim/grid.h"
 #include "obs/json_writer.h"
@@ -37,20 +37,9 @@ WordRange owned_words(const dist::LocalRows& rows) {
 /// blocks may still be reading level k's pair for that decision.
 std::size_t claims_word(std::uint32_t level) { return 2 * (level & 1); }
 
-/// Grid-stride launch shape covering `items` (at least one block).
-sim::LaunchConfig grid_for(const sim::Device& dev, std::uint64_t items,
-                           unsigned block_threads) {
-  sim::LaunchConfig lc;
-  lc.block_threads = block_threads;
-  lc.grid_blocks = core::auto_grid_blocks(
-      dev.profile(), std::max<std::uint64_t>(items, 1), block_threads);
-  return lc;
-}
-
 /// Status slice all unvisited except the source; frontier = {src}; the
 /// claimed-degree sum zeroed for level 0.
-void launch_init(sim::LaunchTarget on, Replica& g, vid_t src,
-                 unsigned block_threads) {
+void launch_init(sim::LaunchTarget on, Replica& g, vid_t src) {
   sim::Device& dev = *g.device;
   auto status = g.status.span();
   auto cur = g.cur_bm.span();
@@ -59,7 +48,7 @@ void launch_init(sim::LaunchTarget on, Replica& g, vid_t src,
   const vid_t rows = g.rows->num_rows;
   const vid_t first = g.rows->first_vertex;
   const bool is_owner = src >= first && src - first < rows;
-  dev.launch(on, "shard_init", grid_for(dev, rows, block_threads),
+  dev.launch(on, "shard_init", core::full_width_launch(dev.profile(), rows),
              [=](sim::BlockCtx& blk) {
                auto& ctx = blk.ctx();
                blk.grid_stride(rows, [&](std::uint64_t r) {
@@ -80,7 +69,7 @@ void launch_init(sim::LaunchTarget on, Replica& g, vid_t src,
 /// setting candidate bits in next_bm.  Scanning the owned words in the
 /// expand kernel itself needs no frontier queue, so no launch or host
 /// readback sizes one.
-void run_topdown(sim::LaunchTarget on, Replica& g, unsigned block_threads) {
+void run_topdown(sim::LaunchTarget on, Replica& g) {
   sim::Device& dev = *g.device;
   auto cur = g.cur_bm.cspan();
   auto next = g.next_bm.span();
@@ -90,7 +79,7 @@ void run_topdown(sim::LaunchTarget on, Replica& g, unsigned block_threads) {
   const vid_t rows = g.rows->num_rows;
   const WordRange wr = owned_words(*g.rows);
   dev.launch(on, "shard_topdown_expand",
-             grid_for(dev, wr.size(), block_threads),
+             core::full_width_launch(dev.profile(), wr.size()),
              [=](sim::BlockCtx& blk) {
     auto& ctx = blk.ctx();
     blk.grid_stride(wr.size(), [&](std::uint64_t wi) {
@@ -122,8 +111,7 @@ void run_topdown(sim::LaunchTarget on, Replica& g, unsigned block_threads) {
 
 /// Owners claim the unvisited candidates of their merged slice, clearing
 /// every other bit so the slice is ready to broadcast.
-void run_claim(sim::LaunchTarget on, Replica& g, std::uint32_t next_level,
-               unsigned block_threads) {
+void run_claim(sim::LaunchTarget on, Replica& g, std::uint32_t next_level) {
   sim::Device& dev = *g.device;
   auto claims = g.claims.span();
   const std::size_t slot = claims_word(next_level - 1);
@@ -133,7 +121,8 @@ void run_claim(sim::LaunchTarget on, Replica& g, std::uint32_t next_level,
   const vid_t first = g.rows->first_vertex;
   const vid_t rows = g.rows->num_rows;
   const WordRange wr = owned_words(*g.rows);
-  dev.launch(on, "shard_claim", grid_for(dev, wr.size(), block_threads),
+  dev.launch(on, "shard_claim",
+             core::full_width_launch(dev.profile(), wr.size()),
              [=](sim::BlockCtx& blk) {
     auto& ctx = blk.ctx();
     blk.grid_stride(wr.size(), [&](std::uint64_t wi) {
@@ -167,8 +156,7 @@ void run_claim(sim::LaunchTarget on, Replica& g, std::uint32_t next_level,
 
 /// Owned unvisited vertices probe the global frontier, claiming themselves
 /// on the first hit (already owner-clean: no candidate exchange needed).
-void run_bottomup(sim::LaunchTarget on, Replica& g, std::uint32_t next_level,
-                  unsigned block_threads) {
+void run_bottomup(sim::LaunchTarget on, Replica& g, std::uint32_t next_level) {
   sim::Device& dev = *g.device;
   auto claims = g.claims.span();
   const std::size_t slot = claims_word(next_level - 1);
@@ -180,7 +168,8 @@ void run_bottomup(sim::LaunchTarget on, Replica& g, std::uint32_t next_level,
   const vid_t first = g.rows->first_vertex;
   const vid_t rows = g.rows->num_rows;
 
-  dev.launch(on, "shard_bottomup", grid_for(dev, rows, block_threads),
+  dev.launch(on, "shard_bottomup",
+             core::full_width_launch(dev.profile(), rows),
              [=](sim::BlockCtx& blk) {
     auto& ctx = blk.ctx();
     blk.grid_stride(rows, [&](std::uint64_t r) {
@@ -211,12 +200,13 @@ void run_bottomup(sim::LaunchTarget on, Replica& g, std::uint32_t next_level,
 /// Clear the new candidate map and level `next_level`'s claimed-degree sum
 /// between levels.
 void launch_clear(sim::LaunchTarget on, Replica& g, std::size_t words,
-                  std::uint32_t next_level, unsigned block_threads) {
+                  std::uint32_t next_level) {
   sim::Device& dev = *g.device;
   auto next = g.next_bm.span();
   auto claims = g.claims.span();
   const std::size_t slot = claims_word(next_level);
-  dev.launch(on, "shard_clear_bitmap", grid_for(dev, words, block_threads),
+  dev.launch(on, "shard_clear_bitmap",
+             core::full_width_launch(dev.profile(), words),
              [=](sim::BlockCtx& blk) {
                auto& ctx = blk.ctx();
                blk.grid_stride(next.size(), [&](std::uint64_t w) {
@@ -340,7 +330,6 @@ ShardSweepResult ShardSweep::run(vid_t src, const std::vector<int>& plan) {
         "ShardSweep: source " + std::to_string(src) + " out of range for " +
         std::to_string(host_g.num_vertices()) + " vertices");
   }
-  const unsigned block_threads = store_.config().block_threads;
   // The live replicas in shard order; each keeps a grid resident that fits
   // every phase of the sweep.
   std::vector<Replica*> live;
@@ -357,9 +346,9 @@ ShardSweepResult ShardSweep::run(vid_t src, const std::vector<int>& plan) {
     live_shard.push_back(s);
     members.push_back(
         {g.device.get(), &g.device->stream(0),
-         grid_for(*g.device,
-                  std::max<std::uint64_t>(g.rows->num_rows, words_),
-                  block_threads)});
+         core::full_width_launch(
+             g.device->profile(),
+             std::max<std::uint64_t>(g.rows->num_rows, words_))});
     t0_us = std::max(t0_us, g.device->now_us());
   }
   const unsigned src_owner = store_.layout().owner(src);
@@ -400,7 +389,7 @@ ShardSweepResult ShardSweep::run(vid_t src, const std::vector<int>& plan) {
   double comm_total_us = 0;
   const auto program = [&](sim::MultiGridCtx& mg) {
     for (std::size_t i = 0; i < n_live; ++i) {
-      launch_init(mg.grid(i), *live[i], src, block_threads);
+      launch_init(mg.grid(i), *live[i], src);
     }
     for (std::uint32_t level = 0;; ++level) {
       const double ratio =
@@ -415,7 +404,7 @@ ShardSweepResult ShardSweep::run(vid_t src, const std::vector<int>& plan) {
       double comm_us = 0;
       if (bottom_up) {
         for (std::size_t i = 0; i < n_live; ++i) {
-          run_bottomup(mg.grid(i), *live[i], next_level, block_threads);
+          run_bottomup(mg.grid(i), *live[i], next_level);
         }
         comm_us = mg.exchange("exchange:frontier-allgather", [&] {
           const Exchange bx = broadcast_cleaned(live, words_, level);
@@ -425,7 +414,7 @@ ShardSweepResult ShardSweep::run(vid_t src, const std::vector<int>& plan) {
         });
       } else {
         for (std::size_t i = 0; i < n_live; ++i) {
-          run_topdown(mg.grid(i), *live[i], block_threads);
+          run_topdown(mg.grid(i), *live[i]);
         }
         // Flat: the merge is a personalized all-to-all bounded by the
         // busiest device (or an allgather, if cheaper), the broadcast an
@@ -445,7 +434,7 @@ ShardSweepResult ShardSweep::run(vid_t src, const std::vector<int>& plan) {
           return std::min(cand_us, two_cand);
         });
         for (std::size_t i = 0; i < n_live; ++i) {
-          run_claim(mg.grid(i), *live[i], next_level, block_threads);
+          run_claim(mg.grid(i), *live[i], next_level);
         }
         comm_us = merge_us + mg.exchange("exchange:cleaned-allgather", [&] {
           const Exchange bx = broadcast_cleaned(live, words_, level);
@@ -475,8 +464,7 @@ ShardSweepResult ShardSweep::run(vid_t src, const std::vector<int>& plan) {
         // Swap bitmaps and clear the new candidate map on every replica.
         for (std::size_t i = 0; i < n_live; ++i) {
           std::swap(live[i]->cur_bm, live[i]->next_bm);
-          launch_clear(mg.grid(i), *live[i], words_, next_level,
-                       block_threads);
+          launch_clear(mg.grid(i), *live[i], words_, next_level);
         }
       }
 

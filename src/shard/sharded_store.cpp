@@ -13,9 +13,6 @@ using graph::vid_t;
 xbfs::Status ShardStoreConfig::validate() const {
   if (shards < 1) return xbfs::Status::Invalid("shards must be >= 1");
   if (replicas < 1) return xbfs::Status::Invalid("replicas must be >= 1");
-  if (block_threads < 1) {
-    return xbfs::Status::Invalid("block_threads must be >= 1");
-  }
   return xbfs::Status::Ok();
 }
 

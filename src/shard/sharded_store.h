@@ -41,7 +41,6 @@ struct ShardStoreConfig {
   /// XBFS_SHARD_BUDGET_MB from the environment, falling back to the
   /// profile's device_mem_bytes (64 GB for an MI250X GCD).
   std::uint64_t device_budget_bytes = 0;
-  unsigned block_threads = 256;
   dist::FabricModel fabric = dist::FabricModel::frontier();
   sim::DeviceProfile profile = sim::DeviceProfile::mi250x_gcd();
   sim::SimOptions device_options = {};

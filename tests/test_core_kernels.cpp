@@ -441,16 +441,16 @@ TEST_F(KernelFixture, ClassifyBinsPartitionsQueueByDegree) {
   EXPECT_EQ(ns + nm + nl, frontier.size());
   for (std::uint32_t i = 0; i < ns; ++i) {
     EXPECT_LT(host.degree(buffers.bin_small.host_data()[i]),
-              cfg.medium_min_degree);
+              kMediumMinDegree);
   }
   for (std::uint32_t i = 0; i < nm; ++i) {
     const vid_t v = buffers.bin_medium.host_data()[i];
-    EXPECT_GE(host.degree(v), cfg.medium_min_degree);
-    EXPECT_LT(host.degree(v), cfg.large_min_degree);
+    EXPECT_GE(host.degree(v), kMediumMinDegree);
+    EXPECT_LT(host.degree(v), kLargeMinDegree);
   }
   for (std::uint32_t i = 0; i < nl; ++i) {
     EXPECT_GE(host.degree(buffers.bin_large.host_data()[i]),
-              cfg.large_min_degree);
+              kLargeMinDegree);
   }
 }
 

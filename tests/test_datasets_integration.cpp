@@ -7,6 +7,7 @@
 #include "core/xbfs.h"
 #include "graph/datasets.h"
 #include "graph/device_csr.h"
+#include "graph/g500_validate.h"
 #include "graph/reference.h"
 #include "shard/shard_bfs.h"
 
@@ -29,7 +30,7 @@ TEST_P(DatasetIntegration, AdaptiveXbfsMatchesReference) {
   core::Xbfs bfs(dev, dg);
   for (graph::vid_t src : {giant.front(), giant[giant.size() / 2]}) {
     const core::BfsResult r = bfs.run(src);
-    const std::string err = graph::validate_bfs_levels(g, src, r.levels);
+    const std::string err = graph::validate_levels_graph500(g, src, r.levels);
     ASSERT_TRUE(err.empty()) << err;
   }
 }

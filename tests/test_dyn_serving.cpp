@@ -57,17 +57,20 @@ CachedResult make_result(std::uint32_t depth) {
 
 // --- ResultCache epoch invalidation ---------------------------------------
 
+constexpr core::AlgoKind kBfs = core::AlgoKind::Bfs;
+const std::uint64_t kBfsParams = bfs_params_hash();
+
 TEST(DynResultCache, EpochBumpPurgesRetiredEpochs) {
   ResultCache cache(8, 1);
   cache.prime(100);
-  cache.put(100, 1, make_result(1));
-  cache.put(100, 2, make_result(1));
+  cache.put(100, kBfs, kBfsParams, 1, make_result(1));
+  cache.put(100, kBfs, kBfsParams, 2, make_result(1));
   EXPECT_EQ(cache.size(), 2u);
 
   const std::size_t purged = cache.epoch_bump(200);
   EXPECT_EQ(purged, 2u);
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(static_cast<bool>(cache.get(100, 1)));
+  EXPECT_FALSE(static_cast<bool>(cache.get(100, kBfs, kBfsParams, 1)));
 
   const ResultCache::Stats s = cache.stats();
   EXPECT_EQ(s.epoch_bumps, 1u);
@@ -77,10 +80,11 @@ TEST(DynResultCache, EpochBumpPurgesRetiredEpochs) {
 TEST(DynResultCache, EpochBumpKeepsCurrentEpochEntries) {
   ResultCache cache(8, 1);
   cache.prime(100);
-  cache.put(200, 1, make_result(1));  // already keyed under the new epoch
-  cache.put(100, 2, make_result(1));
+  // Already keyed under the new epoch.
+  cache.put(200, kBfs, kBfsParams, 1, make_result(1));
+  cache.put(100, kBfs, kBfsParams, 2, make_result(1));
   EXPECT_EQ(cache.epoch_bump(200), 1u);  // only the epoch-100 entry goes
-  EXPECT_TRUE(static_cast<bool>(cache.get(200, 1)));
+  EXPECT_TRUE(static_cast<bool>(cache.get(200, kBfs, kBfsParams, 1)));
 }
 
 TEST(DynResultCache, LazyReapCountsAvoidedStaleHits) {
@@ -89,19 +93,21 @@ TEST(DynResultCache, LazyReapCountsAvoidedStaleHits) {
   ResultCache cache(8, 1);
   cache.prime(100);
   cache.epoch_bump(200);          // prev=100, current=200
-  cache.put(100, 7, make_result(1));  // straggler under the retired epoch
+  // A straggler under the retired epoch.
+  cache.put(100, kBfs, kBfsParams, 7, make_result(1));
   EXPECT_EQ(cache.size(), 1u);
 
   // Miss on the live key for the same source: the stale twin is dropped.
-  EXPECT_FALSE(static_cast<bool>(cache.get(200, 7)));
+  EXPECT_FALSE(static_cast<bool>(cache.get(200, kBfs, kBfsParams, 7)));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().stale_hits_avoided, 1u);
 }
 
 TEST(DynResultCache, UnprimedCacheNeverReaps) {
   ResultCache cache(8, 1);
-  cache.put(100, 7, make_result(1));
-  EXPECT_FALSE(static_cast<bool>(cache.get(200, 7)));  // plain miss
+  cache.put(100, kBfs, kBfsParams, 7, make_result(1));
+  // A plain miss.
+  EXPECT_FALSE(static_cast<bool>(cache.get(200, kBfs, kBfsParams, 7)));
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().stale_hits_avoided, 0u);
 }

@@ -10,6 +10,7 @@
 #include "graph/builder.h"
 #include "graph/datasets.h"
 #include "graph/device_csr.h"
+#include "graph/g500_validate.h"
 #include "graph/io.h"
 #include "graph/reference.h"
 #include "hipsim/hipsim.h"
@@ -102,7 +103,7 @@ TEST(FailureInjection, ValidatorCatchesSimulatedKernelBug) {
       graph::build_csr(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   auto levels = graph::reference_bfs(g, 0);
   levels[2] = 1;  // corrupt
-  EXPECT_FALSE(graph::validate_bfs_levels(g, 0, levels).empty());
+  EXPECT_FALSE(graph::validate_levels_graph500(g, 0, levels).empty());
 }
 
 TEST(FailureInjection, UnknownDatasetNameThrows) {

@@ -8,6 +8,7 @@
 #include "core/xbfs.h"
 #include "graph/datasets.h"
 #include "graph/device_csr.h"
+#include "graph/g500_validate.h"
 #include "graph/io.h"
 #include "graph/reference.h"
 #include "graph/reorder.h"
@@ -45,7 +46,7 @@ TEST_F(IoIntegration, CsrRoundTripTraversesIdentically) {
   auto dg = graph::DeviceCsr::upload(dev, back);
   core::Xbfs bfs(dev, dg);
   const core::BfsResult r = bfs.run(src);
-  EXPECT_TRUE(validate_bfs_levels(back, src, r.levels).empty());
+  EXPECT_TRUE(validate_levels_graph500(back, src, r.levels).empty());
 }
 
 TEST_F(IoIntegration, RearrangedGraphSurvivesRoundTrip) {

@@ -92,15 +92,6 @@ TEST(Policy, SlowGrowthPrefersScanFree) {
   EXPECT_EQ(p.decide(in).strategy, Strategy::ScanFree);
 }
 
-TEST(Policy, GrowthThresholdKnob) {
-  XbfsConfig cfg;
-  cfg.growth_threshold = 1.05;
-  AdaptivePolicy p(cfg);
-  LevelInputs in = base_inputs();
-  in.frontier_count = 900;  // 1.125x > 1.05
-  EXPECT_EQ(p.decide(in).strategy, Strategy::SingleScan);
-}
-
 TEST(Policy, ForcedStrategyOverridesEverything) {
   for (Strategy s : {Strategy::ScanFree, Strategy::SingleScan,
                      Strategy::BottomUp}) {

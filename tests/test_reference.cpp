@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/builder.h"
+#include "graph/g500_validate.h"
 #include "graph/reference.h"
 
 namespace xbfs::graph {
@@ -73,35 +74,35 @@ TEST(ConnectedComponents, LargestComponentVertices) {
 TEST(ValidateLevels, AcceptsReference) {
   const Csr g = build_csr(8, {{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}});
   const auto levels = reference_bfs(g, 0);
-  EXPECT_TRUE(validate_bfs_levels(g, 0, levels).empty());
+  EXPECT_TRUE(validate_levels_graph500(g, 0, levels).empty());
 }
 
 TEST(ValidateLevels, DetectsWrongSourceLevel) {
   const Csr g = path_graph(4);
   auto levels = reference_bfs(g, 0);
   levels[0] = 1;
-  EXPECT_FALSE(validate_bfs_levels(g, 0, levels).empty());
+  EXPECT_FALSE(validate_levels_graph500(g, 0, levels).empty());
 }
 
 TEST(ValidateLevels, DetectsOffByOneLevel) {
   const Csr g = path_graph(6);
   auto levels = reference_bfs(g, 0);
   levels[4] = 5;  // should be 4: edge (3,4) now spans 2 levels
-  EXPECT_FALSE(validate_bfs_levels(g, 0, levels).empty());
+  EXPECT_FALSE(validate_levels_graph500(g, 0, levels).empty());
 }
 
 TEST(ValidateLevels, DetectsFalseReachability) {
   const Csr g = build_csr(4, {{0, 1}, {2, 3}});
   auto levels = reference_bfs(g, 0);
   levels[2] = 5;  // claims an unreachable vertex was reached
-  EXPECT_FALSE(validate_bfs_levels(g, 0, levels).empty());
+  EXPECT_FALSE(validate_levels_graph500(g, 0, levels).empty());
 }
 
 TEST(ValidateLevels, DetectsMissedVertex) {
   const Csr g = path_graph(4);
   auto levels = reference_bfs(g, 0);
   levels[3] = kUnreached;  // claims a reachable vertex was missed
-  EXPECT_FALSE(validate_bfs_levels(g, 0, levels).empty());
+  EXPECT_FALSE(validate_levels_graph500(g, 0, levels).empty());
 }
 
 TEST(ValidateLevels, DetectsLevelWithoutPredecessor) {
@@ -116,13 +117,13 @@ TEST(ValidateLevels, DetectsLevelWithoutPredecessor) {
   ASSERT_EQ(dl[3], 2);
   ASSERT_EQ(dl[4], 3);
   dl[3] = 3;  // now 4 (level 3) has no level-2 neighbor... and (1,3) spans 2
-  EXPECT_FALSE(validate_bfs_levels(d, 0, dl).empty());
+  EXPECT_FALSE(validate_levels_graph500(d, 0, dl).empty());
   (void)levels;
 }
 
 TEST(ValidateLevels, WrongSizeRejected) {
   const Csr g = path_graph(4);
-  EXPECT_FALSE(validate_bfs_levels(g, 0, std::vector<std::int32_t>(3, 0))
+  EXPECT_FALSE(validate_levels_graph500(g, 0, std::vector<std::int32_t>(3, 0))
                    .empty());
 }
 

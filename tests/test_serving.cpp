@@ -36,6 +36,9 @@ ServeConfig manual_config() {
 
 // --- result cache ------------------------------------------------------------
 
+constexpr core::AlgoKind kBfs = core::AlgoKind::Bfs;
+const std::uint64_t kBfsParams = bfs_params_hash();
+
 TEST(ResultCache, LruEvictionAndCounters) {
   ResultCache cache(/*capacity=*/2, /*shards=*/1);
   auto mk = [](int depth) {
@@ -45,13 +48,14 @@ TEST(ResultCache, LruEvictionAndCounters) {
     r.depth = static_cast<std::uint32_t>(depth);
     return r;
   };
-  cache.put(1, 10, mk(1));
-  cache.put(1, 11, mk(2));
-  EXPECT_TRUE(static_cast<bool>(cache.get(1, 10)));  // 10 is now MRU
-  cache.put(1, 12, mk(3));                           // evicts 11 (LRU)
-  EXPECT_FALSE(static_cast<bool>(cache.get(1, 11)));
-  EXPECT_TRUE(static_cast<bool>(cache.get(1, 10)));
-  EXPECT_TRUE(static_cast<bool>(cache.get(1, 12)));
+  cache.put(1, kBfs, kBfsParams, 10, mk(1));
+  cache.put(1, kBfs, kBfsParams, 11, mk(2));
+  // 10 is now MRU, so 12 evicts 11 (LRU).
+  EXPECT_TRUE(static_cast<bool>(cache.get(1, kBfs, kBfsParams, 10)));
+  cache.put(1, kBfs, kBfsParams, 12, mk(3));
+  EXPECT_FALSE(static_cast<bool>(cache.get(1, kBfs, kBfsParams, 11)));
+  EXPECT_TRUE(static_cast<bool>(cache.get(1, kBfs, kBfsParams, 10)));
+  EXPECT_TRUE(static_cast<bool>(cache.get(1, kBfs, kBfsParams, 12)));
 
   const ResultCache::Stats s = cache.stats();
   EXPECT_EQ(s.inserts, 3u);
@@ -66,9 +70,9 @@ TEST(ResultCache, DistinctGraphFingerprintsDoNotCollide) {
   CachedResult r;
   r.levels = std::make_shared<const std::vector<std::int32_t>>(
       std::vector<std::int32_t>{0});
-  cache.put(/*graph_fp=*/111, /*source=*/5, r);
-  EXPECT_FALSE(static_cast<bool>(cache.get(222, 5)));
-  EXPECT_TRUE(static_cast<bool>(cache.get(111, 5)));
+  cache.put(/*graph_fp=*/111, kBfs, kBfsParams, /*source=*/5, r);
+  EXPECT_FALSE(static_cast<bool>(cache.get(222, kBfs, kBfsParams, 5)));
+  EXPECT_TRUE(static_cast<bool>(cache.get(111, kBfs, kBfsParams, 5)));
 }
 
 TEST(ResultCache, ZeroCapacityIsDisabled) {
@@ -77,8 +81,8 @@ TEST(ResultCache, ZeroCapacityIsDisabled) {
   CachedResult r;
   r.levels = std::make_shared<const std::vector<std::int32_t>>(
       std::vector<std::int32_t>{0});
-  cache.put(1, 1, r);
-  EXPECT_FALSE(static_cast<bool>(cache.get(1, 1)));
+  cache.put(1, kBfs, kBfsParams, 1, r);
+  EXPECT_FALSE(static_cast<bool>(cache.get(1, kBfs, kBfsParams, 1)));
   EXPECT_EQ(cache.size(), 0u);
 }
 

@@ -75,15 +75,7 @@ TEST(StatusApi, XbfsConfigRejectsNonsenseValues) {
   cfg.alpha = std::nan("");
   EXPECT_FALSE(cfg.validate().ok());
   cfg = {};
-  cfg.growth_threshold = -1.0;
-  EXPECT_FALSE(cfg.validate().ok());
-  cfg = {};
   cfg.block_threads = 0;
-  EXPECT_FALSE(cfg.validate().ok());
-  cfg = {};
-  cfg.stream_mode = core::StreamMode::TripleBinned;
-  cfg.medium_min_degree = 4096;
-  cfg.large_min_degree = 64;  // bins out of order
   EXPECT_FALSE(cfg.validate().ok());
   cfg = {};
   cfg.bottomup_spill_factor = 0.0;

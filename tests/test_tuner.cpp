@@ -7,6 +7,7 @@
 #include "core/tuner.h"
 #include "core/xbfs.h"
 #include "graph/device_csr.h"
+#include "graph/g500_validate.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
 #include "graph/rmat.h"
@@ -106,7 +107,7 @@ TEST(AlphaTuner, RecommendedAlphaYieldsCorrectAndCompetitiveRuns) {
     return bfs.run(giant[giant.size() / 3]);
   };
   const BfsResult tuned = run_with_alpha(rep.recommended_alpha);
-  EXPECT_TRUE(graph::validate_bfs_levels(g, giant[giant.size() / 3],
+  EXPECT_TRUE(graph::validate_levels_graph500(g, giant[giant.size() / 3],
                                          tuned.levels)
                   .empty());
   // The tuned alpha must not be worse than disabling bottom-up outright.

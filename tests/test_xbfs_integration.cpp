@@ -4,6 +4,7 @@
 
 #include "core/xbfs.h"
 #include "graph/device_csr.h"
+#include "graph/g500_validate.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
 #include "graph/rmat.h"
@@ -26,7 +27,7 @@ void expect_valid_bfs(const graph::Csr& g, const core::XbfsConfig& cfg,
   auto dg = graph::DeviceCsr::upload(dev, g);
   core::Xbfs bfs(dev, dg, cfg);
   const core::BfsResult r = bfs.run(src);
-  const std::string err = graph::validate_bfs_levels(g, src, r.levels);
+  const std::string err = graph::validate_levels_graph500(g, src, r.levels);
   EXPECT_TRUE(err.empty()) << err;
   EXPECT_GT(r.total_ms, 0.0);
   if (cfg.build_parents) {
