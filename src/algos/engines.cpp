@@ -180,11 +180,9 @@ void do_register() {
       AlgoKind::Sssp, "delta-sssp", 0, true,
       [](const EngineContext& ctx) -> std::unique_ptr<core::AlgorithmEngine> {
         if (!device_ready(ctx)) return nullptr;
-        if (!ctx.config) {
-          return std::make_unique<DeltaSsspEngine>(*ctx.dev, *ctx.dg);
-        }
-        return std::make_unique<DeltaSsspEngine>(*ctx.dev, *ctx.dg,
-                                                 ctx.config->alpha);
+        const double alpha =
+            ctx.config ? ctx.config->alpha : core::XbfsConfig{}.alpha;
+        return std::make_unique<DeltaSsspEngine>(*ctx.dev, *ctx.dg, alpha);
       });
   register_host_oracle(reg, AlgoKind::Sssp, "host-sssp", host_sssp);
 

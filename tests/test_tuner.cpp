@@ -108,7 +108,7 @@ TEST(AlphaTuner, RecommendedAlphaYieldsCorrectAndCompetitiveRuns) {
   };
   const BfsResult tuned = run_with_alpha(rep.recommended_alpha);
   EXPECT_TRUE(graph::validate_levels_graph500(g, giant[giant.size() / 3],
-                                         tuned.levels)
+                                              tuned.levels)
                   .empty());
   // The tuned alpha must not be worse than disabling bottom-up outright.
   const BfsResult topdown_only = run_with_alpha(2.0);
